@@ -45,13 +45,12 @@
 //
 // Observability (see README "Observability"): -capture persists every
 // executed unit's step log into the store's blob tier, keyed by the same
-// content address as its result; -replay KEY re-materializes one captured
+// content address as its result; cmd/observe re-materializes a captured
 // execution — verified against the machine's replayer, rendered as a
-// per-process timeline plus summary — with zero re-simulation. cmd/observe
-// browses the same blobs interactively.
+// per-process timeline plus summary — with zero re-simulation.
 //
 //	experiments -quick -cache DIR -capture   # capture while running
-//	experiments -cache DIR -replay KEY       # replay one stored execution
+//	observe -cache DIR KEY                   # replay one stored execution
 //
 // Tables go to stdout; timing, cache statistics and diagnostics go to
 // stderr, so stdout is byte-identical across cold, warm, and
@@ -69,10 +68,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/runner"
 	"repro/internal/session"
-	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -103,7 +99,6 @@ func run(args []string, w io.Writer) error {
 		only   = fs.String("only", "", "comma-separated experiment IDs to run (e.g. E1,E5); empty runs all")
 		seed   = fs.Int64("seed", 20060723, "seed for sampled permutations and schedules")
 		asJSON = fs.Bool("json", false, "emit each table as a JSON object instead of aligned text")
-		replay = fs.String("replay", "", "KEY: re-materialize the captured execution stored under KEY (timeline + summary, zero re-simulation) and exit")
 	)
 	sf := session.FlagConfig(fs)
 	if err := fs.Parse(args); err != nil {
@@ -142,12 +137,6 @@ func run(args []string, w io.Writer) error {
 		selected[id] = true
 	}
 
-	if *replay != "" {
-		if s.Store() == nil {
-			return fmt.Errorf("-replay requires -cache or -store")
-		}
-		return replayKey(w, s.Store(), *replay)
-	}
 	shardI, shardM := s.Shard()
 	priming := s.Priming()
 
@@ -193,43 +182,5 @@ func run(args []string, w io.Writer) error {
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) failed their shape checks", failures)
 	}
-	return nil
-}
-
-// replayKey re-materializes one captured execution from the store's blob
-// tier: decode, verify every step against a fresh replayer (zero
-// re-simulation — the machine only re-applies the recorded steps), then
-// render the timeline and per-process summary to stdout. The stderr line
-// carries the step and SC counts for scripts to grep.
-func replayKey(w io.Writer, st *store.Store, key string) error {
-	blob, ok := st.BlobGet(key)
-	if !ok {
-		return fmt.Errorf("no captured trace under %s (capture one with -capture)", key)
-	}
-	rec, err := trace.DecodeRecord(blob)
-	if err != nil {
-		return fmt.Errorf("replay %s: %w", key, err)
-	}
-	f, err := runner.NewFactory(rec.Algo, rec.N)
-	if err != nil {
-		return fmt.Errorf("replay %s: %w", key, err)
-	}
-	sc, err := trace.VerifyRecord(f, rec)
-	if err != nil {
-		return fmt.Errorf("replay %s: %w", key, err)
-	}
-	tl, err := trace.Timeline(f, rec.Exec, trace.Options{})
-	if err != nil {
-		return fmt.Errorf("replay %s: %w", key, err)
-	}
-	sum, err := trace.Summary(f, rec.Exec)
-	if err != nil {
-		return fmt.Errorf("replay %s: %w", key, err)
-	}
-	fmt.Fprintf(w, "replay %s\nalgo=%s n=%d steps=%d sc=%d\n\n", key, rec.Algo, rec.N, len(rec.Exec), sc)
-	fmt.Fprint(w, tl)
-	fmt.Fprintln(w)
-	fmt.Fprint(w, sum)
-	fmt.Fprintf(os.Stderr, "experiments: replayed %s steps=%d sc=%d\n", key, len(rec.Exec), sc) //repro:degrade diagnostic line on stderr
 	return nil
 }

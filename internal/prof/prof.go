@@ -10,9 +10,9 @@
 // -trace captures a runtime execution trace (scheduling, GC, blocking)
 // over the same run, for `go tool trace`. The profile → observe workflow:
 // profile a workload here to find *where* time goes, then replay the
-// simulation itself with `experiments -replay KEY` / cmd/observe to see
-// *what* the simulated execution did — the two views share the workload
-// via the result store's keys.
+// simulation itself with `observe KEY` to see *what* the simulated
+// execution did — the two views share the workload via the result store's
+// keys.
 package prof
 
 import (

@@ -2,60 +2,59 @@ package remote
 
 import (
 	"bufio"
+	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// Binary record framing — the compact alternative to NDJSON batch bodies,
-// negotiated per request entirely through standard content negotiation
-// under the protocol version header: a batch request declares its own body
-// framing in Content-Type and the framings it can decode in Accept; the
-// server answers in the densest framing the request accepts. Because every
-// response carries X-Result-Store-Protocol and the client refuses
-// mismatched generations, both ends of a conversation that reaches a
-// handler are guaranteed to agree on what the binary framing means; a
-// (hypothetical) v1 server predating it answers a binary body with 415 and
-// the client transparently re-sends that request as NDJSON and stops
-// offering binary bodies to that server.
+// RSB1 is the body framing of every batch and blob endpoint. A request
+// declares it in Content-Type (any other type is refused with 415 before
+// the body is read) and every record-list reply carries it; gzip, when
+// declared through Content-Encoding, wraps the framing in both directions.
 //
-// The framing, inside the usual gzip Content-Encoding:
+// The framing, inside the optional gzip layer:
 //
 //	magic "RSB1", then per record:
 //	  uvarint(len(key))   key bytes
 //	  uvarint(len(value)) value bytes
 //
 // Key-only batches (mget/mhas requests, mhas replies) are the same framing
-// with zero-length values. Values are the store's canonical JSON payloads,
-// carried verbatim — no quoting, escaping, or per-line JSON parse — so a
-// 64-key mget reply is one sequential scan instead of 64 Unmarshals.
+// with zero-length values. Values are the store's canonical JSON payloads
+// or opaque trace blobs, carried verbatim — no quoting, escaping, or
+// per-record JSON parse — so a 256-key mget reply is one sequential scan.
 const binaryContentType = "application/x-rsbin"
 
 // binaryMagic starts every binary batch body; a framing mismatch fails on
 // the first four bytes instead of producing garbage records.
 var binaryMagic = [4]byte{'R', 'S', 'B', '1'}
 
-// maxBinaryRecordBytes bounds one decoded key or value, mirroring the
-// NDJSON scanner's 64 MB line cap.
+// maxBinaryRecordBytes bounds one decoded key or value.
 const maxBinaryRecordBytes = 64 << 20
 
 // errBadMagic reports a body that does not start with the binary magic.
 var errBadMagic = errors.New("remote: binary batch body lacks RSB1 magic")
 
-// binaryEncoder writes framed records through a pooled buffered writer.
-// Flush must be called (and the encoder released) before the underlying
-// writer is closed.
+// binaryEncoder writes framed records through a pooled buffered writer
+// and, for a gzipped body, a pooled compressor. Flush must be called (and
+// the encoder released) before the underlying writer is closed.
 type binaryEncoder struct {
 	bw     *bufio.Writer
+	zw     *gzip.Writer // nil for an uncompressed body
 	varbuf [binary.MaxVarintLen64]byte
 	err    error
 }
 
-// newBinaryEncoder starts a binary batch body on w, writing the magic.
-func newBinaryEncoder(w io.Writer) *binaryEncoder {
-	e := &binaryEncoder{bw: getBufioWriter(w)}
+// newBinaryEncoder starts a binary body on w, writing the magic; gz
+// compresses the whole body.
+func newBinaryEncoder(w io.Writer, gz bool) *binaryEncoder {
+	e := &binaryEncoder{}
+	if gz {
+		e.zw = getGzipWriter(w)
+		w = e.zw
+	}
+	e.bw = getBufioWriter(w)
 	_, e.err = e.bw.Write(binaryMagic[:])
 	return e
 }
@@ -92,7 +91,7 @@ func (e *binaryEncoder) Record(key string, val []byte) {
 }
 
 // Flush completes the body, returning the first error hit anywhere in the
-// encode, and releases the pooled writer. The encoder must not be used
+// encode, and releases the pooled writers. The encoder must not be used
 // afterwards.
 func (e *binaryEncoder) Flush() error {
 	err := e.err
@@ -101,26 +100,44 @@ func (e *binaryEncoder) Flush() error {
 	}
 	putBufioWriter(e.bw)
 	e.bw = nil
+	if e.zw != nil {
+		if closeErr := e.zw.Close(); err == nil {
+			err = closeErr
+		}
+		putGzipWriter(e.zw)
+		e.zw = nil
+	}
 	return err
 }
 
-// binaryDecoder reads framed records through a pooled buffered reader.
+// binaryDecoder reads framed records through a pooled buffered reader
+// and, for a gzipped body, a pooled decompressor.
 type binaryDecoder struct {
 	br *bufio.Reader
+	zr *gzip.Reader // nil for an uncompressed body
 }
 
-// newBinaryDecoder checks the magic and returns a decoder over r.
-func newBinaryDecoder(r io.Reader) (*binaryDecoder, error) {
-	br := getBufioReader(r)
+// newBinaryDecoder checks the magic and returns a decoder over r; gz
+// decompresses the body first.
+func newBinaryDecoder(r io.Reader, gz bool) (*binaryDecoder, error) {
+	d := &binaryDecoder{}
+	if gz {
+		zr, err := getGzipReader(r)
+		if err != nil {
+			return nil, fmt.Errorf("remote: opening gzip body: %w", err)
+		}
+		d.zr, r = zr, zr
+	}
+	d.br = getBufioReader(r)
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != binaryMagic {
-		putBufioReader(br)
+	if _, err := io.ReadFull(d.br, magic[:]); err != nil || magic != binaryMagic {
+		d.Close()
 		if err != nil {
 			return nil, fmt.Errorf("remote: reading binary magic: %w", err)
 		}
 		return nil, errBadMagic
 	}
-	return &binaryDecoder{br: br}, nil
+	return d, nil
 }
 
 // readChunk reads one uvarint-length-prefixed byte string into a fresh
@@ -190,33 +207,27 @@ func (d *binaryDecoder) Next() (key string, val []byte, ok bool, err error) {
 //repro:hotpath-ok audited single allocation: the one []byte→string copy per decoded record; keys outlive the read buffer
 func retainKey(kb []byte) string { return string(kb) }
 
-// Close releases the pooled reader. The decoder must not be used afterwards.
+// each calls fn on every remaining record, stopping at the first decode
+// or fn error.
+func (d *binaryDecoder) each(fn func(key string, val []byte) error) error {
+	for {
+		k, v, more, err := d.Next()
+		if err != nil || !more {
+			return err
+		}
+		if err := fn(k, v); err != nil {
+			return err
+		}
+	}
+}
+
+// Close releases the pooled readers. The decoder must not be used
+// afterwards.
 func (d *binaryDecoder) Close() {
 	putBufioReader(d.br)
 	d.br = nil
-}
-
-// recordSink abstracts over the two batch framings so batch producers —
-// client request bodies, server reply bodies — are written once. A nil val
-// emits a key-only record.
-type recordSink interface {
-	Record(key string, val []byte) error
-}
-
-// ndjsonSink writes records as the protocol's NDJSON lines.
-type ndjsonSink struct{ enc *json.Encoder }
-
-func (s ndjsonSink) Record(key string, val []byte) error {
-	if val == nil {
-		return s.enc.Encode(wireKey{K: key})
+	if d.zr != nil {
+		putGzipReader(d.zr)
+		d.zr = nil
 	}
-	return s.enc.Encode(wireRecord{K: key, V: json.RawMessage(val)})
-}
-
-// binarySink writes records in the binary framing.
-type binarySink struct{ enc *binaryEncoder }
-
-func (s binarySink) Record(key string, val []byte) error {
-	s.enc.Record(key, val)
-	return s.enc.err
 }

@@ -2,11 +2,13 @@ package remote
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/store"
@@ -14,7 +16,8 @@ import (
 
 // TestBinaryCodecRoundTrip pins the framing itself: what the encoder
 // writes, the decoder returns verbatim — including key-only records and
-// values large enough to span the buffered reader's internal buffer.
+// values large enough to span the buffered reader's internal buffer —
+// with and without the gzip layer.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	records := []struct {
 		k string
@@ -25,30 +28,32 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		{"big", bytes.Repeat([]byte("v"), 1<<20)},
 		{"after-big", []byte(`"tail"`)},
 	}
-	var buf bytes.Buffer
-	enc := newBinaryEncoder(&buf)
-	for _, r := range records {
-		enc.Record(r.k, r.v)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := newBinaryDecoder(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dec.Close()
-	for _, want := range records {
-		k, v, ok, err := dec.Next()
-		if err != nil || !ok {
-			t.Fatalf("Next() = %q, %v, %v; want record %q", k, ok, err, want.k)
+	for _, gz := range []bool{false, true} {
+		var buf bytes.Buffer
+		enc := newBinaryEncoder(&buf, gz)
+		for _, r := range records {
+			enc.Record(r.k, r.v)
 		}
-		if k != want.k || !bytes.Equal(v, want.v) {
-			t.Fatalf("record %q decoded as %q with %d value bytes, want %d", want.k, k, len(v), len(want.v))
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, ok, err := dec.Next(); ok || err != nil {
-		t.Fatalf("after last record: ok=%v err=%v, want clean end", ok, err)
+		dec, err := newBinaryDecoder(&buf, gz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range records {
+			k, v, ok, err := dec.Next()
+			if err != nil || !ok {
+				t.Fatalf("gz=%v: Next() = %q, %v, %v; want record %q", gz, k, ok, err, want.k)
+			}
+			if k != want.k || !bytes.Equal(v, want.v) {
+				t.Fatalf("gz=%v: record %q decoded as %q with %d value bytes, want %d", gz, want.k, k, len(v), len(want.v))
+			}
+		}
+		if _, _, ok, err := dec.Next(); ok || err != nil {
+			t.Fatalf("gz=%v: after last record: ok=%v err=%v, want clean end", gz, ok, err)
+		}
+		dec.Close()
 	}
 }
 
@@ -56,16 +61,19 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 // an immediate error, and a truncated record surfaces as an error rather
 // than a silent short read.
 func TestBinaryDecoderRejectsGarbage(t *testing.T) {
-	if _, err := newBinaryDecoder(strings.NewReader(`{"k":"ndjson"}`)); err == nil {
+	if _, err := newBinaryDecoder(strings.NewReader(`{"k":"ndjson"}`), false); err == nil {
 		t.Fatal("NDJSON body accepted as binary")
 	}
+	if _, err := newBinaryDecoder(strings.NewReader("RSB1"), true); err == nil {
+		t.Fatal("uncompressed body accepted as gzip")
+	}
 	var buf bytes.Buffer
-	enc := newBinaryEncoder(&buf)
+	enc := newBinaryEncoder(&buf, false)
 	enc.Record("k", []byte(`"value"`))
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := newBinaryDecoder(bytes.NewReader(buf.Bytes()[:buf.Len()-3]))
+	dec, err := newBinaryDecoder(bytes.NewReader(buf.Bytes()[:buf.Len()-3]), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,35 +106,23 @@ func testEntries(n int) []store.Entry {
 	return entries
 }
 
-// TestBinaryAndNDJSONBatchesAgree is the framing-equivalence check: a
-// binary-speaking client and a client latched to NDJSON must observe the
-// exact same store through every batch endpoint, byte for byte.
+// TestBinaryAndNDJSONBatchesAgree is the batch round trip through the one
+// framing: values pushed as RSB1 records land in the server's NDJSON-backed
+// store byte for byte, an identical re-push adds nothing, and mget/mhas
+// read back exactly what the store holds.
 func TestBinaryAndNDJSONBatchesAgree(t *testing.T) {
-	ts, _ := openBinaryTestServer(t)
-	binClient, err := NewClient(ts.URL, nil)
+	ts, st := openBinaryTestServer(t)
+	c, err := NewClient(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonClient, err := NewClient(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonClient.noBinary.Store(true)
 
 	entries := testEntries(64)
-	added, err := binClient.PutBatch(entries)
-	if err != nil {
-		t.Fatal(err)
+	if added, err := c.PutBatch(entries); err != nil || added != len(entries) {
+		t.Fatalf("mput: added=%d err=%v, want %d, nil", added, err, len(entries))
 	}
-	if added != len(entries) {
-		t.Fatalf("binary mput added %d, want %d", added, len(entries))
-	}
-	if binClient.noBinary.Load() {
-		t.Fatal("server rejected the binary framing")
-	}
-	// Idempotent re-push through the NDJSON framing: same bytes, zero added.
-	if added, err := jsonClient.PutBatch(entries); err != nil || added != 0 {
-		t.Fatalf("NDJSON re-push: added=%d err=%v, want 0, nil", added, err)
+	if added, err := c.PutBatch(entries); err != nil || added != 0 {
+		t.Fatalf("re-push: added=%d err=%v, want 0, nil", added, err)
 	}
 
 	keys := make([]string, 0, len(entries)+1)
@@ -134,150 +130,121 @@ func TestBinaryAndNDJSONBatchesAgree(t *testing.T) {
 		keys = append(keys, e.Key)
 	}
 	keys = append(keys, "absent")
-	binGot, err := binClient.GetBatch(keys)
+	got, err := c.GetBatch(keys)
 	if err != nil {
 		t.Fatal(err)
-	}
-	jsonGot, err := jsonClient.GetBatch(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(binGot, jsonGot) {
-		t.Fatal("binary and NDJSON mget disagree")
 	}
 	for _, e := range entries {
-		if !bytes.Equal(binGot[e.Key], e.Val) {
-			t.Fatalf("mget %s: got %s, want %s", e.Key, binGot[e.Key], e.Val)
+		stored, _ := st.Peek(e.Key)
+		if !bytes.Equal(got[e.Key], e.Val) || !bytes.Equal(stored, e.Val) {
+			t.Fatalf("%s: mget %s, store %s, want %s", e.Key, got[e.Key], stored, e.Val)
 		}
 	}
-	if _, ok := binGot["absent"]; ok {
-		t.Fatal("mget invented a value for an absent key")
+	if _, ok := got["absent"]; ok || len(got) != len(entries) {
+		t.Fatalf("mget returned %d entries (absent present: %v), want %d", len(got), ok, len(entries))
 	}
-	binHas, err := binClient.HasBatch(keys)
+	has, err := c.HasBatch(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonHas, err := jsonClient.HasBatch(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(binHas, jsonHas) || len(binHas) != len(entries) {
-		t.Fatalf("binary/NDJSON mhas disagree: %d vs %d present", len(binHas), len(jsonHas))
+	if len(has) != len(entries) || has["absent"] {
+		t.Fatalf("mhas marked %d present (absent: %v), want %d", len(has), has["absent"], len(entries))
 	}
 }
 
-// TestServerRepliesInAcceptedFraming pins the negotiation rule on the
-// server side: the reply framing follows the request's Accept header, so
-// plain-NDJSON peers (and curl) never see binary bytes.
-func TestServerRepliesInAcceptedFraming(t *testing.T) {
-	ts, st := openBinaryTestServer(t)
-	st.Put("k", []byte(`{"v":1}`))
-
-	for _, tc := range []struct {
-		accept, wantCT string
-	}{
-		{binaryContentType, binaryContentType},
-		{ndjsonContentType, ndjsonContentType},
-		{"", ndjsonContentType},
-	} {
-		var body bytes.Buffer
-		if err := encodeBatchBody(&body, false, encodeKeySet([]string{"k"})); err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/mget", &body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", ndjsonContentType)
-		req.Header.Set("Content-Encoding", "gzip")
-		if tc.accept != "" {
-			req.Header.Set("Accept", tc.accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := resp.Header.Get("Content-Type")
-		drainClose(resp)
-		if resp.StatusCode != http.StatusOK || ct != tc.wantCT {
-			t.Fatalf("Accept %q: got %s with Content-Type %q, want 200 %q", tc.accept, resp.Status, ct, tc.wantCT)
-		}
-	}
-}
-
-// TestServerRejectsUnknownBatchContentType pins the 415 that drives client
-// fallback: a framing the server does not speak must be refused before any
-// of the body is interpreted.
+// TestServerRejectsUnknownBatchContentType pins the one framing: a batch
+// or blob-put body declared as anything but RSB1 — NDJSON, JSON, no type
+// at all — is refused with 415 before any of it is read, even when the
+// bytes themselves are a well-formed RSB1 body.
 func TestServerRejectsUnknownBatchContentType(t *testing.T) {
-	ts, _ := openBinaryTestServer(t)
-	for _, path := range []string{"/v1/mget", "/v1/mhas", "/v1/mput"} {
-		resp, err := http.Post(ts.URL+path, "application/x-futurebin", strings.NewReader("??"))
-		if err != nil {
-			t.Fatal(err)
+	ts, st := newBlobServer(t, true)
+	var body bytes.Buffer
+	enc := newBinaryEncoder(&body, false)
+	enc.Record("k", []byte(`{"v":1}`))
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/mget", "/v1/mhas", "/v1/mput", "/v1/blob/put"} {
+		for _, ct := range []string{"application/x-futurebin", "application/x-ndjson", "application/json", ""} {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ct != "" {
+				req.Header.Set("Content-Type", ct)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainClose(resp)
+			if resp.StatusCode != http.StatusUnsupportedMediaType {
+				t.Fatalf("%s with content type %q: got %d, want 415", path, ct, resp.StatusCode)
+			}
 		}
-		status := resp.StatusCode
-		drainClose(resp)
-		if status != http.StatusUnsupportedMediaType {
-			t.Fatalf("%s with unknown content type: got %d, want 415", path, status)
-		}
+	}
+	if st.Len() != 0 || st.BlobLen() != 0 {
+		t.Fatalf("refused bodies were applied: %d entries, %d blobs", st.Len(), st.BlobLen())
 	}
 }
 
-// TestClientFallsBackToNDJSON simulates servers that do not speak the
-// binary framing — one that answers it with a proper 415, and a pre-binary
-// one whose NDJSON parser chokes with a 400 — and requires the client to
-// re-send the same batch as NDJSON, succeed, and stop offering binary.
-func TestClientFallsBackToNDJSON(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		status int
-	}{
-		{"415-unsupported", http.StatusUnsupportedMediaType},
-		{"400-legacy-parse-error", http.StatusBadRequest},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st, err := store.Open(t.TempDir(), 0)
+// TestRefusedBatchKeepsTheFraming is the regression test for a refused
+// batch: a PutBatch the server answers with 400 (an entry without a value)
+// must fail on its own and leave the client speaking RSB1 — the next
+// PutBatch and GetBatch succeed, and no other body framing ever crosses
+// the wire.
+func TestRefusedBatchKeepsTheFraming(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := NewServer(st)
+	var mu sync.Mutex
+	otherBodies := 0
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			raw, err := io.ReadAll(r.Body)
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
-			defer st.Close()
-			srv := NewServer(st)
-			var binaryBodies, ndjsonBodies int
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasPrefix(r.Header.Get("Content-Type"), binaryContentType) {
-					binaryBodies++
-					w.Header().Set(VersionHeader, ProtocolVersion)
-					http.Error(w, "no binary here", tc.status)
-					return
-				}
-				if r.Method == http.MethodPost {
-					ndjsonBodies++
-				}
-				srv.ServeHTTP(w, r)
-			}))
-			defer ts.Close()
+			plain := raw
+			if zr, err := gzip.NewReader(bytes.NewReader(raw)); err == nil {
+				plain, _ = io.ReadAll(zr)
+			}
+			if r.Header.Get("Content-Type") != binaryContentType || !bytes.HasPrefix(plain, binaryMagic[:]) {
+				mu.Lock()
+				otherBodies++
+				mu.Unlock()
+			}
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
 
-			c, err := NewClient(ts.URL, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			entries := testEntries(8)
-			if added, err := c.PutBatch(entries); err != nil || added != len(entries) {
-				t.Fatalf("PutBatch through fallback: added=%d err=%v", added, err)
-			}
-			if !c.noBinary.Load() {
-				t.Fatal("client did not latch NDJSON after the server refused binary")
-			}
-			got, err := c.GetBatch([]string{entries[0].Key})
-			if err != nil || !bytes.Equal(got[entries[0].Key], entries[0].Val) {
-				t.Fatalf("GetBatch after fallback: %v, %v", got, err)
-			}
-			if binaryBodies != 1 {
-				t.Fatalf("client offered binary %d times after refusal, want exactly 1", binaryBodies)
-			}
-			if ndjsonBodies != 2 {
-				t.Fatalf("saw %d NDJSON batch bodies, want 2 (re-sent mput + mget)", ndjsonBodies)
-			}
-		})
+	c, err := NewClient(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.PutBatch([]store.Entry{{Key: "no-value"}}); err == nil {
+		t.Fatal("PutBatch of an entry without a value succeeded")
+	}
+	entries := testEntries(8)
+	if added, err := c.PutBatch(entries); err != nil || added != len(entries) {
+		t.Fatalf("PutBatch after a refused batch: added=%d err=%v", added, err)
+	}
+	got, err := c.GetBatch([]string{entries[0].Key})
+	if err != nil || !bytes.Equal(got[entries[0].Key], entries[0].Val) {
+		t.Fatalf("GetBatch after a refused batch: %v, %v", got, err)
+	}
+	if st.Has("no-value") {
+		t.Fatal("the refused entry was stored")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if otherBodies != 0 {
+		t.Fatalf("%d non-RSB1 batch bodies crossed the wire, want 0", otherBodies)
 	}
 }

@@ -1,12 +1,10 @@
 package remote
 
 import (
-	"compress/gzip"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
 )
 
 // Blob endpoints: the trace-payload tier over the wire. One opaque payload
@@ -35,25 +33,9 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusNotFound, "not found")
 		return
 	}
-	gz := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-	w.Header().Set("Content-Type", binaryContentType)
-	if gz {
-		w.Header().Set("Content-Encoding", "gzip")
-	}
-	w.WriteHeader(http.StatusOK)
-	out := io.Writer(w)
-	var zw *gzip.Writer
-	if gz {
-		zw = getGzipWriter(w)
-		out = zw
-	}
-	enc := newBinaryEncoder(out)
+	enc := replyRecords(w, r)
 	enc.Record(k, v)
 	enc.Flush() //repro:degrade a truncated response fails the client's decode, which counts a net error
-	if zw != nil {
-		zw.Close() //repro:degrade same: truncation surfaces at the client's decode
-		putGzipWriter(zw)
-	}
 }
 
 // handleBlobPut serves POST /v1/blob/put: one framed record in, 204 out.
@@ -65,29 +47,19 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusNotImplemented, "no blob tier mounted")
 		return
 	}
-	body, err := requestBody(w, r)
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad body: %v", err)
+	var k string
+	var v []byte
+	if !readRecords(w, r, func(key string, val []byte) error {
+		if k != "" || key == "" || len(val) == 0 {
+			return errors.New("blob body needs exactly one record with a key and a payload")
+		}
+		k, v = key, val
+		return nil
+	}) {
 		return
 	}
-	defer body.Close() //repro:degrade request body teardown; the decode below already surfaced any read failure
-	dec, err := newBinaryDecoder(body)
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad binary body: %v", err)
-		return
-	}
-	defer dec.Close()
-	k, v, more, err := dec.Next()
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad blob record: %v", err)
-		return
-	}
-	if !more || k == "" || len(v) == 0 {
-		replyError(w, http.StatusBadRequest, "blob body needs one key and payload")
-		return
-	}
-	if _, _, trailing, terr := dec.Next(); terr != nil || trailing {
-		replyError(w, http.StatusBadRequest, "blob body carries more than one record")
+	if k == "" {
+		replyError(w, http.StatusBadRequest, "blob body carries no record")
 		return
 	}
 	s.st.BlobPut(k, v)
@@ -125,29 +97,21 @@ func (c *Client) BlobGet(key string) ([]byte, bool, error) {
 	defer drainClose(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		rd := io.Reader(resp.Body)
-		if resp.Header.Get("Content-Encoding") == "gzip" {
-			zr, err := getGzipReader(resp.Body)
-			if err != nil {
-				return nil, false, fmt.Errorf("remote: blob get %s: %w", key, err)
+		var val []byte
+		err := scanRecords("/v1/blob/get", resp, func(k string, v []byte) error {
+			if k != key {
+				return fmt.Errorf("asked for key %s, server answered for key %s", key, k)
 			}
-			pz := &pooledGzipReadCloser{zr: zr}
-			defer pz.Close() //repro:degrade pool return; a corrupt stream already failed the decode below
-			rd = pz
+			val = v
+			return nil
+		})
+		if err == nil && val == nil {
+			err = fmt.Errorf("remote: blob get %s: empty reply", key)
 		}
-		dec, err := newBinaryDecoder(rd)
 		if err != nil {
-			return nil, false, fmt.Errorf("remote: blob get %s: %w", key, err)
+			return nil, false, err
 		}
-		defer dec.Close()
-		k, v, more, err := dec.Next()
-		if err != nil || !more {
-			return nil, false, fmt.Errorf("remote: blob get %s: empty or broken reply (%v)", key, err)
-		}
-		if k != key {
-			return nil, false, fmt.Errorf("remote: blob get %s: server answered for key %s", key, k)
-		}
-		return v, true, nil
+		return val, true, nil
 	case http.StatusNotFound, http.StatusNotImplemented:
 		return nil, false, nil
 	default:
@@ -160,31 +124,9 @@ func (c *Client) BlobGet(key string) ([]byte, bool, error) {
 // a lost capture only costs a future replay a re-simulation.
 func (c *Client) BlobPut(key string, val []byte) error {
 	c.puts.Add(1)
-	buf := getBuf()
-	defer putBuf(buf)
-	zw := getGzipWriter(buf)
-	enc := newBinaryEncoder(zw)
-	enc.Record(key, val)
-	err := enc.Flush()
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
-	putGzipWriter(zw)
-	if err != nil {
-		return fmt.Errorf("remote: blob put %s: %w", key, err)
-	}
-	resp, err := c.do(http.MethodPost, "/v1/blob/put", buf.Bytes(), map[string]string{
-		"Content-Type":     binaryContentType,
-		"Content-Encoding": "gzip",
-	})
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("remote: blob put %s: unexpected %s", key, resp.Status)
-	}
-	return nil
+	return c.postRecords("/v1/blob/put", http.StatusNoContent, func(enc *binaryEncoder) {
+		enc.Record(key, val)
+	}, nil)
 }
 
 // BlobHas implements store.BlobBackend over the wire; any failure reads as

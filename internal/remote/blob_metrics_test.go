@@ -102,7 +102,7 @@ func TestBlobKeyMismatchRefused(t *testing.T) {
 		w.Header().Set(VersionHeader, ProtocolVersion)
 		w.Header().Set("Content-Type", binaryContentType)
 		w.WriteHeader(http.StatusOK)
-		enc := newBinaryEncoder(w)
+		enc := newBinaryEncoder(w, false)
 		enc.Record("some-other-key", []byte("payload"))
 		if err := enc.Flush(); err != nil {
 			t.Error(err)
@@ -137,7 +137,7 @@ func TestBlobPutRejectsMalformedBodies(t *testing.T) {
 
 	frame := func(records ...[2]string) []byte {
 		var buf bytes.Buffer
-		enc := newBinaryEncoder(&buf)
+		enc := newBinaryEncoder(&buf, false)
 		for _, r := range records {
 			enc.Record(r[0], []byte(r[1]))
 		}

@@ -50,9 +50,8 @@ type Options struct {
 //   - Concurrent Gets of one key coalesce into a single in-flight request
 //     whose result every caller shares — a sweep fanning out over workers
 //     that all want the same entry costs one round trip.
-//   - GetBatch / PutBatch move whole sweeps in single gzipped batch
-//     bodies (store.Store.Prefetch and Merge use them) — binary-framed
-//     when the server speaks it, NDJSON otherwise (see binary.go).
+//   - GetBatch / PutBatch move whole sweeps in single gzipped RSB1 batch
+//     bodies (store.Store.Prefetch and Merge use them; see binary.go).
 //   - Every request has a bounded retry budget; after it is spent the
 //     failure is returned and the wrapping Store counts it as a miss
 //     (reads) or degrades to memory-only (writes) — the PR-3 discipline:
@@ -61,11 +60,6 @@ type Client struct {
 	base    string
 	hc      *http.Client
 	retries int
-
-	// noBinary latches when the server rejects the binary batch framing
-	// (415/400 on a binary body): every later batch from this client goes
-	// straight to NDJSON instead of paying the probe again.
-	noBinary atomic.Bool
 
 	mu       sync.Mutex
 	inflight map[string]*inflightGet
@@ -282,168 +276,65 @@ func (c *Client) Has(key string) bool {
 	return resp.StatusCode == http.StatusNoContent
 }
 
-// batchHeaders are the headers of one batch request: the body framing in
-// Content-Type, the framings the client decodes in Accept, gzip both ways.
-func batchHeaders(binary bool) map[string]string {
-	h := map[string]string{
-		"Content-Type":     ndjsonContentType,
-		"Content-Encoding": "gzip",
-		"Accept-Encoding":  "gzip",
-		"Accept":           ndjsonContentType,
-	}
-	if binary {
-		h["Content-Type"] = binaryContentType
-		h["Accept"] = binaryContentType + ", " + ndjsonContentType
-	}
-	return h
+// batchHeaders are the headers of every batch and blob-put request: a
+// gzipped RSB1 body, with gzip accepted back. Read-only.
+var batchHeaders = map[string]string{
+	"Content-Type":     binaryContentType,
+	"Content-Encoding": "gzip",
+	"Accept-Encoding":  "gzip",
 }
 
-// encodeBatchBody writes one gzipped batch body into buf in the requested
-// framing, streaming records straight into the pooled compressor — the
-// only whole-batch buffer is the compressed one the retry loop replays.
-func encodeBatchBody(buf *bytes.Buffer, binary bool, encode func(recordSink) error) error {
-	zw := getGzipWriter(buf)
-	defer putGzipWriter(zw)
-	var err error
-	if binary {
-		enc := newBinaryEncoder(zw)
-		err = encode(binarySink{enc})
-		if flushErr := enc.Flush(); err == nil {
-			err = flushErr
-		}
-	} else {
-		err = encode(ndjsonSink{json.NewEncoder(zw)})
-	}
-	if closeErr := zw.Close(); err == nil {
-		err = closeErr
-	}
-	return err
-}
-
-// postBatch posts one batch body, preferring the binary framing until the
-// server declines it — a 415 (or a pre-binary server's 400) on a binary
-// body re-sends the same batch as NDJSON and latches noBinary — then hands
-// the 200 response to handleReply. The body is drained and closed after
-// handleReply returns.
-func (c *Client) postBatch(path string, encode func(recordSink) error, handleReply func(*http.Response) error) error {
-	binary := !c.noBinary.Load()
+// postRecords posts one gzipped RSB1 body holding the records encode
+// writes and, when the server answers with status want, hands the
+// response to read (nil reads nothing). The body is staged in a pooled
+// buffer the retry loop replays; records stream straight into the pooled
+// compressor, so the compressed body is the only whole-batch buffer.
+func (c *Client) postRecords(path string, want int, encode func(*binaryEncoder), read func(*http.Response) error) error {
 	buf := getBuf()
 	defer putBuf(buf)
-	if err := encodeBatchBody(buf, binary, encode); err != nil {
+	enc := newBinaryEncoder(buf, true)
+	encode(enc)
+	if err := enc.Flush(); err != nil {
 		return fmt.Errorf("remote: %s: %w", path, err)
 	}
-	resp, err := c.do(http.MethodPost, path, buf.Bytes(), batchHeaders(binary))
+	resp, err := c.do(http.MethodPost, path, buf.Bytes(), batchHeaders)
 	if err != nil {
 		return err
 	}
-	if binary && (resp.StatusCode == http.StatusUnsupportedMediaType || resp.StatusCode == http.StatusBadRequest) {
-		drainClose(resp)
-		c.noBinary.Store(true)
-		buf.Reset()
-		if err := encodeBatchBody(buf, false, encode); err != nil {
-			return fmt.Errorf("remote: %s: %w", path, err)
-		}
-		resp, err = c.do(http.MethodPost, path, buf.Bytes(), batchHeaders(false))
-		if err != nil {
-			return err
-		}
-	}
 	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		return fmt.Errorf("remote: %s: unexpected %s", path, resp.Status)
 	}
-	return handleReply(resp)
+	if read == nil {
+		return nil
+	}
+	return read(resp)
 }
 
-// scanBatchReply streams a record-list reply body — either framing,
-// optionally gzipped — to scan, one record at a time; val is nil on
-// key-only lines. parseLine interprets NDJSON lines (the two reply shapes
-// carry different JSON), while the binary framing needs no per-endpoint
-// parser.
-func scanBatchReply(path string, resp *http.Response, parseLine func([]byte) (string, []byte, error), scan func(key string, val []byte) error) error {
-	rd := io.Reader(resp.Body)
-	if resp.Header.Get("Content-Encoding") == "gzip" {
-		zr, err := getGzipReader(resp.Body)
-		if err != nil {
-			return fmt.Errorf("remote: %s: %w", path, err)
-		}
-		pz := &pooledGzipReadCloser{zr: zr}
-		defer pz.Close() //repro:degrade pool return; a corrupt stream already failed the decode below
-		rd = pz
-	}
-	ct := resp.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	if strings.TrimSpace(ct) == binaryContentType {
-		dec, err := newBinaryDecoder(rd)
-		if err != nil {
-			return fmt.Errorf("remote: %s: %w", path, err)
-		}
+// scanRecords streams an RSB1 reply body to fn, one record at a time; val
+// is nil for key-only records.
+func scanRecords(path string, resp *http.Response, fn func(key string, val []byte) error) error {
+	dec, err := newBinaryDecoder(resp.Body, resp.Header.Get("Content-Encoding") == "gzip")
+	if err == nil {
 		defer dec.Close()
-		for {
-			k, v, more, err := dec.Next()
-			if err != nil {
-				return fmt.Errorf("remote: %s: %w", path, err)
-			}
-			if !more {
-				return nil
-			}
-			if err := scan(k, v); err != nil {
-				return err
-			}
-		}
+		err = dec.each(fn)
 	}
-	sc, release := batchScanner(rd)
-	defer release()
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		k, v, err := parseLine(line)
-		if err != nil {
-			return err
-		}
-		if err := scan(k, v); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return fmt.Errorf("remote: %s: %w", path, err)
 	}
 	return nil
 }
 
-// encodeKeySet is the batch body of mget and mhas: one key-only record per
-// requested key.
-func encodeKeySet(keys []string) func(recordSink) error {
-	return func(sink recordSink) error {
+// postKeys is the round trip of mget and mhas: one key-only record per
+// key out, one record per found key back to fn.
+func (c *Client) postKeys(path string, keys []string, fn func(key string, val []byte) error) error {
+	return c.postRecords(path, http.StatusOK, func(enc *binaryEncoder) {
 		for _, k := range keys {
-			if err := sink.Record(k, nil); err != nil {
-				return err
-			}
+			enc.Record(k, nil)
 		}
-		return nil
-	}
-}
-
-// parseRecordLine interprets one NDJSON {"k":...,"v":...} reply line.
-func parseRecordLine(line []byte) (string, []byte, error) {
-	var rec wireRecord
-	if err := json.Unmarshal(line, &rec); err != nil || rec.K == "" {
-		return "", nil, fmt.Errorf("remote: bad record line %q", line)
-	}
-	return rec.K, rec.V, nil
-}
-
-// parseKeyLine interprets one NDJSON {"k":...} reply line.
-func parseKeyLine(line []byte) (string, []byte, error) {
-	var k wireKey
-	if err := json.Unmarshal(line, &k); err != nil || k.K == "" {
-		return "", nil, fmt.Errorf("remote: bad key line %q", line)
-	}
-	return k.K, nil, nil
+	}, func(resp *http.Response) error {
+		return scanRecords(path, resp, fn)
+	})
 }
 
 // GetBatch implements store.BatchBackend: one gzipped /v1/mget round trip
@@ -451,13 +342,10 @@ func parseKeyLine(line []byte) (string, []byte, error) {
 func (c *Client) GetBatch(keys []string) (map[string][]byte, error) {
 	c.gets.Add(int64(len(keys)))
 	out := make(map[string][]byte, len(keys))
-	err := c.postBatch("/v1/mget", encodeKeySet(keys), func(resp *http.Response) error {
-		return scanBatchReply("/v1/mget", resp, parseRecordLine, func(k string, v []byte) error {
-			out[k] = v
-			return nil
-		})
-	})
-	if err != nil {
+	if err := c.postKeys("/v1/mget", keys, func(k string, v []byte) error {
+		out[k] = v
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -468,13 +356,10 @@ func (c *Client) GetBatch(keys []string) (map[string][]byte, error) {
 // which is what a prime pass deciding what to execute wants.
 func (c *Client) HasBatch(keys []string) (map[string]bool, error) {
 	out := make(map[string]bool, len(keys))
-	err := c.postBatch("/v1/mhas", encodeKeySet(keys), func(resp *http.Response) error {
-		return scanBatchReply("/v1/mhas", resp, parseKeyLine, func(k string, _ []byte) error {
-			out[k] = true
-			return nil
-		})
-	})
-	if err != nil {
+	if err := c.postKeys("/v1/mhas", keys, func(k string, _ []byte) error {
+		out[k] = true
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -485,13 +370,10 @@ func (c *Client) HasBatch(keys []string) (map[string]bool, error) {
 func (c *Client) PutBatch(entries []store.Entry) (int, error) {
 	c.puts.Add(int64(len(entries)))
 	var pr PutReply
-	err := c.postBatch("/v1/mput", func(sink recordSink) error {
+	err := c.postRecords("/v1/mput", http.StatusOK, func(enc *binaryEncoder) {
 		for _, e := range entries {
-			if err := sink.Record(e.Key, e.Val); err != nil {
-				return err
-			}
+			enc.Record(e.Key, e.Val)
 		}
-		return nil
 	}, func(resp *http.Response) error {
 		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 			return fmt.Errorf("remote: mput: %w", err)

@@ -8,8 +8,8 @@ import (
 	"repro/internal/store"
 )
 
-// Mount assembles the result store a CLI asked for from its -cache DIR and
-// -store URL[,URL…] flags:
+// MountFleet assembles the result store a CLI asked for from its -cache
+// DIR and -store URL[,URL…] flags:
 //
 //	cacheDir only   → the local NDJSON-backed store (PR-3 behaviour)
 //	one store URL   → the fleet store, mounted through a Client
@@ -46,16 +46,10 @@ import (
 // underway the degrade-to-miss discipline would hide a typoed URL behind a
 // silently cold (or silently half-cold) cache. The returned clients are
 // one per replica, in ring order (flag order when no ring is served);
-// empty when storeURL is empty.
-func Mount(cacheDir, storeURL string) (st *store.Store, cls []*Client, err error) {
-	st, cls, _, err = MountFleet(cacheDir, storeURL)
-	return st, cls, err
-}
-
-// MountFleet is Mount plus the placement ring the mount routes by: the
-// fleet's authoritative ring when any replica serves one, the epoch-0
-// flag ring for a multi-URL list without one, nil for local-only and
-// single-replica mounts.
+// empty when storeURL is empty. The returned ring is the placement the
+// mount routes by: the fleet's authoritative ring when any replica serves
+// one, the epoch-0 flag ring for a multi-URL list without one, nil for
+// local-only and single-replica mounts.
 func MountFleet(cacheDir, storeURL string) (st *store.Store, cls []*Client, ring *store.Ring, err error) {
 	var be store.Backend
 	var blobs store.BlobBackend
@@ -219,7 +213,7 @@ func (cs *CLIStore) Close() error {
 	return cs.Store.Close()
 }
 
-// MountFlags assembles and validates a CLI's store flags: Mount for
+// MountFlags assembles and validates a CLI's store flags: MountFleet for
 // -cache/-store, then -merge (fold the listed shard directories in before
 // running, mutually exclusive with -shard) and -shard i/m. diag receives
 // the merge report; prog prefixes it ("experiments: merged …").

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Compressor and scanner-buffer pools shared by Client and Server.
+// Compressor and buffer pools shared by Client and Server.
 //
 // A gzip.Writer holds the deflate compressor's ~800 KB of internal state
 // and a gzip.Reader ~45 KB of inflate state; allocating them per request
@@ -58,8 +58,8 @@ func putGzipReader(zr *gzip.Reader) {
 }
 
 // pooledGzipReadCloser adapts a pooled gzip reader into the io.ReadCloser
-// surface requestBody hands to handlers: Close returns the reader to the
-// pool exactly once.
+// surface requestBody hands to the JSON point handlers: Close returns the
+// reader to the pool exactly once.
 type pooledGzipReadCloser struct {
 	zr     *gzip.Reader
 	closed bool
@@ -81,22 +81,6 @@ func (p *pooledGzipReadCloser) Close() error {
 	putGzipReader(p.zr)
 	return err
 }
-
-// scanBufPool holds the 64 KB line buffers batch scanners start from; one
-// was allocated per batch request before pooling.
-var scanBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 64<<10)
-		return &b
-	},
-}
-
-// getScanBuf borrows a scanner start buffer.
-func getScanBuf() *[]byte { return scanBufPool.Get().(*[]byte) }
-
-// putScanBuf returns a scanner start buffer. The scanner may have grown its
-// buffer past the pooled one; only the original is retained either way.
-func putScanBuf(b *[]byte) { scanBufPool.Put(b) }
 
 // bufPool holds request-body staging buffers (client side: the compressed
 // batch body that must be replayable across retries).

@@ -5,32 +5,39 @@
 // tournament searchers, laptop runs — share that store instead of priming
 // private directories and merging after the fact.
 //
-// The protocol is a small, versioned JSON/NDJSON surface:
+// The protocol is a small, versioned HTTP surface: JSON for point and
+// control endpoints, one binary record framing (RSB1, see binary.go) for
+// every batch and blob body:
 //
 //	GET  /v1/get?k=KEY   → 200 {"k":KEY,"v":VALUE} | 404
 //	GET  /v1/has?k=KEY   → 204 | 404
 //	POST /v1/put         ← {"k":KEY,"v":VALUE}            → 200 {"added":a,"conflicts":c}
-//	POST /v1/mget        ← NDJSON {"k":KEY} per line       → 200 NDJSON {"k":KEY,"v":VALUE} per found key
-//	POST /v1/mhas        ← NDJSON {"k":KEY} per line       → 200 NDJSON {"k":KEY} per present key
-//	POST /v1/mput        ← NDJSON {"k":KEY,"v":VALUE}      → 200 {"added":a,"conflicts":c}
+//	POST /v1/mget        ← RSB1 key-only record per key    → 200 RSB1 record per found key
+//	POST /v1/mhas        ← RSB1 key-only record per key    → 200 RSB1 key-only record per present key
+//	POST /v1/mput        ← RSB1 record per entry           → 200 {"added":a,"conflicts":c}
 //	GET  /v1/stats       → 200 StatsReply
 //	POST /v1/compact     → 200 {"kept":k,"dropped":d}
 //	GET  /v1/ring        → 200 store.Ring JSON | 404 (no ring installed)
 //	POST /v1/ring        ← store.Ring JSON                 → 200 {"epoch":e} | 409 (stale epoch)
 //	POST /v1/drain       → 200 DrainReply
-//	GET  /v1/blob/get?k=KEY → 200 binary-framed record | 404 | 501 (no blob tier)
-//	POST /v1/blob/put    ← binary-framed record            → 204 | 501 (no blob tier)
+//	GET  /v1/blob/get?k=KEY → 200 RSB1 record | 404 | 501 (no blob tier)
+//	POST /v1/blob/put    ← RSB1 record                     → 204 | 501 (no blob tier)
 //	GET  /v1/blob/has?k=KEY → 204 | 404
 //	GET  /v1/metrics     → 200 Prometheus text exposition
 //
+// A batch or blob-put request declares its body as Content-Type
+// application/x-rsbin; any other type is refused with 415 before the body
+// is read. Bodies are gzipped in both directions, declared with the
+// standard Content-Encoding / Accept-Encoding headers and coded through
+// pooled compressors. Values cross verbatim behind uvarint length
+// prefixes, so a reply is one sequential scan with no per-record parse.
+//
 // Blob bodies (/v1/blob/get, /v1/blob/put) carry one opaque trace payload
-// in the same binary record framing the batch endpoints negotiate (see
-// binary.go: magic + uvarint-prefixed key and value), gzipped through the
-// shared pools in both directions — the payload's key rides inside the
-// frame, so a reply or an upload is self-describing and the server can
-// refuse a key mismatch. /v1/metrics is the scrape surface: every request
-// counter, per-endpoint latency histograms, store and blob-tier gauges,
-// rendered in the Prometheus text exposition format with no dependency.
+// as a single record: the payload's key rides inside the frame, so a reply
+// or an upload is self-describing and the server can refuse a key
+// mismatch. /v1/metrics is the scrape surface: every request counter,
+// per-endpoint latency histograms, store and blob-tier gauges, rendered in
+// the Prometheus text exposition format with no dependency.
 //
 // Placement travels with the traffic: every response carries the server's
 // installed ring epoch in the X-Result-Store-Epoch header (0 when no ring
@@ -40,21 +47,9 @@
 // /v1/drain makes the server stream every key it no longer owns to the
 // new owners (batched mput) and delete its copies once they land.
 //
-// Batch bodies (/v1/mget, /v1/mput) are gzipped in both directions —
-// declared with the standard Content-Encoding / Accept-Encoding headers —
-// and batch records reuse the exact line format of the store's NDJSON log,
-// so a dump stays greppable with the same tools. Every response carries
-// the protocol version in the X-Result-Store-Protocol header; the client
-// refuses to talk through a version (or a non-stored endpoint) it does not
-// understand.
-//
-// Within protocol generation 1, batch endpoints additionally accept and
-// serve a compact binary record framing (see binary.go), negotiated per
-// request through Content-Type and Accept. NDJSON remains the baseline
-// every peer speaks: a server answers an unknown batch Content-Type with
-// 415, and the client then re-sends that batch as NDJSON and stops
-// offering binary to that server. curl, dumps and old peers keep working
-// unchanged.
+// Every response carries the protocol version in the
+// X-Result-Store-Protocol header; the client refuses to talk through a
+// version (or a non-stored endpoint) it does not understand.
 //
 // Write semantics are the store's: per-key last-write-wins, safe because
 // keys are content addresses — two correct writers of one key wrote the
@@ -89,24 +84,17 @@ const VersionHeader = "X-Result-Store-Protocol"
 // maximum seen and compare it against the epoch they mounted under.
 const EpochHeader = "X-Result-Store-Epoch"
 
-// ndjsonContentType labels batch bodies.
-const ndjsonContentType = "application/x-ndjson"
-
 // maxBodyBytes bounds any single request body (post-decompression reads
-// are bounded per line by the scanner buffer).
+// are bounded per record by maxBinaryRecordBytes).
 const maxBodyBytes = 1 << 30
 
-// wireRecord is one key/value pair on the wire — the same line format as
-// the store's NDJSON log. V holds the stored value, which is always JSON
-// (the store only ever holds canonical-JSON payloads).
+// wireRecord is the JSON body of a point get reply and a point put — the
+// same shape as a line of the store's NDJSON log. V holds the stored
+// value, which is always JSON (the store only ever holds canonical-JSON
+// payloads).
 type wireRecord struct {
 	K string          `json:"k"`
 	V json.RawMessage `json:"v"`
-}
-
-// wireKey is one mget request line.
-type wireKey struct {
-	K string `json:"k"`
 }
 
 // PutReply answers /v1/put and /v1/mput: how many keys were new to the
@@ -184,8 +172,8 @@ type errorReply struct {
 	Error string `json:"error"`
 }
 
-// requestBody returns the request body, transparently ungzipping when the
-// sender declared Content-Encoding: gzip, and bounded by maxBodyBytes.
+// requestBody returns a JSON request body, transparently ungzipping when
+// the sender declared Content-Encoding: gzip, and bounded by maxBodyBytes.
 // The decompressor comes from the shared pool; Close returns it.
 func requestBody(w http.ResponseWriter, r *http.Request) (io.ReadCloser, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)

@@ -3,8 +3,8 @@ package remote_test
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -112,7 +112,7 @@ func TestMergePushIdempotent(t *testing.T) {
 	logPath := filepath.Join(nearDir, "results.ndjson")
 	var sizeAfterFirst int64
 	for round := 0; round < 2; round++ {
-		st, _, err := remote.Mount(nearDir, ts.URL)
+		st, _, _, err := remote.MountFleet(nearDir, ts.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,18 +242,27 @@ func TestBatchRoundTripGzip(t *testing.T) {
 	}
 }
 
-// TestMGetResponseIsGzippedNDJSON pins the wire shape of a batch reply for
-// non-Go clients: gzipped NDJSON in the store's own record format.
-func TestMGetResponseIsGzippedNDJSON(t *testing.T) {
+// TestMGetWireShapeIsGzippedRSB1 pins the byte-level wire shape of a
+// batch round trip for non-Go clients: a gzipped RSB1 request body
+// ("RSB1", then uvarint-length-prefixed key and value per record, values
+// empty for a key list) and a gzipped RSB1 reply carrying the stored value
+// verbatim.
+func TestMGetWireShapeIsGzippedRSB1(t *testing.T) {
 	ts, _, st := newServer(t)
 	k := store.Key("v1", "unit")
-	st.Put(k, []byte(`{"sc":7}`))
+	v := `{"sc":7}`
+	st.Put(k, []byte(v))
 
+	// A 64-hex-digit key and a short value: every length fits one uvarint byte.
+	record := func(key, val string) string {
+		return string([]byte{byte(len(key))}) + key + string([]byte{byte(len(val))}) + val
+	}
 	var body bytes.Buffer
 	zw := gzip.NewWriter(&body)
-	fmt.Fprintf(zw, "{\"k\":%q}\n", k)
+	zw.Write([]byte("RSB1" + record(k, "") + record(store.Key("v1", "absent"), "")))
 	zw.Close()
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/mget", &body)
+	req.Header.Set("Content-Type", "application/x-rsbin")
 	req.Header.Set("Content-Encoding", "gzip")
 	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := http.DefaultTransport.RoundTrip(req)
@@ -261,22 +270,29 @@ func TestMGetResponseIsGzippedNDJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("batch reply not gzipped: %q", resp.Header.Get("Content-Encoding"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mget: %s", resp.Status)
 	}
-	if resp.Header.Get(remote.VersionHeader) != remote.ProtocolVersion {
-		t.Fatalf("missing protocol version header")
+	for h, want := range map[string]string{
+		"Content-Type":       "application/x-rsbin",
+		"Content-Encoding":   "gzip",
+		remote.VersionHeader: remote.ProtocolVersion,
+		remote.EpochHeader:   "0",
+	} {
+		if got := resp.Header.Get(h); got != want {
+			t.Fatalf("reply header %s = %q, want %q", h, got, want)
+		}
 	}
 	zr, err := gzip.NewReader(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec struct {
-		K string          `json:"k"`
-		V json.RawMessage `json:"v"`
+	got, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(zr).Decode(&rec); err != nil || rec.K != k || string(rec.V) != `{"sc":7}` {
-		t.Fatalf("reply line: %+v err=%v", rec, err)
+	if want := "RSB1" + record(k, v); string(got) != want {
+		t.Fatalf("reply body %q, want %q", got, want)
 	}
 }
 
@@ -465,15 +481,15 @@ func TestCompactEndpoint(t *testing.T) {
 func TestMountTiers(t *testing.T) {
 	ts, srv, _ := newServer(t)
 
-	st, cl, err := remote.Mount("", "")
+	st, cl, _, err := remote.MountFleet("", "")
 	if err != nil || st != nil || cl != nil {
-		t.Fatalf("Mount of nothing: %v %v %v", st, cl, err)
+		t.Fatalf("MountFleet of nothing: %v %v %v", st, cl, err)
 	}
 
 	// Remote only: writes land on the server.
-	st, cl, err = remote.Mount("", ts.URL)
+	st, cl, _, err = remote.MountFleet("", ts.URL)
 	if err != nil || st == nil || cl == nil {
-		t.Fatalf("Mount remote: %v", err)
+		t.Fatalf("MountFleet remote: %v", err)
 	}
 	k := store.Key("v1", "shared")
 	st.Put(k, []byte(`{"sc":5}`))
@@ -482,7 +498,7 @@ func TestMountTiers(t *testing.T) {
 	// Local front over remote: the first Get pulls the key down into the
 	// local tier; after that the fleet store is not consulted for it.
 	dir := t.TempDir()
-	st, _, err = remote.Mount(dir, ts.URL)
+	st, _, _, err = remote.MountFleet(dir, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +507,7 @@ func TestMountTiers(t *testing.T) {
 	}
 	st.Close()
 	getsBefore := srv.Requests().Get
-	st, _, err = remote.Mount(dir, ts.URL)
+	st, _, _, err = remote.MountFleet(dir, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,12 +520,12 @@ func TestMountTiers(t *testing.T) {
 	}
 
 	// Fail fast on an unreachable or impostor store.
-	if _, _, err := remote.Mount("", "http://127.0.0.1:1"); err == nil {
+	if _, _, _, err := remote.MountFleet("", "http://127.0.0.1:1"); err == nil {
 		t.Fatal("unreachable store URL accepted")
 	}
 	impostor := httptest.NewServer(http.NotFoundHandler())
 	defer impostor.Close()
-	if _, _, err := remote.Mount("", impostor.URL); err == nil {
+	if _, _, _, err := remote.MountFleet("", impostor.URL); err == nil {
 		t.Fatal("impostor store URL accepted")
 	}
 }
@@ -523,13 +539,13 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 	ts2, srv2, auth2 := newServer(t)
 	list := ts1.URL + "," + ts2.URL
 
-	st, cls, err := remote.Mount("", list)
+	st, cls, _, err := remote.MountFleet("", list)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	if len(cls) != 2 || cls[0].URL() != ts1.URL || cls[1].URL() != ts2.URL {
-		t.Fatalf("Mount returned clients %v, want one per URL in order", cls)
+		t.Fatalf("MountFleet returned clients %v, want one per URL in order", cls)
 	}
 
 	const n = 40
@@ -554,7 +570,7 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 
 	// Prefetch splits into one concurrent mget per replica and the per-key
 	// reads that follow are all served warm.
-	fresh, _, err := remote.Mount("", list)
+	fresh, _, _, err := remote.MountFleet("", list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,11 +596,11 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 	// A dead member anywhere in the list fails the mount, naming it — and a
 	// list that names no member at all (unset env vars leaving just ",") is
 	// a loud error, not a silently storeless run.
-	if _, _, err := remote.Mount("", ts1.URL+",http://127.0.0.1:1"); err == nil {
+	if _, _, _, err := remote.MountFleet("", ts1.URL+",http://127.0.0.1:1"); err == nil {
 		t.Fatal("replica list with a dead member accepted")
 	}
 	for _, empty := range []string{",", " , ", ",,"} {
-		if _, _, err := remote.Mount("", empty); err == nil {
+		if _, _, _, err := remote.MountFleet("", empty); err == nil {
 			t.Fatalf("empty URL list %q accepted", empty)
 		}
 	}

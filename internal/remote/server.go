@@ -1,12 +1,10 @@
 package remote
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -273,142 +271,69 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusOK, PutReply{Added: added, Conflicts: conflicts})
 }
 
-// batchScanner wraps a batch body in a line scanner sized for big values,
-// starting from a pooled buffer; release must run when scanning is done.
-func batchScanner(body io.Reader) (sc *bufio.Scanner, release func()) {
-	sc = bufio.NewScanner(body)
-	buf := getScanBuf()
-	sc.Buffer(*buf, 64<<20)
-	return sc, func() { putScanBuf(buf) }
-}
-
-// batchFraming classifies a batch request's body framing from its
-// Content-Type. An unrecognized type gets 415 — the signal a binary-first
-// client's fallback distinguishes from a malformed body — and false.
-// Absent and generic JSON types read as NDJSON, the protocol baseline.
-func batchFraming(w http.ResponseWriter, r *http.Request) (binary, ok bool) {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
+// readRecords streams an RSB1 request body to fn, one record at a time:
+// 415 before any of the body is read unless the request declares the
+// binary Content-Type, 400 on a broken body or an error from fn. A false
+// return means the error response has already been written.
+func readRecords(w http.ResponseWriter, r *http.Request, fn func(key string, val []byte) error) bool {
+	if ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) != binaryContentType {
+		replyError(w, http.StatusUnsupportedMediaType, "body must be %s, got %q", binaryContentType, r.Header.Get("Content-Type"))
+		return false
 	}
-	switch strings.TrimSpace(ct) {
-	case binaryContentType:
-		return true, true
-	case "", ndjsonContentType, "application/json":
-		return false, true
-	}
-	replyError(w, http.StatusUnsupportedMediaType, "unsupported batch content type %q", r.Header.Get("Content-Type"))
-	return false, false
-}
-
-// readKeys decodes a key-list batch body in either framing; a false return
-// means the error response has already been written.
-func (s *Server) readKeys(w http.ResponseWriter, r *http.Request) ([]string, bool) {
-	binary, ok := batchFraming(w, r)
-	if !ok {
-		return nil, false
-	}
-	body, err := requestBody(w, r)
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad body: %v", err)
-		return nil, false
-	}
-	defer body.Close() //repro:degrade request body teardown; the decode above already surfaced any read failure
-	var keys []string
-	if binary {
-		dec, err := newBinaryDecoder(body)
-		if err != nil {
-			replyError(w, http.StatusBadRequest, "bad binary body: %v", err)
-			return nil, false
-		}
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec, err := newBinaryDecoder(body, r.Header.Get("Content-Encoding") == "gzip")
+	if err == nil {
 		defer dec.Close()
-		for {
-			k, _, more, err := dec.Next()
-			if err != nil {
-				replyError(w, http.StatusBadRequest, "bad binary key record: %v", err)
-				return nil, false
-			}
-			if !more {
-				return keys, true
-			}
-			if k == "" {
-				replyError(w, http.StatusBadRequest, "empty key record")
-				return nil, false
-			}
-			keys = append(keys, k)
-		}
+		err = dec.each(fn)
 	}
-	sc, release := batchScanner(body)
-	defer release()
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var k wireKey
-		if err := json.Unmarshal(line, &k); err != nil || k.K == "" {
-			replyError(w, http.StatusBadRequest, "bad key line %q", line)
-			return nil, false
-		}
-		keys = append(keys, k.K)
+	if err != nil {
+		replyError(w, http.StatusBadRequest, "bad batch body: %v", err)
+		return false
 	}
-	if err := sc.Err(); err != nil {
-		replyError(w, http.StatusBadRequest, "reading keys: %v", err)
-		return nil, false
-	}
-	return keys, true
+	return true
 }
 
-// batchReplyWriter starts a 200 batch reply in the densest framing the
-// request accepts — binary when its Accept lists the binary type, NDJSON
-// otherwise — gzipped (through the pooled compressor) when the client
-// accepts gzip. The returned close must run before the handler exits.
-func batchReplyWriter(w http.ResponseWriter, r *http.Request) (recordSink, func()) {
-	binary := strings.Contains(r.Header.Get("Accept"), binaryContentType)
+// replyRecords starts a 200 RSB1 reply, gzipped through the pooled
+// compressor when the request accepts gzip. The caller must Flush the
+// returned encoder before the handler exits.
+func replyRecords(w http.ResponseWriter, r *http.Request) *binaryEncoder {
 	gz := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-	if binary {
-		w.Header().Set("Content-Type", binaryContentType)
-	} else {
-		w.Header().Set("Content-Type", ndjsonContentType)
-	}
+	w.Header().Set("Content-Type", binaryContentType)
 	if gz {
 		w.Header().Set("Content-Encoding", "gzip")
 	}
 	w.WriteHeader(http.StatusOK)
-	out := io.Writer(w)
-	var zw *gzip.Writer
-	if gz {
-		zw = getGzipWriter(w)
-		out = zw
-	}
-	closeGzip := func() {
-		if zw != nil {
-			zw.Close() //repro:degrade a truncated response fails the client's decode, which retries or counts a net error
-			putGzipWriter(zw)
-		}
-	}
-	if binary {
-		enc := newBinaryEncoder(out)
-		return binarySink{enc}, func() { enc.Flush(); closeGzip() } //repro:degrade a failed flush truncates the response; the client's decode catches it
-	}
-	return ndjsonSink{json.NewEncoder(out)}, closeGzip
+	return newBinaryEncoder(w, gz)
 }
 
-func (s *Server) handleMGet(w http.ResponseWriter, r *http.Request) {
-	s.req.mget.Add(1)
-	keys, ok := s.readKeys(w, r)
-	if !ok {
+// answerKeys serves a key-list batch: it reads the requested keys, then
+// replies with one record per key lookup finds — the value for mget, a
+// key-only record for mhas.
+func answerKeys(w http.ResponseWriter, r *http.Request, lookup func(key string) ([]byte, bool)) {
+	var keys []string
+	if !readRecords(w, r, func(k string, _ []byte) error {
+		if k == "" {
+			return errors.New("record has an empty key")
+		}
+		keys = append(keys, k)
+		return nil
+	}) {
 		return
 	}
-	sink, closeOut := batchReplyWriter(w, r)
-	defer closeOut()
+	enc := replyRecords(w, r)
+	defer enc.Flush() //repro:degrade a failed flush truncates the reply; the client's decode catches it
 	for _, k := range keys {
-		if v, ok := s.st.Get(k); ok {
-			if err := sink.Record(k, v); err != nil {
+		if v, ok := lookup(k); ok {
+			if enc.Record(k, v); enc.err != nil {
 				return // client went away; nothing left to report to it
 			}
 		}
 	}
+}
+
+func (s *Server) handleMGet(w http.ResponseWriter, r *http.Request) {
+	s.req.mget.Add(1)
+	answerKeys(w, r, s.st.Get)
 }
 
 // handleMHas is the presence-only sibling of mget: prime passes ask
@@ -416,79 +341,21 @@ func (s *Server) handleMGet(w http.ResponseWriter, r *http.Request) {
 // bytes — the reply carries keys alone.
 func (s *Server) handleMHas(w http.ResponseWriter, r *http.Request) {
 	s.req.mhas.Add(1)
-	keys, ok := s.readKeys(w, r)
-	if !ok {
-		return
-	}
-	sink, closeOut := batchReplyWriter(w, r)
-	defer closeOut()
-	for _, k := range keys {
-		if s.st.Has(k) {
-			if err := sink.Record(k, nil); err != nil {
-				return
-			}
-		}
-	}
+	answerKeys(w, r, func(k string) ([]byte, bool) { return nil, s.st.Has(k) })
 }
 
 func (s *Server) handleMPut(w http.ResponseWriter, r *http.Request) {
 	s.req.mput.Add(1)
-	binary, ok := batchFraming(w, r)
-	if !ok {
-		return
-	}
-	body, err := requestBody(w, r)
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	defer body.Close() //repro:degrade request body teardown; the decode above already surfaced any read failure
 	var total PutReply
-	if binary {
-		dec, err := newBinaryDecoder(body)
-		if err != nil {
-			replyError(w, http.StatusBadRequest, "bad binary body: %v", err)
-			return
+	if !readRecords(w, r, func(k string, v []byte) error {
+		if k == "" || len(v) == 0 {
+			return errors.New("record needs a key and a value")
 		}
-		defer dec.Close()
-		for {
-			k, v, more, err := dec.Next()
-			if err != nil {
-				replyError(w, http.StatusBadRequest, "bad binary record: %v", err)
-				return
-			}
-			if !more {
-				break
-			}
-			if k == "" || len(v) == 0 {
-				replyError(w, http.StatusBadRequest, "binary record needs key and value")
-				return
-			}
-			added, conflicts := s.storeOne(k, v)
-			total.Added += added
-			total.Conflicts += conflicts
-		}
-		reply(w, http.StatusOK, total)
-		return
-	}
-	sc, release := batchScanner(body)
-	defer release()
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec wireRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.K == "" || len(rec.V) == 0 {
-			replyError(w, http.StatusBadRequest, "bad record line %q", line)
-			return
-		}
-		added, conflicts := s.storeOne(rec.K, rec.V)
+		added, conflicts := s.storeOne(k, v)
 		total.Added += added
 		total.Conflicts += conflicts
-	}
-	if err := sc.Err(); err != nil {
-		replyError(w, http.StatusBadRequest, "reading records: %v", err)
+		return nil
+	}) {
 		return
 	}
 	reply(w, http.StatusOK, total)

@@ -58,29 +58,16 @@ func NewCached(e *Engine, st *store.Store) *CachedEngine {
 // of m (0-based): the engine owns member i of the uniform m-member ring, so
 // every process derives the identical partition from m alone. It requires a
 // store — a shard pass without somewhere to write results would do nothing
-// — and returns the engine unchanged when m <= 0 or no store is attached.
+// — and returns the engine unchanged when m <= 0, i is out of range, or no
+// store is attached.
 func (c *CachedEngine) WithShard(i, m int) *CachedEngine {
-	if m <= 0 || c.cache == nil {
-		return c
-	}
-	return c.WithShardRing(store.UniformRing(m), i)
-}
-
-// WithShardRing returns a copy of the engine acting as a prime pass owning
-// member self of the given ring — the general form of WithShard, for
-// fleets whose partition is a weighted named ring rather than a uniform
-// count. A nil ring or out-of-range self returns the engine unchanged.
-func (c *CachedEngine) WithShardRing(ring *store.Ring, self int) *CachedEngine {
-	if ring == nil || self < 0 || self >= len(ring.Members) || c.cache == nil {
+	if m <= 0 || i < 0 || i >= m || c.cache == nil {
 		return c
 	}
 	cp := *c
-	cp.shard, cp.self = ring, self
+	cp.shard, cp.self = store.UniformRing(m), i
 	return &cp
 }
-
-// Cache returns the attached store (nil when uncached).
-func (c *CachedEngine) Cache() *store.Store { return c.cache }
 
 // WithCapture returns a copy of the engine that persists every executed
 // unit's step log — the full model.Execution plus the machine's per-step

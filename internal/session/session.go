@@ -42,7 +42,7 @@ type Config struct {
 	Prog string
 	// CacheDir is the local result-store directory ("" = none).
 	CacheDir string
-	// StoreURL is the remote store URL list ("" = none); see remote.Mount.
+	// StoreURL is the remote store URL list ("" = none); see remote.MountFleet.
 	StoreURL string
 	// Shard is the "i/m" prime-shard assignment ("" = normal run).
 	Shard string
@@ -124,7 +124,7 @@ func Open(cfg Config) (*Session, error) {
 
 // Engine returns the session's cached execution engine — the handle batch
 // drivers fan out through. Its configuration (store, shard, capture) is
-// immutable; derived copies (WithCapture, WithShardRing) share the store.
+// immutable; derived copies (WithCapture, WithShard) share the store.
 func (s *Session) Engine() *runner.CachedEngine { return s.eng }
 
 // Store returns the mounted result store (nil when no store flags were

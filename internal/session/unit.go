@@ -49,10 +49,10 @@ func (u Unit) Job() (runner.Job, error) {
 // UnitResult is the canonical machine-readable answer for one unit: the
 // unit echoed back (scheduler name normalized), the unit's content address
 // in the result store — the key its captured trace lives under, feedable
-// straight to `experiments -replay` or cmd/observe — and the cost report
-// under every model. Serialized with encoding/json it is byte-identical
-// between `mutexsim -json` and an experimentd response by construction:
-// both marshal this struct.
+// straight to cmd/observe — and the cost report under every model.
+// Serialized with encoding/json it is byte-identical between `mutexsim
+// -json` and an experimentd response by construction: both marshal this
+// struct.
 type UnitResult struct {
 	Unit
 	Key        string      `json:"key"`

@@ -493,7 +493,8 @@ func (s *Store) Keys() []string {
 
 // Delete drops key from both tiers, reporting whether the durable tier
 // held it. Backends without Deleter keep their entry (only the LRU copy
-// goes); the migrator checks support up front via CanDelete.
+// goes), so a drain over such a backend copies keys instead of handing
+// them off: remote.DrainStore counts only the deletions that happened.
 func (s *Store) Delete(key string) (bool, error) {
 	if s == nil || key == "" {
 		return false, nil
@@ -505,16 +506,6 @@ func (s *Store) Delete(key string) (bool, error) {
 		return d.Delete(key)
 	}
 	return false, nil
-}
-
-// CanDelete reports whether the durable tier supports Delete — whether a
-// drain of this store can actually hand keys off rather than copy them.
-func (s *Store) CanDelete() bool {
-	if s == nil {
-		return false
-	}
-	_, ok := s.be.(Deleter)
-	return ok
 }
 
 // Stats returns a snapshot of the store's traffic counters.
