@@ -178,10 +178,10 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := runner.New(w)
+			eng := runner.NewCached(runner.New(w), nil)
 			var maxCost int
 			for i := 0; i < b.N; i++ {
-				stats, err := core.SweepOn(eng, f, perms)
+				stats, err := core.SweepCached(eng, f, perms)
 				if err != nil {
 					b.Fatal(err)
 				}

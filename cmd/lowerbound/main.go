@@ -13,11 +13,13 @@
 //
 // It is built on the session core (internal/session), so the canonical
 // store and profiling flags work here too: with `-cache DIR` or
-// `-store URL` the proof's statistics (and the whole -all sweep's) are
-// memoized under their content address, so a warm re-run proves nothing
-// twice and prints byte-identical output; -cpuprofile/-memprofile/-trace
-// profile the pipeline. -v renders the encoding table and decoded
-// execution, which always runs the pipeline.
+// `-store URL` the proof's statistics (and each permutation of an -all
+// sweep) are memoized under their content address through the session's
+// cached engine, so a warm re-run proves nothing twice and prints
+// byte-identical output; -parallel bounds the -all sweep's workers, and
+// -cpuprofile/-memprofile/-trace profile the pipeline. -v renders the
+// encoding table and decoded execution, which always runs the pipeline.
+// -shard is refused: every invocation prints its data output.
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/session"
 	"repro/internal/store"
@@ -86,6 +89,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer s.Close()
+	if s.Priming() {
+		// The canonical validation accepted the shard spec; the refusal here
+		// is this binary's own: a prime pass prints no data output, and a
+		// proof that printed nothing would look like a proof that failed.
+		s.Close()
+		return fmt.Errorf("-shard is a batch priming mode; lowerbound always prints its proof")
+	}
 
 	f, err := repro.NewAlgorithm(*algoName, *n)
 	if err != nil {
@@ -93,7 +103,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *all {
-		stats, err := sweepStats(s, f.Name(), *n, func() (repro.SweepStats, error) { return repro.ProveAll(f) })
+		stats, err := core.ExhaustiveSweepCached(s.Engine(), f)
 		if err != nil {
 			return err
 		}
@@ -111,7 +121,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p, proof, err := provePayloadFor(s, f, pi, *verbose)
+	p, proof, err := prove(s, f, pi, *verbose)
 	if err != nil {
 		return err
 	}
@@ -130,66 +140,42 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// provePayloadFor resolves one proof's printable statistics: from the
-// session's store when it holds them, by running the pipeline otherwise
-// (writing back on success). -v always runs — its views need the full
-// proof, which the store deliberately does not carry.
-func provePayloadFor(s *session.Session, f repro.Algorithm, pi []int, verbose bool) (provePayload, *repro.Proof, error) {
-	key := ""
-	if st := s.Store(); st != nil {
-		key = store.Key(runner.CacheVersion, struct {
+// prove resolves one proof's printable statistics as a one-unit fan-out
+// on the session's cached engine: from the store when it holds them, by
+// running the pipeline otherwise (writing back on success). -v always
+// runs, and so keys nothing — its views need the full proof, which the
+// store deliberately does not carry.
+func prove(s *session.Session, f repro.Algorithm, pi []int, verbose bool) (p provePayload, proof *repro.Proof, err error) {
+	key := func(int) string {
+		if verbose {
+			return ""
+		}
+		return store.Key(runner.CacheVersion, struct {
 			Op   string `json:"op"`
 			Algo string `json:"algo"`
 			N    int    `json:"n"`
 			Perm []int  `json:"perm"`
 		}{"prove", f.Name(), len(pi), pi})
-		if !verbose {
-			if p, ok := store.GetJSON[provePayload](st, key); ok {
-				return p, nil, nil
-			}
+	}
+	err = runner.CachedMap(s.Engine(), 1, key, func(int) (provePayload, error) {
+		pf, err := repro.Prove(f, pi)
+		if err != nil {
+			return provePayload{}, err
 		}
-	}
-	proof, err := repro.Prove(f, pi)
-	if err != nil {
-		return provePayload{}, nil, err
-	}
-	p := provePayload{
-		Metasteps:  proof.Result.Set.Len(),
-		Steps:      proof.Result.Set.TotalSteps(),
-		Iterations: proof.Result.Iterations,
-		Cost:       proof.Cost,
-		Bits:       proof.Encoding.BitLen,
-		EntryOrder: proof.Decoded.EntryOrder(),
-	}
-	if key != "" {
-		store.PutJSON(s.Store(), key, p)
-	}
-	return p, proof, nil
-}
-
-// sweepStats resolves one -all sweep's statistics through the store:
-// SweepStats is a pure value struct, so its JSON round-trips exactly and a
-// warm sweep prints byte-identical lines from cache.
-func sweepStats(s *session.Session, algo string, n int, prove func() (repro.SweepStats, error)) (repro.SweepStats, error) {
-	key := ""
-	if st := s.Store(); st != nil {
-		key = store.Key(runner.CacheVersion, struct {
-			Op   string `json:"op"`
-			Algo string `json:"algo"`
-			N    int    `json:"n"`
-		}{"sweep", algo, n})
-		if stats, ok := store.GetJSON[repro.SweepStats](st, key); ok {
-			return stats, nil
-		}
-	}
-	stats, err := prove()
-	if err != nil {
-		return repro.SweepStats{}, err
-	}
-	if key != "" {
-		store.PutJSON(s.Store(), key, stats)
-	}
-	return stats, nil
+		proof = pf
+		return provePayload{
+			Metasteps:  proof.Result.Set.Len(),
+			Steps:      proof.Result.Set.TotalSteps(),
+			Iterations: proof.Result.Iterations,
+			Cost:       proof.Cost,
+			Bits:       proof.Encoding.BitLen,
+			EntryOrder: proof.Decoded.EntryOrder(),
+		}, nil
+	}, func(_ int, v provePayload) error {
+		p = v
+		return nil
+	})
+	return p, proof, err
 }
 
 func parsePerm(spec string, n int, seed int64) ([]int, error) {

@@ -17,7 +17,8 @@
 // store and profiling flags work here too: `-cache DIR` / `-store URL`
 // memoize the unit in -json mode (a warm re-run simulates nothing),
 // -capture persists the executed step trace for cmd/observe, and
-// -cpuprofile/-memprofile/-trace profile the run.
+// -cpuprofile/-memprofile/-trace profile the run. -shard is refused:
+// every invocation prints its data output.
 package main
 
 import (
@@ -67,6 +68,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer s.Close()
+	if s.Priming() {
+		// The canonical validation accepted the shard spec; the refusal here
+		// is this binary's own: a prime pass prints no data output, and a
+		// run that printed nothing would look like a run that failed.
+		s.Close()
+		return fmt.Errorf("-shard is a batch priming mode; mutexsim always prints its run")
+	}
 
 	u := session.Unit{Algo: *algoName, N: *n, Sched: *schedName, Seed: *seed}
 	if *asJSON {

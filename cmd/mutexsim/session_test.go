@@ -6,12 +6,36 @@ import (
 	"testing"
 
 	"repro/internal/session/sessiontest"
+	"repro/internal/store"
 )
 
 // TestSessionFlagValidation drives the shared bad-combination table: this
 // binary must reject exactly what every other session-backed binary
 // rejects, with the same words.
 func TestSessionFlagValidation(t *testing.T) { sessiontest.Run(t, run) }
+
+// TestRefusesShard pins that -shard is refused rather than ignored: a
+// prime pass prints no data output, which this binary cannot honour, so
+// it fails before printing anything or writing to the store.
+func TestRefusesShard(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := run([]string{"-algo", "mcs", "-n", "6", "-json", "-cache", dir, "-shard", "1/2"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-shard is a batch priming mode") {
+		t.Fatalf("-shard: err = %v, want the priming-mode refusal", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("-shard: wrote %d bytes of data output before refusing:\n%s", buf.Len(), buf.String())
+	}
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := st.Len(); n != 0 {
+		t.Fatalf("-shard: refused run stored %d entries, want 0", n)
+	}
+}
 
 // TestJSONCachedOutputUnchanged pins the -json path's determinism through
 // the store: a warm re-run serves the unit from cache and prints the same

@@ -59,7 +59,7 @@ func main() {
 	fmt.Println("yang-anderson's stay near-constant (n log n), mcs's shrink (linear).")
 
 	fmt.Println("\n=== adversary search: worse than any fixed policy ===")
-	eng := runner.New(0)
+	eng := runner.NewCached(runner.New(0), nil)
 	for _, name := range []string{repro.AlgoYangAnderson, repro.AlgoBakery} {
 		found, err := adversary.SearchWorst(eng, name, 8, adversary.Quick())
 		if err != nil {

@@ -177,21 +177,12 @@ func mutate(rng *rand.Rand, base []int, n, length int) []int {
 	return p
 }
 
-// Engine is the candidate-evaluation backend SearchWorst fans out on. Both
-// *runner.Engine (plain execution) and *runner.CachedEngine (memoized
-// through the content-addressed store, which makes fixed-policy seeds and
-// re-proposed duplicate genomes free across rounds, searches and processes)
-// satisfy it.
-type Engine interface {
-	RunSchedules(jobs []runner.ScheduleJob, fold func(runner.ScheduleResult) error) error
-}
-
 // SearchWorst hunts for the costliest canonical execution of the named
 // algorithm at n processes. Candidates fan out over the engine's worker
 // pool; the result is byte-identical at every worker count, and — because
 // candidate evaluation is a pure function of the candidate — identical
 // whether results come from execution or a warm result store.
-func SearchWorst(eng Engine, algoName string, n int, cfg Config) (Found, error) {
+func SearchWorst(eng *runner.CachedEngine, algoName string, n int, cfg Config) (Found, error) {
 	cfg = cfg.withDefaults(n)
 	found := Found{Algo: algoName, N: n}
 

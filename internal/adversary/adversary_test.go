@@ -17,7 +17,7 @@ func TestSearchWorstDeterministicAcrossWorkers(t *testing.T) {
 	cfg.Seed = 20060723
 	var want adversary.Found
 	for wi, w := range []int{1, 4, 8} {
-		got, err := adversary.SearchWorst(runner.New(w), "yang-anderson", 6, cfg)
+		got, err := adversary.SearchWorst(runner.NewCached(runner.New(w), nil), "yang-anderson", 6, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -36,7 +36,7 @@ func TestSearchWorstDeterministicAcrossWorkers(t *testing.T) {
 // at least as much as the best fixed policy at equal n — for every classic
 // algorithm.
 func TestSearchWorstBeatsFixedPolicies(t *testing.T) {
-	eng := runner.New(0)
+	eng := runner.NewCached(runner.New(0), nil)
 	cfg := adversary.Quick()
 	cfg.Seed = 1
 	for _, algo := range []string{"yang-anderson", "bakery", "peterson", "tas", "mcs"} {
@@ -63,7 +63,7 @@ func TestSearchWorstBeatsFixedPolicies(t *testing.T) {
 func TestSearchWorstSpecReplays(t *testing.T) {
 	cfg := adversary.Quick()
 	cfg.Seed = 7
-	found, err := adversary.SearchWorst(runner.New(0), "bakery", 5, cfg)
+	found, err := adversary.SearchWorst(runner.NewCached(runner.New(0), nil), "bakery", 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

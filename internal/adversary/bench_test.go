@@ -17,7 +17,7 @@ import (
 func BenchmarkSearchWorst(b *testing.B) {
 	cfg := adversary.Quick()
 	cfg.Seed = 7
-	eng := runner.New(1)
+	eng := runner.NewCached(runner.New(1), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := adversary.SearchWorst(eng, "peterson", 4, cfg); err != nil {

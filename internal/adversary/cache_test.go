@@ -19,13 +19,13 @@ import (
 func TestSearchWorstSurvivesStallingSeed(t *testing.T) {
 	cfg := adversary.Quick()
 	cfg.Seed = 11
-	base, err := adversary.SearchWorst(runner.New(4), "peterson", 4, cfg)
+	base, err := adversary.SearchWorst(runner.NewCached(runner.New(4), nil), "peterson", 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg.Seeds = []machine.Spec{machine.SoloSpec([]int{0})}
-	got, err := adversary.SearchWorst(runner.New(4), "peterson", 4, cfg)
+	got, err := adversary.SearchWorst(runner.NewCached(runner.New(4), nil), "peterson", 4, cfg)
 	if err != nil {
 		t.Fatalf("a stalling candidate aborted the search: %v", err)
 	}
@@ -71,12 +71,12 @@ func TestDuplicateSeedGenomesAreFree(t *testing.T) {
 	cfg := adversary.Quick()
 	cfg.Seed = 3
 	cfg.Seeds = []machine.Spec{spec}
-	once, err := adversary.SearchWorst(runner.New(2), "yang-anderson", 4, cfg)
+	once, err := adversary.SearchWorst(runner.NewCached(runner.New(2), nil), "yang-anderson", 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seeds = []machine.Spec{spec, spec}
-	twice, err := adversary.SearchWorst(runner.New(2), "yang-anderson", 4, cfg)
+	twice, err := adversary.SearchWorst(runner.NewCached(runner.New(2), nil), "yang-anderson", 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDuplicateSeedGenomesAreFree(t *testing.T) {
 func TestSearchWorstCachedIsIdenticalAndMemoized(t *testing.T) {
 	cfg := adversary.Quick()
 	cfg.Seed = 20060723
-	want, err := adversary.SearchWorst(runner.New(2), "yang-anderson", 5, cfg)
+	want, err := adversary.SearchWorst(runner.NewCached(runner.New(2), nil), "yang-anderson", 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

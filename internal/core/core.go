@@ -140,9 +140,9 @@ func (s SweepStats) MeanBits() float64 {
 
 // Sweep runs the pipeline for every permutation in perms and aggregates.
 // Pipelines execute in parallel on the default engine (bounded by
-// GOMAXPROCS); use SweepOn to control the worker count.
+// GOMAXPROCS), with no store; use SweepCached to choose the engine.
 func Sweep(f program.Factory, perms [][]int) (SweepStats, error) {
-	return SweepOn(runner.Default(), f, perms)
+	return SweepCached(runner.NewCached(runner.Default(), nil), f, perms)
 }
 
 // sweepOut is the per-permutation result a sweep aggregates — and the unit
@@ -175,22 +175,17 @@ func hashExec(s string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// SweepOn runs the pipeline for every permutation in perms on the given
+// SweepCached runs the pipeline for every permutation in perms on the given
 // engine and aggregates. The factory is shared read-only across workers
 // (factories are immutable; every run builds fresh automata and
 // registers), and results are folded in permutation order, so the stats —
 // including first-error behaviour — are identical at every worker count.
-func SweepOn(eng *runner.Engine, f program.Factory, perms [][]int) (SweepStats, error) {
-	return SweepCached(runner.NewCached(eng, nil), f, perms)
-}
-
-// SweepCached is SweepOn through a cached engine: each permutation's
-// pipeline summary is keyed by (algorithm, n, π) under the code-version
-// salt, so re-runs — in this process or any other sharing the store —
-// fold cached summaries instead of re-verifying the pipeline, and the
-// aggregated stats are identical either way. On a priming (shard) engine
-// it only fills the store: the returned stats are meaningless and the
-// caller must not validate them.
+// With a store, each permutation's pipeline summary is keyed by
+// (algorithm, n, π) under the code-version salt, so re-runs — in this
+// process or any other sharing the store — fold cached summaries instead
+// of re-verifying the pipeline, and the aggregated stats are identical
+// either way. On a priming (shard) engine it only fills the store: the
+// returned stats are meaningless and the caller must not validate them.
 func SweepCached(eng *runner.CachedEngine, f program.Factory, perms [][]int) (SweepStats, error) {
 	stats := SweepStats{N: f.N(), MinCost: -1}
 	seen := make(map[string]bool, len(perms))
@@ -236,17 +231,13 @@ func SweepCached(eng *runner.CachedEngine, f program.Factory, perms [][]int) (Sw
 
 // ExhaustiveSweep runs the pipeline over all of S_n and additionally checks
 // the injectivity required by Theorem 7.5: distinct permutations yield
-// distinct decoded executions (n! of them).
+// distinct decoded executions (n! of them). It runs on the default engine
+// with no store; use ExhaustiveSweepCached to choose the engine.
 func ExhaustiveSweep(f program.Factory) (SweepStats, error) {
-	return ExhaustiveSweepOn(runner.Default(), f)
+	return ExhaustiveSweepCached(runner.NewCached(runner.Default(), nil), f)
 }
 
-// ExhaustiveSweepOn is ExhaustiveSweep on a caller-chosen engine.
-func ExhaustiveSweepOn(eng *runner.Engine, f program.Factory) (SweepStats, error) {
-	return ExhaustiveSweepCached(runner.NewCached(eng, nil), f)
-}
-
-// ExhaustiveSweepCached is ExhaustiveSweep through a cached engine. On a
+// ExhaustiveSweepCached is ExhaustiveSweep on the given engine. On a
 // priming (shard) engine the injectivity check is skipped — a prime pass
 // folds nothing, so there is nothing to count; the check runs on the merged
 // replay instead.

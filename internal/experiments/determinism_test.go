@@ -40,8 +40,8 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelSweepStatsIdentical checks the core layer directly: SweepOn
-// and ExhaustiveSweepOn aggregate to identical SweepStats at every worker
+// TestParallelSweepStatsIdentical checks the core layer directly: SweepCached
+// and ExhaustiveSweepCached aggregate to identical SweepStats at every worker
 // count for fixed seeds.
 func TestParallelSweepStatsIdentical(t *testing.T) {
 	f, err := mutex.New(mutex.NameYangAnderson, 5)
@@ -50,31 +50,31 @@ func TestParallelSweepStatsIdentical(t *testing.T) {
 	}
 	perms := perm.Sample(5, 40, 20060723)
 
-	base, err := core.SweepOn(runner.New(1), f, perms)
+	base, err := core.SweepCached(runner.NewCached(runner.New(1), nil), f, perms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 8} {
-		got, err := core.SweepOn(runner.New(w), f, perms)
+		got, err := core.SweepCached(runner.NewCached(runner.New(w), nil), f, perms)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if got != base {
-			t.Errorf("SweepOn workers=%d stats %+v differ from sequential %+v", w, got, base)
+			t.Errorf("SweepCached workers=%d stats %+v differ from sequential %+v", w, got, base)
 		}
 	}
 
-	exBase, err := core.ExhaustiveSweepOn(runner.New(1), f)
+	exBase, err := core.ExhaustiveSweepCached(runner.NewCached(runner.New(1), nil), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 8} {
-		got, err := core.ExhaustiveSweepOn(runner.New(w), f)
+		got, err := core.ExhaustiveSweepCached(runner.NewCached(runner.New(w), nil), f)
 		if err != nil {
 			t.Fatalf("exhaustive workers=%d: %v", w, err)
 		}
 		if got != exBase {
-			t.Errorf("ExhaustiveSweepOn workers=%d stats %+v differ from sequential %+v", w, got, exBase)
+			t.Errorf("ExhaustiveSweepCached workers=%d stats %+v differ from sequential %+v", w, got, exBase)
 		}
 	}
 }

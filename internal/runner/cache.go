@@ -3,7 +3,6 @@ package runner
 import (
 	"repro/internal/cost"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -19,27 +18,31 @@ const CacheVersion = "fanl06-sim-v3"
 
 // CachedEngine wraps an Engine with an optional content-addressed result
 // store and an optional prime-shard assignment. It is the handle the whole
-// stack fans out through:
+// stack fans out through, and every cached fan-out — CachedMap, Run,
+// RunSchedules, RunOne — runs the same sequence: look each unit up,
+// execute the misses, write them back, fold in submission order.
 //
-//   - with a nil store it behaves exactly like the bare Engine;
-//   - with a store, Run / RunSchedules / CachedMap consult the store before
-//     executing and write back after, and because results are folded in
-//     submission order the folds see byte-identical values whether each
-//     result came from cache or execution, at any worker count; against a
-//     batching backend both directions travel batched — reads in one
-//     prefetch mget up front, executed results in buffered mputs flushed at
-//     the fan-out barrier — so a fan-out costs round trips per batch, not
-//     per unit;
+//   - with a nil store every unit executes, and the folds see exactly what
+//     MapOrdered over the units would deliver;
+//   - with a store, results are folded in submission order, so the folds
+//     see byte-identical values whether each result came from cache or
+//     execution, at any worker count; against a batching backend a fan-out
+//     of more than one unit travels batched — reads in one prefetch mget up
+//     front, after which a key the mget did not return costs no second
+//     round trip, and executed results in buffered mputs flushed at the
+//     fan-out barrier — so a fan-out costs round trips per batch, not per
+//     unit, and a single unit uses a point get and at most one point put;
 //   - with a shard assignment (WithShard) the engine becomes a prime pass:
 //     statically enumerable fan-outs execute only this shard's missing keys
 //     and skip their folds entirely, so m processes can split one sweep's
 //     key space and later fold their stores together with store.Merge.
 //
 // Adaptive fan-outs (RunSchedules, whose batches are generated round by
-// round from prior results) ignore the shard partition: they execute
-// whatever they miss and cache everything, since their control flow cannot
-// proceed without the values. Deterministic search makes every shard cache
-// identical entries for them, so merging stays consistent.
+// round from prior results) and request-scoped units (RunOne) ignore the
+// shard partition: they execute whatever they miss and cache everything,
+// since their callers cannot proceed without the values. Deterministic
+// search makes every shard cache identical entries for them, so merging
+// stays consistent.
 type CachedEngine struct {
 	*Engine
 	cache   *store.Store
@@ -90,46 +93,22 @@ func (c *CachedEngine) WithCapture(on bool) *CachedEngine {
 func (c *CachedEngine) Capturing() bool { return c != nil && c.capture }
 
 // captureTrace encodes one executed unit's step log and stores it under
-// the unit's cache key. Runs on the executing worker, strictly after the
-// simulation finished — the hot loop never sees it. Failures follow the
-// store discipline: an unencodable or unstorable trace costs a future
-// replay one re-simulation, never the run an error.
-func (c *CachedEngine) captureTrace(k, algo string, n, horizon int, exec model.Execution, changed []bool) {
-	if k == "" || len(exec) == 0 {
+// the unit's cache key when capture is on. Runs on the executing worker,
+// strictly after the simulation finished — the hot loop never sees it. A
+// hard failure has no step log, so it captures nothing; a discarded
+// schedule candidate (truncated, stalled) does, since a search post-mortem
+// needs exactly the candidates that went wrong. Failures follow the store
+// discipline: an unencodable or unstorable trace costs a future replay one
+// re-simulation, never the run an error.
+func (c *CachedEngine) captureTrace(k string, rec trace.Record) {
+	if !c.capture || k == "" || len(rec.Exec) == 0 {
 		return
 	}
-	blob, err := trace.EncodeRecord(trace.Record{Algo: algo, N: n, Horizon: horizon, Exec: exec, Changed: changed})
+	blob, err := trace.EncodeRecord(rec)
 	if err != nil {
 		return //repro:degrade an unencodable trace is dropped; the result itself is unaffected
 	}
 	c.cache.BlobPut(k, blob)
-}
-
-// executeJob runs one job, capturing its step log when capture is on.
-func (c *CachedEngine) executeJob(k string, j Job) Result {
-	if !c.capture {
-		return Execute(j)
-	}
-	r, exec, changed := ExecuteTraced(j)
-	if r.Err == nil {
-		c.captureTrace(k, j.Algo, j.N, j.Horizon, exec, changed)
-	}
-	return r
-}
-
-// executeSchedule runs one candidate, capturing its step log when capture
-// is on. Discarded candidates (truncated, stalled) capture too: their
-// executions replay like any other, and a search post-mortem needs exactly
-// the candidates that went wrong.
-func (c *CachedEngine) executeSchedule(k string, j ScheduleJob) ScheduleResult {
-	if !c.capture {
-		return ExecuteSchedule(j)
-	}
-	r, exec, changed := ExecuteScheduleTraced(j)
-	if r.Err == nil {
-		c.captureTrace(k, j.Algo, j.N, j.Horizon, exec, changed)
-	}
-	return r
 }
 
 // Priming reports whether the engine is a prime-only shard pass, in which
@@ -149,85 +128,107 @@ func (c *CachedEngine) inShard(key string) bool {
 	return c.shard == nil || c.shard.Owner(key) == c.self
 }
 
-// prefetch warms the store's LRU tier with a whole fan-out's keys before
-// the workers spread out, when the backend can batch — one gzipped mget
-// against a remote store instead of one point request per job. It returns
-// the keys it computed, indexed by job, so the fan-out reuses them instead
-// of hashing every unit twice; the nil return (local backends, whose
-// per-key reads are already cheap) means no keys were computed at all.
-// Purely an optimization: hits, misses, and folded bytes are identical
-// with or without it.
-func (c *CachedEngine) prefetch(n int, key func(i int) string) []string {
-	if !c.cache.Batched() {
-		return nil
+// unsharded returns the engine without its shard assignment, for the
+// fan-outs a prime pass cannot partition: adaptive search batches and
+// request-scoped units execute whatever they miss.
+func (c *CachedEngine) unsharded() *CachedEngine {
+	if c.shard == nil {
+		return c
 	}
-	keys := make([]string, n)
-	fetch := make([]string, 0, n)
-	for i := range keys {
-		keys[i] = key(i)
-		if keys[i] != "" {
-			fetch = append(fetch, keys[i])
+	cp := *c
+	cp.shard = nil
+	return &cp
+}
+
+// outcome carries one unit's value and its in-band error through the
+// ordered fold.
+type outcome[P any] struct {
+	p   P
+	err error
+}
+
+// cachedMap is the one lookup → execute → write-back → fold sequence every
+// cached fan-out runs: CachedMap, Run, RunSchedules and RunOne are payload
+// adapters over it. exec(i, k) executes unit i under its key k ("" when the
+// unit is uncacheable or no store is mounted). Its error is in-band: the
+// value is never stored, and fold receives both and decides whether the
+// fan-out goes on. Folds run in index order on the calling goroutine,
+// whether each value came from the store or from exec, so they are
+// byte-identical at any worker count.
+//
+// Keys are computed once, up front. A fan-out of more than one unit
+// against a batching backend travels batched: reads go out in one
+// Prefetch before the workers spread out, and executed values go into a
+// WriteBuffer flushed at the fan-out barrier. A key that batch did not
+// return is looked up in the LRU tier only — the backend already
+// answered, and a duplicate unit an earlier executor wrote is resident
+// there. A single unit, or a backend that cannot batch, uses point reads
+// and writes.
+//
+// In prime mode the fold never runs: only this shard's keys the store
+// lacks execute, and an error from exec aborts the pass.
+func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(i int, k string) (P, error), fold func(i int, p P, err error) error) error {
+	keys := make([]string, n) // "" = nothing to look up or write back
+	if c.cache != nil {
+		for i := range keys {
+			keys[i] = key(i)
 		}
 	}
-	c.cache.Prefetch(fetch)
-	return keys
-}
-
-// probe batch-resolves which of a prime pass's in-shard keys are already
-// stored — presence only, no values on the wire (a prime pass never reads
-// the results it skips). Like prefetch it returns the computed key index;
-// both returns are nil when the backend cannot batch presence probes,
-// meaning "compute and probe per key".
-func (c *CachedEngine) probe(n int, key func(i int) string) (keys []string, present map[string]bool) {
-	if !c.cache.ProbeBatched() {
-		return nil, nil
+	batch := n > 1 && c.cache.Batched()
+	var sink store.Putter = c.cache
+	if batch {
+		wb := store.NewWriteBuffer(c.cache, 0)
+		defer wb.Flush()
+		sink = wb
 	}
-	keys = make([]string, n)
-	ask := make([]string, 0, n)
-	for i := range keys {
-		keys[i] = key(i)
-		if keys[i] != "" && c.inShard(keys[i]) {
-			ask = append(ask, keys[i])
+	var present map[string]bool // a batch request's answer; nil = ask per key
+	if c.Priming() {
+		if n > 1 && c.cache.ProbeBatched() {
+			var ask []string
+			for _, k := range keys {
+				if k != "" && c.inShard(k) {
+					ask = append(ask, k)
+				}
+			}
+			present = c.cache.Present(ask)
 		}
+		return c.Each(n, func(i int) error {
+			// A stale "absent" from the probe only costs a re-execution
+			// whose identical bytes deduplicate.
+			k := keys[i]
+			if k == "" || !c.inShard(k) || present[k] || present == nil && c.cache.Has(k) {
+				return nil
+			}
+			p, err := exec(i, k)
+			if err != nil {
+				return err
+			}
+			store.PutJSON(sink, k, p)
+			return nil
+		})
 	}
-	return keys, c.cache.Present(ask)
-}
-
-// keyAt returns the i'th unit's cache key, reusing a batch-computed index
-// when one exists.
-func keyAt(keys []string, key func(i int) string, i int) string {
-	if keys != nil {
-		return keys[i]
+	if batch {
+		present = c.cache.Prefetch(keys)
 	}
-	return key(i)
-}
-
-// sink returns the write path for one fan-out and its flush barrier. When
-// the backend can batch, executed results are buffered and pushed as one
-// mput per fan-out (the write-side mirror of prefetch) instead of one
-// synchronous round trip per miss; the flush runs after the fan-out's last
-// unit so every write is durable — and visible to other processes — before
-// the engine returns. Local backends keep the direct per-key path, whose
-// appends are already cheap. Folds are unaffected either way: they consume
-// the executed values, and the buffer serves in-process reads from the LRU
-// tier immediately.
-func (c *CachedEngine) sink() (store.Putter, func()) {
-	if !c.cache.Batched() {
-		return c.cache, func() {}
-	}
-	wb := store.NewWriteBuffer(c.cache, 0)
-	return wb, wb.Flush
-}
-
-// stored reports whether a prime pass may skip the unit under key:
-// present holds batch-established presence when a probe ran (a stale
-// "absent" only costs a re-execution whose identical bytes deduplicate),
-// and a per-key Has answers otherwise.
-func (c *CachedEngine) stored(present map[string]bool, key string) bool {
-	if present != nil {
-		return present[key]
-	}
-	return c.cache.Has(key)
+	return MapOrdered(c.Engine, n, func(i int) (outcome[P], error) {
+		k := keys[i]
+		if k != "" {
+			get := store.GetJSON[P]
+			if present != nil && !present[k] {
+				get = store.GetResidentJSON[P]
+			}
+			if p, ok := get(c.cache, k); ok {
+				return outcome[P]{p: p}, nil
+			}
+		}
+		p, err := exec(i, k)
+		if err == nil && k != "" {
+			store.PutJSON(sink, k, p)
+		}
+		return outcome[P]{p, err}, nil
+	}, func(i int, o outcome[P]) error {
+		return fold(i, o.p, o.err)
+	})
 }
 
 // CachedMap is MapOrdered with a content-addressed memo in front: fn(i) is
@@ -237,71 +238,36 @@ func (c *CachedEngine) stored(present map[string]bool, key string) bool {
 // slices of those) — which also makes cached and executed folds
 // byte-identical. A key of "" marks the unit uncacheable: it is always
 // executed in normal mode and never executed by a prime pass (a keyless
-// unit cannot be assigned to a shard).
+// unit cannot be assigned to a shard). An error from fn stops the fan-out
+// at its index, like MapOrdered, and is never stored; a fold may be nil.
 //
 // In prime mode the fold is never called: the pass exists to fill the
 // store, and only this shard's missing keys are executed. Errors from fn
 // still abort — a prime pass surfaces real simulation failures.
 func CachedMap[T any](ce *CachedEngine, n int, key func(i int) string, fn func(i int) (T, error), fold func(i int, v T) error) error {
-	if ce.cache == nil {
-		return MapOrdered(ce.Engine, n, fn, fold)
-	}
-	sink, flush := ce.sink()
-	defer flush()
-	if ce.Priming() {
-		keys, present := ce.probe(n, key)
-		return ce.Each(n, func(i int) error {
-			k := keyAt(keys, key, i)
-			if k == "" || !ce.inShard(k) || ce.stored(present, k) {
-				return nil
-			}
-			v, err := fn(i)
-			if err != nil {
-				return err
-			}
-			store.PutJSON(sink, k, v)
-			return nil
-		})
-	}
-	keys := ce.prefetch(n, key)
-	return MapOrdered(ce.Engine, n, func(i int) (T, error) {
-		k := keyAt(keys, key, i)
-		if k != "" {
-			if v, ok := store.GetJSON[T](ce.cache, k); ok {
-				return v, nil
-			}
+	return cachedMap(ce, n, key, func(i int, _ string) (T, error) { return fn(i) }, func(i int, v T, err error) error {
+		if err != nil || fold == nil {
+			return err
 		}
-		v, err := fn(i)
-		if err == nil && k != "" {
-			store.PutJSON(sink, k, v)
-		}
-		return v, err
-	}, fold)
+		return fold(i, v)
+	})
 }
 
-// RunOne executes a single job through the store: a cache hit costs no
-// simulation, a miss executes on the calling goroutine (no worker pool —
-// request-scoped callers bring their own concurrency) and writes straight
-// back so the result is immediately visible to every other goroutine
-// sharing the store. Unlike the fan-out paths there is no write buffering:
-// one unit is one put. Safe for concurrent use — the engine's fields are
-// immutable after construction and the store is goroutine-safe. Errors are
-// returned, never cached, exactly like the batch paths.
-func (c *CachedEngine) RunOne(j Job) (cost.Report, error) {
-	if c.cache == nil {
-		r := Execute(j)
-		return r.Report, r.Err
-	}
-	k := j.CacheKey()
-	if p, ok := store.GetJSON[jobPayload](c.cache, k); ok {
-		return p.Report, nil
-	}
-	r := c.executeJob(k, j)
-	if r.Err != nil {
-		return cost.Report{}, r.Err
-	}
-	store.PutJSON(c.cache, k, jobPayload{Report: r.Report})
-	return r.Report, nil
+// RunOne executes a single job through the store on the calling goroutine
+// (request-scoped callers bring their own concurrency): a hit costs no
+// simulation, and a miss writes straight back with one point put, so the
+// result is immediately visible to every other goroutine sharing the
+// store. It never shards. Safe for concurrent use — the engine's fields
+// are immutable after construction and the store is goroutine-safe.
+// Errors are returned, never cached.
+func (c *CachedEngine) RunOne(j Job) (rep cost.Report, err error) {
+	err = c.unsharded().Run([]Job{j}, func(r Result) error {
+		if r.Err == nil {
+			rep = r.Report
+		}
+		return r.Err
+	})
+	return rep, err
 }
 
 // jobKeyParts is the canonical content of a Job key. Horizon is hashed as
@@ -330,47 +296,23 @@ type jobPayload struct {
 	Report cost.Report `json:"report"`
 }
 
-// Run is Engine.Run behind the store: each job's Report is served from
-// cache when present and written back after execution otherwise. Folds see
-// exactly the Results a bare engine would deliver. In prime mode only this
-// shard's missing keys execute and the fold is skipped.
+// Run executes the jobs and calls fold with each Result in submission
+// order: a job's Report is served from the store when present and written
+// back after execution otherwise. Results whose Err is non-nil still reach
+// the fold, and are never stored; returning an error from the fold stops
+// the batch. In prime mode only this shard's missing keys execute and the
+// fold is skipped.
 func (c *CachedEngine) Run(jobs []Job, fold func(Result) error) error {
-	if c.cache == nil {
-		return c.Engine.Run(jobs, fold)
-	}
-	jobKey := func(i int) string { return jobs[i].CacheKey() }
-	sink, flush := c.sink()
-	defer flush()
-	if c.Priming() {
-		keys, present := c.probe(len(jobs), jobKey)
-		return c.Each(len(jobs), func(i int) error {
-			k := keyAt(keys, jobKey, i)
-			if k == "" || !c.inShard(k) || c.stored(present, k) {
-				return nil
-			}
-			r := c.executeJob(k, jobs[i])
-			if r.Err != nil {
-				return r.Err
-			}
-			store.PutJSON(sink, k, jobPayload{Report: r.Report})
-			return nil
+	return cachedMap(c, len(jobs), func(i int) string { return jobs[i].CacheKey() },
+		func(i int, k string) (jobPayload, error) {
+			j := jobs[i]
+			r, exec, changed := ExecuteTraced(j)
+			c.captureTrace(k, trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
+			return jobPayload{Report: r.Report}, r.Err
+		},
+		func(i int, p jobPayload, err error) error {
+			return fold(Result{Index: i, Job: jobs[i], Report: p.Report, Err: err})
 		})
-	}
-	keys := c.prefetch(len(jobs), jobKey)
-	return MapOrdered(c.Engine, len(jobs), func(i int) (Result, error) {
-		k := keyAt(keys, jobKey, i)
-		if p, ok := store.GetJSON[jobPayload](c.cache, k); ok {
-			return Result{Index: i, Job: jobs[i], Report: p.Report}, nil
-		}
-		r := c.executeJob(k, jobs[i])
-		r.Index = i
-		if r.Err == nil {
-			store.PutJSON(sink, k, jobPayload{Report: r.Report})
-		}
-		return r, nil
-	}, func(i int, r Result) error {
-		return fold(r)
-	})
 }
 
 // scheduleKeyParts is the canonical content of a ScheduleJob key.
@@ -404,34 +346,27 @@ type schedulePayload struct {
 	Decisions []int       `json:"decisions"`
 }
 
-// RunSchedules is Engine.RunSchedules behind the store. It never shards:
-// schedule batches are generated adaptively (round r's candidates depend on
-// round r-1's fold), so a prime pass executes its misses like a normal run
-// — every shard caches identical entries for the same search, and the folds
-// run because the search itself needs them.
+// RunSchedules executes the candidate jobs through the store and calls
+// fold with each ScheduleResult in submission order, so search drivers that
+// keep a running best are byte-deterministic at every worker count. Results
+// whose Err is non-nil still reach the fold, and are never stored. It never
+// shards: schedule batches are generated adaptively (round r's candidates
+// depend on round r-1's fold), so a prime pass executes its misses like a
+// normal run — every shard caches identical entries for the same search,
+// and the folds run because the search itself needs them.
 func (c *CachedEngine) RunSchedules(jobs []ScheduleJob, fold func(ScheduleResult) error) error {
-	if c.cache == nil {
-		return c.Engine.RunSchedules(jobs, fold)
-	}
-	jobKey := func(i int) string { return jobs[i].CacheKey() }
-	sink, flush := c.sink()
-	defer flush()
-	keys := c.prefetch(len(jobs), jobKey)
-	return MapOrdered(c.Engine, len(jobs), func(i int) (ScheduleResult, error) {
-		k := keyAt(keys, jobKey, i)
-		if p, ok := store.GetJSON[schedulePayload](c.cache, k); ok {
-			return ScheduleResult{
+	c = c.unsharded()
+	return cachedMap(c, len(jobs), func(i int) string { return jobs[i].CacheKey() },
+		func(i int, k string) (schedulePayload, error) {
+			j := jobs[i]
+			r, exec, changed := ExecuteScheduleTraced(j)
+			c.captureTrace(k, trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
+			return schedulePayload{Report: r.Report, Canonical: r.Canonical, Decisions: r.Decisions}, r.Err
+		},
+		func(i int, p schedulePayload, err error) error {
+			return fold(ScheduleResult{
 				Index: i, Job: jobs[i],
-				Report: p.Report, Canonical: p.Canonical, Decisions: p.Decisions,
-			}, nil
-		}
-		r := c.executeSchedule(k, jobs[i])
-		r.Index = i
-		if r.Err == nil {
-			store.PutJSON(sink, k, schedulePayload{Report: r.Report, Canonical: r.Canonical, Decisions: r.Decisions})
-		}
-		return r, nil
-	}, func(i int, r ScheduleResult) error {
-		return fold(r)
-	})
+				Report: p.Report, Canonical: p.Canonical, Decisions: p.Decisions, Err: err,
+			})
+		})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
@@ -113,6 +114,7 @@ func TestCachedRunSchedulesWarm(t *testing.T) {
 type countingBatchBackend struct {
 	mu         sync.Mutex
 	m          map[string][]byte
+	gets       int   // point Get calls
 	puts       int   // point Put calls
 	putBatches []int // entry count of each PutBatch call
 }
@@ -124,6 +126,7 @@ func newCountingBatchBackend() *countingBatchBackend {
 func (b *countingBatchBackend) Get(key string) ([]byte, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.gets++
 	v, ok := b.m[key]
 	return v, ok, nil
 }
@@ -200,11 +203,13 @@ func (b *countingBatchBackend) HasBatch(keys []string) (map[string]bool, error) 
 	return out, nil
 }
 
-// TestCachedRunBatchesWritesPerFanOut pins the write-side hot path: against
-// a batching backend a cold fan-out issues zero point puts — every executed
-// result travels in buffered batches flushed at the fan-out barrier, after
-// which the writes are durable (a prime pass that exits right after Run has
-// shared everything). Warm runs write nothing at all.
+// TestCachedRunBatchesWritesPerFanOut pins the batched hot path: against a
+// batching backend a cold fan-out issues zero point gets — the prefetch's
+// answer is final, so a key it did not return is never asked for again —
+// and zero point puts: every executed result travels in buffered batches
+// flushed at the fan-out barrier, after which the writes are durable (a
+// prime pass that exits right after Run has shared everything). Warm runs
+// write nothing at all.
 func TestCachedRunBatchesWritesPerFanOut(t *testing.T) {
 	be := newCountingBatchBackend()
 	st := store.New(0, be)
@@ -215,6 +220,12 @@ func TestCachedRunBatchesWritesPerFanOut(t *testing.T) {
 	cold := collectRun(t, runner.NewCached(runner.New(4), st), jobs)
 	if !reflect.DeepEqual(cold, plain) {
 		t.Fatalf("buffered cold run diverged:\n%+v\nvs\n%+v", cold, plain)
+	}
+	if be.gets != 0 {
+		t.Fatalf("cold fan-out issued %d point gets, want 0 (absent keys must not be re-read)", be.gets)
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Misses != int64(len(jobs)) {
+		t.Fatalf("cold fan-out counted hits=%d misses=%d, want 0 and %d", s.Hits, s.Misses, len(jobs))
 	}
 	if be.puts != 0 {
 		t.Fatalf("cold fan-out issued %d point puts, want 0 (writes must batch)", be.puts)
@@ -287,13 +298,13 @@ func TestCachedMapShardsPartitionKeySpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		executed := 0
+		var executed atomic.Int64 // prime passes execute on the worker pool
 		eng := runner.NewCached(runner.New(2), st).WithShard(s, m)
 		if !eng.Priming() {
 			t.Fatal("WithShard engine must report Priming")
 		}
 		err = runner.CachedMap(eng, n, key, func(i int) (int, error) {
-			executed++
+			executed.Add(1)
 			return fn(i)
 		}, func(i, v int) error {
 			t.Error("prime pass must not fold")
@@ -302,10 +313,10 @@ func TestCachedMapShardsPartitionKeySpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if executed != st.Len() {
-			t.Fatalf("shard %d executed %d units but stored %d", s, executed, st.Len())
+		if got := int(executed.Load()); got != st.Len() {
+			t.Fatalf("shard %d executed %d units but stored %d", s, got, st.Len())
 		}
-		executedTotal += executed
+		executedTotal += int(executed.Load())
 		st.Close()
 	}
 	if executedTotal != n {
@@ -359,5 +370,135 @@ func TestCachedMapKeylessUnitsAlwaysExecute(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCachedMapDuplicateKeysHitWithinFanOut pins the other half of the
+// no-re-read rule: a key the prefetch found absent is still looked up in
+// the LRU tier, so a duplicate unit later in the same sequential fan-out
+// is served from the copy the first executor wrote, not executed twice.
+func TestCachedMapDuplicateKeysHitWithinFanOut(t *testing.T) {
+	be := newCountingBatchBackend()
+	st := store.New(0, be)
+	defer st.Close()
+	key := func(i int) string { return store.Key(runner.CacheVersion, fmt.Sprintf("dup-%d", i%3)) }
+	executed := 0
+	var folded []int
+	err := runner.CachedMap(runner.NewCached(runner.New(1), st), 9, key, func(i int) (int, error) {
+		executed++
+		return i % 3, nil
+	}, func(i, v int) error {
+		folded = append(folded, v)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executed != 3 {
+		t.Fatalf("executed %d units for 3 distinct keys, want 3", executed)
+	}
+	if want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}; !reflect.DeepEqual(folded, want) {
+		t.Fatalf("folded %v, want %v", folded, want)
+	}
+	if s := st.Stats(); s.Hits != 6 || s.Misses != 3 || be.gets != 0 {
+		t.Fatalf("hits=%d misses=%d point gets=%d, want 6, 3, 0", s.Hits, s.Misses, be.gets)
+	}
+}
+
+// TestFailuresNeverCached pins the error contract of every cached path: a
+// failing job and a hard-failing schedule candidate reach the fold (or the
+// caller) with Err set, leave no entry behind, and execute again — a fresh
+// miss — on the next run.
+func TestFailuresNeverCached(t *testing.T) {
+	badJob := runner.Job{Algo: "no-such-algo", N: 3, Sched: machine.RoundRobinSpec()}
+	badSched := runner.ScheduleJob{Algo: "yang-anderson", N: 3, Sched: machine.Spec{Kind: "fifo"}}
+	paths := []struct {
+		name string
+		run  func(eng *runner.CachedEngine) error
+	}{
+		{"Run", func(eng *runner.CachedEngine) error {
+			var got error
+			err := eng.Run([]runner.Job{badJob, badJob}, func(r runner.Result) error {
+				if got == nil {
+					got = r.Err
+				}
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("fold saw the error in-band but Run returned %v", err)
+			}
+			return got
+		}},
+		{"RunSchedules", func(eng *runner.CachedEngine) error {
+			var got error
+			err := eng.RunSchedules([]runner.ScheduleJob{badSched, badSched}, func(r runner.ScheduleResult) error {
+				if got == nil {
+					got = r.Err
+				}
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("fold saw the error in-band but RunSchedules returned %v", err)
+			}
+			return got
+		}},
+		{"RunOne", func(eng *runner.CachedEngine) error {
+			_, err := eng.RunOne(badJob)
+			return err
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			be := newCountingBatchBackend()
+			st := store.New(0, be)
+			defer st.Close()
+			eng := runner.NewCached(runner.New(2), st)
+			var misses int64
+			for round := 0; round < 2; round++ {
+				if err := p.run(eng); err == nil {
+					t.Fatalf("round %d: failure did not reach the fold", round)
+				}
+				if n := st.Len(); n != 0 || be.Len() != 0 {
+					t.Fatalf("round %d: failure left %d entries (%d durable)", round, n, be.Len())
+				}
+				s := st.Stats()
+				if s.Hits != 0 || s.Misses <= misses {
+					t.Fatalf("round %d: hits=%d misses=%d (was %d), want a fresh miss and no hit", round, s.Hits, s.Misses, misses)
+				}
+				misses = s.Misses
+			}
+		})
+	}
+}
+
+// TestStoredPayloadBytesPinned pins the stored form of a job and a schedule
+// candidate. These bytes are what every warm run and every fleet member
+// reads back; changing them is a change of the stored format, which needs
+// a CacheVersion bump and new literals here in the same tree.
+func TestStoredPayloadBytesPinned(t *testing.T) {
+	if runner.CacheVersion != "fanl06-sim-v3" {
+		t.Fatalf("CacheVersion is %q: re-pin the payload literals below for it", runner.CacheVersion)
+	}
+	st := store.NewMemory(0)
+	eng := runner.NewCached(runner.New(1), st)
+	j := runner.Job{Algo: "yang-anderson", N: 2, Sched: machine.RoundRobinSpec()}
+	if _, err := eng.RunOne(j); err != nil {
+		t.Fatal(err)
+	}
+	sj := runner.ScheduleJob{Algo: "peterson", N: 2, Sched: machine.RoundRobinSpec(), KeepDecisions: 4}
+	if err := eng.RunSchedules([]runner.ScheduleJob{sj}, func(r runner.ScheduleResult) error { return r.Err }); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ key, want string }{
+		{j.CacheKey(), `{"report":{"N":2,"Steps":30,"SharedAccesses":22,"CritSteps":8,"SC":20,"CCRMR":15,"DSMRMR":16}}`},
+		{sj.CacheKey(), `{"report":{"N":2,"Steps":21,"SharedAccesses":13,"CritSteps":8,"SC":13,"CCRMR":10,"DSMRMR":13},"canonical":true,"decisions":[0,1,0,1]}`},
+	} {
+		got, ok := st.Peek(c.key)
+		if !ok {
+			t.Fatalf("nothing stored under %s", c.key)
+		}
+		if string(got) != c.want {
+			t.Errorf("stored payload changed without a CacheVersion bump:\ngot  %s\nwant %s", got, c.want)
+		}
 	}
 }

@@ -102,16 +102,3 @@ func ExecuteTraced(j Job) (Result, model.Execution, []bool) {
 	}
 	return res, exec, changed
 }
-
-// Run executes the jobs on the engine's worker pool and calls fold with
-// each Result in submission order. Results whose Err is non-nil still
-// reach the fold; returning an error from the fold stops the batch.
-func (e *Engine) Run(jobs []Job, fold func(Result) error) error {
-	return MapOrdered(e, len(jobs), func(i int) (Result, error) {
-		r := Execute(jobs[i])
-		r.Index = i
-		return r, nil
-	}, func(i int, r Result) error {
-		return fold(r)
-	})
-}

@@ -26,7 +26,7 @@ import (
 // Engine is a bounded worker pool. The zero value is not useful; use New.
 //
 // The bound is a real concurrency cap shared across nested calls: all
-// MapOrdered/Run invocations on one engine draw execution slots from a
+// MapOrdered/CachedMap invocations on one engine draw execution slots from a
 // single semaphore, so an experiment fanning out over rows whose jobs fan
 // out over permutations on the same engine still executes at most
 // Workers() jobs at a time (plus the top-level caller, which always runs

@@ -166,7 +166,7 @@ func TestJobResultsDeterministic(t *testing.T) {
 	}
 	collect := func(workers int) []string {
 		var out []string
-		err := runner.New(workers).Run(jobs, func(r runner.Result) error {
+		err := runner.NewCached(runner.New(workers), nil).Run(jobs, func(r runner.Result) error {
 			if r.Err != nil {
 				return r.Err
 			}

@@ -128,17 +128,3 @@ func ExecuteScheduleTraced(j ScheduleJob) (ScheduleResult, model.Execution, []bo
 	res.Report = rep
 	return res, exec, s.Changed()
 }
-
-// RunSchedules executes the candidate jobs on the engine's worker pool and
-// calls fold with each ScheduleResult in submission order, so search
-// drivers that keep a running best are byte-deterministic at every worker
-// count. Results whose Err is non-nil still reach the fold.
-func (e *Engine) RunSchedules(jobs []ScheduleJob, fold func(ScheduleResult) error) error {
-	return MapOrdered(e, len(jobs), func(i int) (ScheduleResult, error) {
-		r := ExecuteSchedule(jobs[i])
-		r.Index = i
-		return r, nil
-	}, func(i int, r ScheduleResult) error {
-		return fold(r)
-	})
-}

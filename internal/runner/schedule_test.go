@@ -60,7 +60,7 @@ func TestRunSchedulesFoldsInOrder(t *testing.T) {
 		jobs[i] = runner.ScheduleJob{Algo: "bakery", N: 3, Sched: machine.RandomSpec(int64(i))}
 	}
 	var order []int
-	err := runner.New(4).RunSchedules(jobs, func(r runner.ScheduleResult) error {
+	err := runner.NewCached(runner.New(4), nil).RunSchedules(jobs, func(r runner.ScheduleResult) error {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

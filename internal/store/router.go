@@ -176,8 +176,8 @@ func (r *Router) Has(key string) bool {
 // retried in a second wave against each key's runner-up replica, so a
 // down or still-draining owner costs one extra round trip per replica
 // instead of the keys' hits. Keys unresolved after both waves degrade to
-// missing (the per-key Gets that follow will re-fail and count misses)
-// instead of failing the whole batch.
+// missing instead of failing the whole batch: the reply is final, so the
+// cached engine counts them as misses without asking the fleet again.
 func (r *Router) GetBatch(keys []string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
 	remaining := keys

@@ -234,7 +234,11 @@ func NewMemory(lruEntries int) *Store { return New(lruEntries, nil) }
 
 // Get returns the value stored under key. Any failure to produce a decoded
 // value — absent key, corrupt entry, unreadable backend — is a miss.
-func (s *Store) Get(key string) ([]byte, bool) {
+func (s *Store) Get(key string) ([]byte, bool) { return s.get(key, true) }
+
+// get is Get with the backend read optional: far=false consults the LRU
+// tier only, counting the hit or miss exactly as Get would.
+func (s *Store) get(key string, far bool) ([]byte, bool) {
 	if s == nil || key == "" {
 		return nil, false
 	}
@@ -245,7 +249,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.hits.Add(1)
 		return v, true
 	}
-	if s.be != nil {
+	if far && s.be != nil {
 		v, ok, err := s.be.Get(key)
 		if err != nil {
 			s.corrupt.Add(1)
@@ -352,15 +356,16 @@ const prefetchChunk = 512
 
 // Prefetch warms the LRU tier with the given keys in as few backend round
 // trips as the backend allows: a whole sweep's lookups become one gzipped
-// mget against a remote store instead of one request per job. Keys already
-// resident, keys absent from the backend, and batch failures all degrade
-// silently to the per-key path — a prefetch can only save round trips,
-// never change a result — and nothing is counted as a hit or miss here;
-// the per-key Gets that follow do the counting.
+// mget against a remote store instead of one request per job. Nothing is
+// counted as a hit or miss here; the reads that follow do the counting.
 //
 // The returned set holds every key now known present (resident before or
-// fetched by the batch); nil when the backend has no batch path. Callers
-// that want presence without moving values use Present instead.
+// fetched by the batch). A key outside it is one the backend answered
+// absent, so the cached engine reads it from the LRU tier only
+// (GetResidentJSON) instead of asking the backend a second time. The set
+// is nil when the backend has no batch path or a batch failed — a failed
+// chunk's keys are unknown, not absent, and the caller must ask per key.
+// Callers that want presence without moving values use Present instead.
 func (s *Store) Prefetch(keys []string) map[string]bool {
 	if s == nil {
 		return nil
@@ -369,29 +374,10 @@ func (s *Store) Prefetch(keys []string) map[string]bool {
 	if !ok {
 		return nil
 	}
-	present := make(map[string]bool, len(keys))
-	var missing []string
-	s.mu.Lock()
-	for _, k := range keys {
-		if k == "" {
-			continue
-		}
-		if _, resident := s.lru.get(k); resident {
-			present[k] = true
-		} else {
-			missing = append(missing, k)
-		}
-	}
-	s.mu.Unlock()
-	for len(missing) > 0 {
-		chunk := missing
-		if len(chunk) > prefetchChunk {
-			chunk = chunk[:prefetchChunk]
-		}
-		missing = missing[len(chunk):]
+	present, err := s.resolve(keys, func(chunk []string, present map[string]bool) error {
 		vals, err := bb.GetBatch(chunk)
 		if err != nil {
-			return present // per-key Gets will retry (and count) each failure
+			return err
 		}
 		s.mu.Lock()
 		for k, v := range vals { //repro:unordered LRU insertion order only shifts eviction priority, never a result
@@ -399,6 +385,10 @@ func (s *Store) Prefetch(keys []string) map[string]bool {
 			present[k] = true
 		}
 		s.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil // the per-key reads that follow retry (and count) each failure
 	}
 	return present
 }
@@ -419,6 +409,24 @@ func (s *Store) Present(keys []string) map[string]bool {
 	if !ok {
 		return nil
 	}
+	present, _ := s.resolve(keys, func(chunk []string, present map[string]bool) error { //repro:degrade a failed probe reads as absent
+		m, err := hb.HasBatch(chunk)
+		for k, ok := range m {
+			if ok {
+				present[k] = true
+			}
+		}
+		return err
+	})
+	return present
+}
+
+// resolve is the chunk loop Prefetch and Present share: keys resident in
+// the LRU tier are present outright, and the rest go to ask in chunks of
+// at most prefetchChunk keys, so request bodies stay small however large
+// the fan-out is; ask marks what the backend holds. The first failed chunk
+// stops the loop, and its error returns with the keys marked so far.
+func (s *Store) resolve(keys []string, ask func(chunk []string, present map[string]bool) error) (map[string]bool, error) {
 	present := make(map[string]bool, len(keys))
 	var missing []string
 	s.mu.Lock()
@@ -434,22 +442,13 @@ func (s *Store) Present(keys []string) map[string]bool {
 	}
 	s.mu.Unlock()
 	for len(missing) > 0 {
-		chunk := missing
-		if len(chunk) > prefetchChunk {
-			chunk = chunk[:prefetchChunk]
-		}
+		chunk := missing[:min(len(missing), prefetchChunk)]
 		missing = missing[len(chunk):]
-		m, err := hb.HasBatch(chunk)
-		if err != nil {
-			return present
-		}
-		for k, ok := range m {
-			if ok {
-				present[k] = true
-			}
+		if err := ask(chunk, present); err != nil {
+			return present, err
 		}
 	}
-	return present
+	return present, nil
 }
 
 // Compact rewrites the backend's storage keeping only the live record per
@@ -672,9 +671,18 @@ func ParseShard(s string) (index, count int, err error) {
 
 // GetJSON fetches and decodes the value stored under key. Decode failures
 // are corrupt entries: counted, reported as a miss, never an error.
-func GetJSON[T any](s *Store, key string) (T, bool) {
+func GetJSON[T any](s *Store, key string) (T, bool) { return getJSON[T](s, key, true) }
+
+// GetResidentJSON is GetJSON confined to the LRU tier: the hit or miss is
+// counted as GetJSON counts it, but the backend is never asked. It is the
+// read for a key a batched Prefetch found absent — a duplicate unit an
+// earlier executor of the same fan-out wrote is still served, from the
+// copy its write made resident.
+func GetResidentJSON[T any](s *Store, key string) (T, bool) { return getJSON[T](s, key, false) }
+
+func getJSON[T any](s *Store, key string, far bool) (T, bool) {
 	var v T
-	b, ok := s.Get(key)
+	b, ok := s.get(key, far)
 	if !ok {
 		return v, false
 	}
