@@ -201,7 +201,7 @@ func BenchmarkExperimentsWorkers(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := experiments.Config{Quick: true, Seed: 20060723, Workers: w}
+			cfg := experiments.Config{Quick: true, Seed: 20060723, Engine: runner.NewCached(runner.New(w), nil)}
 			for i := 0; i < b.N; i++ {
 				for _, e := range experiments.All() {
 					tbl, err := e.Run(cfg)

@@ -174,7 +174,6 @@ func (d *daemon) handleRun(w http.ResponseWriter, r *http.Request) {
 // counters (zero-valued without a store) plus the daemon's own.
 type statsReply struct {
 	Store     store.Stats `json:"store"`
-	Entries   int         `json:"entries"`
 	Coalesced int64       `json:"coalesced"`
 	Rejected  int64       `json:"rejected"`
 	Served    int64       `json:"served"`
@@ -189,7 +188,6 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := d.s.Store(); st != nil {
 		rep.Store = st.Stats()
-		rep.Entries = st.Len()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(rep); err != nil {
@@ -210,7 +208,6 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Counter("experimentd_served_total", "Unit results answered.", d.served.Load())
 	e.Counter("experimentd_coalesced_total", "Requests served by joining an identical in-flight unit.", d.s.Coalesced())
 	if st := d.s.Store(); st != nil {
-		e.Gauge("experimentd_entries", "Result entries in the mounted store.", int64(st.Len()))
 		e.StoreStats("experimentd", st.Stats())
 	}
 }

@@ -9,11 +9,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/remote"
 	"repro/internal/session"
 	"repro/internal/session/sessiontest"
+	"repro/internal/store"
 )
 
 // TestSessionFlagValidation drives the shared bad-combination table: the
@@ -228,6 +231,61 @@ func TestMetricsSurface(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestScrapesStayInProcess pins that scraping the daemon costs its fleet
+// nothing: /v1/stats and /v1/metrics report the session's own counters and
+// send no request to any stored replica, whether the fleet is mounted
+// alone or behind a local -cache tier.
+func TestScrapesStayInProcess(t *testing.T) {
+	var fleetRequests atomic.Int64
+	var urls []string
+	for i := 0; i < 2; i++ {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := remote.NewServer(st)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fleetRequests.Add(1)
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			st.Close()
+		})
+		urls = append(urls, ts.URL)
+	}
+	fleet := strings.Join(urls, ",")
+	for _, tc := range []struct {
+		name string
+		cfg  session.Config
+	}{
+		{"store", session.Config{StoreURL: fleet}},
+		{"cache+store", session.Config{CacheDir: t.TempDir(), StoreURL: fleet}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, srv := testDaemon(t, tc.cfg, 8, 2)
+			if code, body := postRun(t, srv.URL, `{"algo":"bakery","n":4}`); code != http.StatusOK {
+				t.Fatalf("run failed: %d %s", code, body)
+			}
+			before := fleetRequests.Load()
+			for _, path := range []string{"/v1/stats", "/v1/metrics"} {
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: %s", path, resp.Status)
+				}
+			}
+			if sent := fleetRequests.Load() - before; sent != 0 {
+				t.Fatalf("a stats + metrics scrape sent %d requests to the fleet, want 0", sent)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/runner"
 	"repro/internal/store"
 )
 
@@ -24,7 +25,7 @@ func TestWarmCacheRerunSimulatesNothing(t *testing.T) {
 	runAll := func(workers int) map[string]string {
 		t.Helper()
 		out := map[string]string{}
-		cfg := experiments.Config{Quick: true, Seed: 20060723, Workers: workers, Cache: st}
+		cfg := experiments.Config{Quick: true, Seed: 20060723, Engine: runner.NewCached(runner.New(workers), st)}
 		for _, e := range experiments.All() {
 			tbl, err := e.Run(cfg)
 			if err != nil {

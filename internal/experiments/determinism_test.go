@@ -21,7 +21,7 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			var want string
 			for _, w := range workerCounts {
-				cfg := experiments.Config{Quick: true, Seed: 20060723, Workers: w}
+				cfg := experiments.Config{Quick: true, Seed: 20060723, Engine: runner.NewCached(runner.New(w), nil)}
 				tbl, err := e.Run(cfg)
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", e.ID, w, err)

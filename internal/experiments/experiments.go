@@ -38,30 +38,12 @@ type Config struct {
 	Quick bool
 	// Seed drives all sampled permutations and schedules.
 	Seed int64
-	// Workers bounds the worker pool experiments fan out on; 0 selects
-	// GOMAXPROCS, 1 forces the sequential path. Tables are identical at
-	// every setting.
-	Workers int
-	// Cache is the optional content-addressed result store. With a cache,
-	// every simulation unit — canonical-execution jobs, sweep permutations,
-	// per-trial linearization draws, schedule-search candidates — is keyed
-	// and consulted before executing, so a warm re-run simulates nothing
-	// and still folds byte-identical tables.
-	Cache *store.Store
-	// Shard/Shards select prime-only mode: with Shards = m > 0 and
-	// Shard = i in [0, m), runs execute only shard i's missing keys into
-	// Cache and produce no meaningful tables. m processes with disjoint
-	// shards split one suite; store.Merge folds their caches back together
-	// for a full replay.
-	Shard, Shards int
-	// Capture persists every executed unit's step log into Cache's blob
-	// tier under the unit's own key (see runner.CachedEngine.WithCapture),
-	// so any row of any table can later be replayed and inspected without
-	// re-simulating. No effect without a Cache.
-	Capture bool
-	// Engine, when non-nil, is the pre-assembled cached engine every
-	// experiment fans out on — the session core passes its own here — and
-	// the Workers/Cache/Shard/Shards/Capture fields above are ignored.
+	// Engine is the cached engine every experiment fans out on — the
+	// session core passes its own here, carrying the worker pool, the
+	// optional result store (a warm re-run simulates nothing and still
+	// folds byte-identical tables), shard mode and trace capture. Nil
+	// selects an uncached engine on GOMAXPROCS workers. Tables are
+	// identical at every worker count.
 	Engine *runner.CachedEngine
 }
 
@@ -70,11 +52,7 @@ func (cfg Config) eng() *runner.CachedEngine {
 	if cfg.Engine != nil {
 		return cfg.Engine
 	}
-	ce := runner.NewCached(runner.New(cfg.Workers), cfg.Cache)
-	if cfg.Shards > 0 {
-		ce = ce.WithShard(cfg.Shard, cfg.Shards)
-	}
-	return ce.WithCapture(cfg.Capture)
+	return runner.NewCached(runner.New(0), nil)
 }
 
 // ukey builds an experiment-unit store key from pure value parts under the

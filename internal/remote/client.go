@@ -26,16 +26,14 @@ var ErrNotEnumerable = errors.New("remote: store is not enumerable over the wire
 // 5xx responses.
 const DefaultRetries = 2
 
+// attemptTimeout is the per-attempt deadline of the default transport.
+const attemptTimeout = 30 * time.Second
+
 // Options tunes a Client. The zero value selects the defaults.
 type Options struct {
 	// HTTPClient overrides the transport (nil selects a client with
-	// Timeout as its overall per-attempt deadline).
+	// attemptTimeout as its overall per-attempt deadline).
 	HTTPClient *http.Client
-	// Retries is the per-request retry budget; < 0 disables retries.
-	Retries int
-	// Timeout is the per-attempt deadline when HTTPClient is nil
-	// (default 30s).
-	Timeout time.Duration
 }
 
 // Client speaks the /v1 protocol and implements store.Backend (plus the
@@ -57,9 +55,8 @@ type Options struct {
 //     (reads) or degrades to memory-only (writes) — the PR-3 discipline:
 //     a flaky network can slow a run down, never fail or corrupt it.
 type Client struct {
-	base    string
-	hc      *http.Client
-	retries int
+	base string
+	hc   *http.Client
 
 	mu       sync.Mutex
 	inflight map[string]*inflightGet
@@ -91,25 +88,13 @@ func NewClient(baseURL string, opt *Options) (*Client, error) {
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return nil, fmt.Errorf("remote: bad store URL %q: want http[s]://host:port", baseURL)
 	}
-	o := Options{Retries: DefaultRetries, Timeout: 30 * time.Second}
-	if opt != nil {
-		o = *opt
-		if o.Timeout == 0 {
-			o.Timeout = 30 * time.Second
-		}
-	}
-	hc := o.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: o.Timeout}
-	}
-	retries := o.Retries
-	if retries < 0 {
-		retries = 0
+	hc := &http.Client{Timeout: attemptTimeout}
+	if opt != nil && opt.HTTPClient != nil {
+		hc = opt.HTTPClient
 	}
 	return &Client{
 		base:     strings.TrimRight(u.String(), "/"),
 		hc:       hc,
-		retries:  retries,
 		inflight: make(map[string]*inflightGet),
 	}, nil
 }
@@ -141,7 +126,7 @@ func (c *Client) Stats() ClientStats {
 // matching protocol version; the caller owns its body.
 func (c *Client) do(method, path string, body []byte, hdr map[string]string) (*http.Response, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= DefaultRetries; attempt++ {
 		if attempt > 0 {
 			c.retried.Add(1)
 			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
@@ -472,24 +457,6 @@ func (c *Client) Drain() (DrainReply, error) {
 		return DrainReply{}, fmt.Errorf("remote: drain: %w", err)
 	}
 	return dr, nil
-}
-
-// Compact asks the server to compact its log, returning live entries kept
-// and dead records dropped.
-func (c *Client) Compact() (kept, dropped int, err error) {
-	resp, err := c.do(http.MethodPost, "/v1/compact", nil, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("remote: compact: unexpected %s", resp.Status)
-	}
-	var cr CompactReply
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return 0, 0, fmt.Errorf("remote: compact: %w", err)
-	}
-	return cr.Kept, cr.Dropped, nil
 }
 
 // ForEach implements store.Backend by refusing: see ErrNotEnumerable.

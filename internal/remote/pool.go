@@ -57,31 +57,6 @@ func putGzipReader(zr *gzip.Reader) {
 	gzipReaderPool.Put(zr)
 }
 
-// pooledGzipReadCloser adapts a pooled gzip reader into the io.ReadCloser
-// surface requestBody hands to the JSON point handlers: Close returns the
-// reader to the pool exactly once.
-type pooledGzipReadCloser struct {
-	zr     *gzip.Reader
-	closed bool
-}
-
-func (p *pooledGzipReadCloser) Read(b []byte) (int, error) {
-	if p.closed {
-		return 0, io.EOF
-	}
-	return p.zr.Read(b)
-}
-
-func (p *pooledGzipReadCloser) Close() error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	err := p.zr.Close()
-	putGzipReader(p.zr)
-	return err
-}
-
 // bufPool holds request-body staging buffers (client side: the compressed
 // batch body that must be replayable across retries).
 var bufPool = sync.Pool{

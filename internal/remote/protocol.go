@@ -5,7 +5,7 @@
 // tournament searchers, laptop runs — share that store instead of priming
 // private directories and merging after the fact.
 //
-// The protocol is a small, versioned HTTP surface: JSON for point and
+// The protocol is a small, versioned HTTP surface: plain JSON for point and
 // control endpoints, one binary record framing (RSB1, see binary.go) for
 // every batch and blob body:
 //
@@ -25,11 +25,13 @@
 //	GET  /v1/blob/has?k=KEY → 204 | 404
 //	GET  /v1/metrics     → 200 Prometheus text exposition
 //
-// A batch or blob-put request declares its body as Content-Type
+// A /v1/put or /v1/ring body is never compressed: the server reads it as
+// JSON whatever its Content-Encoding, so a gzipped one gets 400. A batch
+// or blob-put request declares its body as Content-Type
 // application/x-rsbin; any other type is refused with 415 before the body
-// is read. Bodies are gzipped in both directions, declared with the
-// standard Content-Encoding / Accept-Encoding headers and coded through
-// pooled compressors. Values cross verbatim behind uvarint length
+// is read. Batch and blob bodies are gzipped in both directions, declared
+// with the standard Content-Encoding / Accept-Encoding headers and coded
+// through pooled compressors. Values cross verbatim behind uvarint length
 // prefixes, so a reply is one sequential scan with no per-record parse.
 //
 // Blob bodies (/v1/blob/get, /v1/blob/put) carry one opaque trace payload
@@ -64,11 +66,7 @@
 // memory-only put (writes), never an error into the simulation.
 package remote
 
-import (
-	"encoding/json"
-	"io"
-	"net/http"
-)
+import "encoding/json"
 
 // ProtocolVersion is the wire protocol generation, carried on every
 // response in VersionHeader. Bump it when the surface above changes
@@ -170,19 +168,4 @@ type DrainReply struct {
 // errorReply is the JSON body of every non-2xx response.
 type errorReply struct {
 	Error string `json:"error"`
-}
-
-// requestBody returns a JSON request body, transparently ungzipping when
-// the sender declared Content-Encoding: gzip, and bounded by maxBodyBytes.
-// The decompressor comes from the shared pool; Close returns it.
-func requestBody(w http.ResponseWriter, r *http.Request) (io.ReadCloser, error) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if r.Header.Get("Content-Encoding") != "gzip" {
-		return body, nil
-	}
-	zr, err := getGzipReader(body)
-	if err != nil {
-		return nil, err
-	}
-	return &pooledGzipReadCloser{zr: zr}, nil
 }

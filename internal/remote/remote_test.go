@@ -3,6 +3,7 @@ package remote_test
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -168,6 +169,47 @@ func TestPointRoundTrip(t *testing.T) {
 	}
 	if got := srv.Conflicts(); got != 0 {
 		t.Fatalf("conflicts=%d, want 0", got)
+	}
+}
+
+// TestPointBodiesArePlainJSON pins that /v1/put and /v1/ring bodies are
+// plain JSON: a gzipped body is not decoded, so it is refused with 400 and
+// nothing is stored or installed.
+func TestPointBodiesArePlainJSON(t *testing.T) {
+	ts, srv, st := newServer(t)
+	gz := func(plain string) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write([]byte(plain))
+		zw.Close()
+		return buf.Bytes()
+	}
+	k := store.Key("v1", "gzipped")
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/put", `{"k":"` + k + `","v":{"sc":1}}`},
+		{"/v1/ring", `{"epoch":1,"members":[{"name":"a","url":"http://a:1","weight":1}]}`},
+	} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader(gz(tc.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Encoding", "gzip")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("gzipped %s body: got %d, want 400", tc.path, resp.StatusCode)
+		}
+	}
+	if st.Has(k) || st.Len() != 0 {
+		t.Fatalf("a gzipped put was stored: %d entries", st.Len())
+	}
+	if srv.Ring() != nil {
+		t.Fatalf("a gzipped ring was installed: %s", srv.Ring())
 	}
 }
 
@@ -464,9 +506,15 @@ func TestCompactEndpoint(t *testing.T) {
 		st.Put(k, []byte(`{"sc":1}`)) // 4 dead lines behind the live one
 	}
 	st.Put(store.Key("v1", "other"), []byte(`{"sc":2}`))
-	kept, dropped, err := c.Compact()
-	if err != nil || kept != 2 || dropped != 4 {
-		t.Fatalf("Compact = kept=%d dropped=%d err=%v, want 2, 4, nil", kept, dropped, err)
+	resp, err := http.Post(ts.URL+"/v1/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr remote.CompactReply
+	err = json.NewDecoder(resp.Body).Decode(&cr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || cr.Kept != 2 || cr.Dropped != 4 {
+		t.Fatalf("compact = %s %+v err=%v, want 200, kept 2, dropped 4", resp.Status, cr, err)
 	}
 	if v, ok := st.Get(k); !ok || string(v) != `{"sc":1}` {
 		t.Fatalf("entry lost in compaction: %q ok=%v", v, ok)

@@ -252,12 +252,10 @@ func (s *Server) storeOne(k string, v []byte) (added, conflicts int) {
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	s.req.put.Add(1)
-	body, err := requestBody(w, r)
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	defer body.Close() //repro:degrade request body teardown; the decode above already surfaced any read failure
+	// Closing the body here, not after the handler, spares the server's
+	// post-handler drain an allocation per request.
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	defer body.Close() //repro:degrade request body teardown; the decode below surfaces any read failure
 	var rec wireRecord
 	if err := json.NewDecoder(body).Decode(&rec); err != nil {
 		replyError(w, http.StatusBadRequest, "bad record: %v", err)
@@ -412,12 +410,8 @@ func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRingPost(w http.ResponseWriter, r *http.Request) {
 	s.req.ring.Add(1)
-	body, err := requestBody(w, r)
-	if err != nil {
-		replyError(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	defer body.Close() //repro:degrade request body teardown; the decode above already surfaced any read failure
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	defer body.Close() //repro:degrade request body teardown; the decode below surfaces any read failure
 	var ring store.Ring
 	if err := json.NewDecoder(body).Decode(&ring); err != nil {
 		replyError(w, http.StatusBadRequest, "bad ring: %v", err)

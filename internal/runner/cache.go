@@ -177,7 +177,7 @@ func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(
 	batch := n > 1 && c.cache.Batched()
 	var sink store.Putter = c.cache
 	if batch {
-		wb := store.NewWriteBuffer(c.cache, 0)
+		wb := store.NewWriteBuffer(c.cache)
 		defer wb.Flush()
 		sink = wb
 	}

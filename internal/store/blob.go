@@ -50,7 +50,7 @@ const blobsName = "blobs"
 
 // FileBlobs is the file BlobBackend: an NDJSON log in a `blobs/`
 // subdirectory of the store directory, reusing the result tier's log
-// machinery (offset index, last-write-wins, torn-tail tolerance, Compact).
+// machinery (offset index, last-write-wins, torn-tail tolerance).
 // Payloads are gzipped at rest and carried as a JSON string (base64) so the
 // log stays line-oriented and mergeable with the same standard tools as the
 // result log. Go's gzip writes a zero ModTime, so the stored line is a
@@ -105,9 +105,6 @@ func (fb *FileBlobs) BlobLen() int { return fb.log.Len() }
 
 // BlobKeys returns the stored blob keys, sorted.
 func (fb *FileBlobs) BlobKeys() []string { return fb.log.Keys() }
-
-// Compact rewrites the blob log keeping only live lines (Compactor shape).
-func (fb *FileBlobs) Compact() (kept, dropped int, err error) { return fb.log.Compact() }
 
 // Close closes the blob log.
 func (fb *FileBlobs) Close() error { return fb.log.Close() }
@@ -172,33 +169,24 @@ func (t *TieredBlobs) Close() error {
 	return nil
 }
 
-// BlobGet implements BlobBackend on the Router with the result tier's
-// rendezvous failover: the key's owner first, then the runner-up. Replicas
+// BlobGet implements BlobBackend on the Router through the result tier's
+// rendezvous walk: the key's owner first, then the runner-up. Replicas
 // without blob support read as absent.
 func (r *Router) BlobGet(key string) ([]byte, bool, error) {
-	var firstErr error
-	limit := r.readRankLimit()
-	for rank, i := range r.ring.Rank(key) {
-		if rank >= limit {
-			break
-		}
-		bb, ok := r.replicas[i].(BlobBackend)
+	var val []byte
+	ok, err := r.walk(key, func(be Backend) (bool, error) {
+		bb, ok := be.(BlobBackend)
 		if !ok {
-			continue
+			return false, nil
 		}
 		v, ok, err := bb.BlobGet(key)
-		if err != nil {
-			r.failures[i].Add(1)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if ok {
-			return v, true, nil
-		}
+		val = v
+		return ok, err
+	})
+	if !ok {
+		return nil, false, err
 	}
-	return nil, false, firstErr
+	return val, true, nil
 }
 
 // BlobPut implements BlobBackend on the Router, routing to the key's owner;
@@ -211,25 +199,19 @@ func (r *Router) BlobPut(key string, val []byte) error {
 		return fmt.Errorf("store: router replica %d (%s): no blob support", i, r.ring.Members[i].Name)
 	}
 	if err := bb.BlobPut(key, val); err != nil {
-		r.failures[i].Add(1)
 		r.lostWrites.Add(1)
 		return fmt.Errorf("store: router replica %d (%s): %w", i, r.ring.Members[i].Name, err)
 	}
 	return nil
 }
 
-// BlobHas implements BlobBackend on the Router with read failover.
+// BlobHas implements BlobBackend on the Router through the same walk.
 func (r *Router) BlobHas(key string) bool {
-	limit := r.readRankLimit()
-	for rank, i := range r.ring.Rank(key) {
-		if rank >= limit {
-			break
-		}
-		if bb, ok := r.replicas[i].(BlobBackend); ok && bb.BlobHas(key) {
-			return true
-		}
-	}
-	return false
+	ok, _ := r.walk(key, func(be Backend) (bool, error) { //repro:degrade BlobHas never errors; absence is the degraded answer
+		bb, ok := be.(BlobBackend)
+		return ok && bb.BlobHas(key), nil
+	})
+	return ok
 }
 
 // BlobLen implements BlobBackend on the Router as the sum over replicas

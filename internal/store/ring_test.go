@@ -122,50 +122,77 @@ func TestParseRingSpec(t *testing.T) {
 // present only on its runner-up replica — exactly the state a drain in
 // flight leaves a moved key in, or a down owner forces — is still readable
 // through the router, point and batched, while writes keep going to the
-// owner alone.
+// owner alone. Blob reads take the same walk, so blob-capable replicas are
+// a second input.
 func TestRouterFailoverReadsRunnerUp(t *testing.T) {
-	replicas := []*mapBackend{newMapBackend(), newMapBackend(), newMapBackend()}
-	r := store.NewRouter(replicas[0], replicas[1], replicas[2])
-	defer r.Close()
+	for _, blobs := range []bool{false, true} {
+		name := "results"
+		if blobs {
+			name = "blobs"
+		}
+		t.Run(name, func(t *testing.T) {
+			replicas := []*blobMapBackend{newBlobMapBackend(), newBlobMapBackend(), newBlobMapBackend()}
+			backends := make([]store.Backend, len(replicas))
+			for i, b := range replicas {
+				backends[i] = b.mapBackend // no blob surface
+				if blobs {
+					backends[i] = b
+				}
+			}
+			r := store.NewRouter(backends...)
+			defer r.Close()
+			plant := func(i int, k string, v []byte) { replicas[i].m[k] = v }
+			get, has := r.Get, r.Has
+			if blobs {
+				plant = func(i int, k string, v []byte) { replicas[i].blobs[k] = v }
+				get, has = r.BlobGet, r.BlobHas
+			}
 
-	const n = 60
-	var keys []string
-	for i := 0; i < n; i++ {
-		k := store.Key("v1", i)
-		keys = append(keys, k)
-		// Plant the value on the runner-up only: the "old owner still holds
-		// it, new owner not yet drained to" state.
-		rank := r.Ring().Rank(k)
-		replicas[rank[1]].m[k] = []byte(fmt.Sprintf(`{"i":%d}`, i))
-	}
-	for i, k := range keys {
-		if v, ok, err := r.Get(k); !ok || err != nil || string(v) != fmt.Sprintf(`{"i":%d}`, i) {
-			t.Fatalf("key %d on runner-up: %q ok=%v err=%v", i, v, ok, err)
-		}
-		if !r.Has(k) {
-			t.Fatalf("key %d on runner-up: Has=false", i)
-		}
-	}
-	got, err := r.GetBatch(keys)
-	if err != nil || len(got) != n {
-		t.Fatalf("GetBatch found %d of %d err=%v", len(got), n, err)
-	}
-	present, err := r.HasBatch(keys)
-	if err != nil || len(present) != n {
-		t.Fatalf("HasBatch found %d of %d err=%v", len(present), n, err)
-	}
-	// Keys beyond rank 2 are NOT probed: plant one on the last rank of a
-	// 3-ring and it must read as a miss (bounded failover, not a broadcast).
-	k := store.Key("v1", "deep")
-	replicas[r.Ring().Rank(k)[2]].m[k] = []byte(`{"deep":true}`)
-	if _, ok, _ := r.Get(k); ok {
-		t.Fatal("rank-3 replica served a read; failover must stop at the runner-up")
+			const n = 60
+			var keys []string
+			for i := 0; i < n; i++ {
+				k := store.Key("v1", i)
+				keys = append(keys, k)
+				// Plant the value on the runner-up only: the "old owner still
+				// holds it, new owner not yet drained to" state.
+				plant(r.Ring().Rank(k)[1], k, []byte(fmt.Sprintf(`{"i":%d}`, i)))
+			}
+			for i, k := range keys {
+				if v, ok, err := get(k); !ok || err != nil || string(v) != fmt.Sprintf(`{"i":%d}`, i) {
+					t.Fatalf("key %d on runner-up: %q ok=%v err=%v", i, v, ok, err)
+				}
+				if !has(k) {
+					t.Fatalf("key %d on runner-up: Has=false", i)
+				}
+			}
+			if !blobs {
+				got, err := r.GetBatch(keys)
+				if err != nil || len(got) != n {
+					t.Fatalf("GetBatch found %d of %d err=%v", len(got), n, err)
+				}
+				present, err := r.HasBatch(keys)
+				if err != nil || len(present) != n {
+					t.Fatalf("HasBatch found %d of %d err=%v", len(present), n, err)
+				}
+			}
+			// Keys beyond rank 2 are NOT probed: plant one on the last rank
+			// of a 3-ring and it must read as a miss (bounded failover, not
+			// a broadcast).
+			k := store.Key("v1", "deep")
+			plant(r.Ring().Rank(k)[2], k, []byte(`{"deep":true}`))
+			if _, ok, _ := get(k); ok {
+				t.Fatal("rank-3 replica served a read; failover must stop at the runner-up")
+			}
+			if has(k) {
+				t.Fatal("rank-3 replica answered presence; failover must stop at the runner-up")
+			}
+		})
 	}
 }
 
 // TestRouterFailoverDownOwner pins that a down owner's keys stay readable
 // when the runner-up holds them (a drained replica mid-decommission), and
-// the failure is still counted against the owner.
+// that the owner's error surfaces once no rank can serve the key.
 func TestRouterFailoverDownOwner(t *testing.T) {
 	replicas := []*mapBackend{newMapBackend(), newMapBackend(), newMapBackend()}
 	r := store.NewRouter(replicas[0], replicas[1], replicas[2])
@@ -184,7 +211,8 @@ func TestRouterFailoverDownOwner(t *testing.T) {
 	if !r.Has(k) {
 		t.Fatal("down owner with warm runner-up: Has=false")
 	}
-	if fails := r.Failures(); fails[rank[0]] == 0 {
-		t.Fatalf("down owner's failure not counted: %v", fails)
+	delete(replicas[rank[1]].m, k)
+	if _, ok, err := r.Get(k); ok || err == nil {
+		t.Fatalf("down owner, cold runner-up: ok=%v err=%v, want a miss carrying the owner's error", ok, err)
 	}
 }

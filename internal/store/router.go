@@ -27,14 +27,12 @@ import (
 // exactly its previous owner — before degrading to a miss. Writes go to
 // the owner alone; a down owner's writes are counted failures (Degraded),
 // the PR-3 rule that a cache pathology can cost re-executions, never an
-// answer. Degraded operations are counted per replica (Failures) so a sick
-// instance is visible in the CLIs' diagnostics instead of hiding behind a
-// silently colder cache.
+// answer. Which replica is sick shows in the CLIs' per-replica client
+// lines (each remote.Client counts its own network errors).
 type Router struct {
 	ring       *Ring
 	replicas   []Backend
-	failures   []atomic.Int64 // per-replica degraded operations (point or batch, read or write)
-	lostWrites atomic.Int64   // write entries that failed to land (see Degraded)
+	lostWrites atomic.Int64 // write entries that failed to land (see Degraded)
 }
 
 // readRanks bounds a read's failover walk down the rendezvous order:
@@ -66,22 +64,11 @@ func NewRingRouter(ring *Ring, replicas ...Backend) *Router {
 	if ring == nil || len(ring.Members) != len(replicas) {
 		panic("store: NewRingRouter needs one backend per ring member")
 	}
-	return &Router{ring: ring, replicas: replicas, failures: make([]atomic.Int64, len(replicas))}
+	return &Router{ring: ring, replicas: replicas}
 }
 
 // Ring returns the placement ring the router routes by.
 func (r *Router) Ring() *Ring { return r.ring }
-
-// Failures returns a snapshot of per-replica degraded operations: point or
-// batch calls that failed and fell back to miss/memory-only. A nonzero
-// entry names the sick instance.
-func (r *Router) Failures() []int64 {
-	out := make([]int64, len(r.failures))
-	for i := range r.failures {
-		out[i] = r.failures[i].Load()
-	}
-	return out
-}
 
 // GroupOf implements grouper: the index of the replica owning key, so a
 // routed Merge can push each entry straight to its owner in full
@@ -109,170 +96,141 @@ func (r *Router) group(keys []string, rank int) [][]string {
 	return groups
 }
 
-// readRankLimit returns how many rendezvous ranks reads may probe.
-func (r *Router) readRankLimit() int {
-	if len(r.replicas) < readRanks {
-		return len(r.replicas)
-	}
-	return readRanks
-}
-
-// Get implements Backend, probing the key's replicas in rendezvous order:
-// the owner first, then the runner-up when the owner errors or misses —
-// the mid-migration and down-owner cases — before reporting a miss. A
-// down replica's error is counted and, when no later rank can serve the
-// key, surfaces to the wrapping Store, which counts it and serves a miss.
-func (r *Router) Get(key string) ([]byte, bool, error) {
+// walk is the one failover loop of every point read: it calls try on the
+// key's replicas in rendezvous order — the owner, then the runner-up —
+// until one serves the key. A replica that errors or misses passes the
+// key on to the next rank. When no rank served it, walk returns the first
+// error seen, which the wrapping Store counts before serving a miss.
+func (r *Router) walk(key string, try func(be Backend) (bool, error)) (bool, error) {
 	var firstErr error
-	limit := r.readRankLimit()
 	for rank, i := range r.ring.Rank(key) {
-		if rank >= limit {
+		if rank >= readRanks {
 			break
 		}
-		v, ok, err := r.replicas[i].Get(key)
+		ok, err := try(r.replicas[i])
 		if err != nil {
-			r.failures[i].Add(1)
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
 		if ok {
-			return v, true, nil
+			return true, nil
 		}
 	}
-	return nil, false, firstErr
+	return false, firstErr
+}
+
+// Get implements Backend through walk: the owner first, then the runner-up
+// when the owner errors or misses — the mid-migration and down-owner cases
+// — before reporting a miss.
+func (r *Router) Get(key string) ([]byte, bool, error) {
+	var val []byte
+	ok, err := r.walk(key, func(be Backend) (bool, error) {
+		v, ok, err := be.Get(key)
+		val = v
+		return ok, err
+	})
+	if !ok {
+		return nil, false, err
+	}
+	return val, true, nil
 }
 
 // Put implements Backend, routing the write to the key's owner.
 func (r *Router) Put(key string, val []byte) error {
 	i := r.ring.Owner(key)
 	if err := r.replicas[i].Put(key, val); err != nil {
-		r.failures[i].Add(1)
 		r.lostWrites.Add(1)
 		return fmt.Errorf("store: router replica %d (%s): %w", i, r.ring.Members[i].Name, err)
 	}
 	return nil
 }
 
-// Has implements Backend with the same rendezvous failover as Get. A down
-// replica reads as absent, like every other presence failure in the stack.
+// Has implements Backend through walk. A down replica reads as absent,
+// like every other presence failure in the stack.
 func (r *Router) Has(key string) bool {
-	limit := r.readRankLimit()
-	for rank, i := range r.ring.Rank(key) {
-		if rank >= limit {
-			break
-		}
-		if r.replicas[i].Has(key) {
-			return true
-		}
-	}
-	return false
+	ok, _ := r.walk(key, func(be Backend) (bool, error) { return be.Has(key), nil }) //repro:degrade Has never errors; absence is the degraded answer
+	return ok
 }
 
-// GetBatch implements BatchBackend: per-replica sub-batches issued
-// concurrently, replies merged. Keys the first wave could not produce —
-// a failed sub-batch, or keys the owner simply does not hold — are
-// retried in a second wave against each key's runner-up replica, so a
-// down or still-draining owner costs one extra round trip per replica
-// instead of the keys' hits. Keys unresolved after both waves degrade to
-// missing instead of failing the whole batch: the reply is final, so the
-// cached engine counts them as misses without asking the fleet again.
+// GetBatch implements BatchBackend through readWaves: a down or
+// still-draining owner costs one extra round trip per replica instead of
+// the keys' hits, and keys unresolved after both waves are missing from
+// the reply, which is final — the cached engine counts them as misses
+// without asking the fleet again.
 func (r *Router) GetBatch(keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	remaining := keys
-	limit := r.readRankLimit()
-	for rank := 0; rank < limit && len(remaining) > 0; rank++ {
-		groups := r.group(remaining, rank)
-		results := make([]map[string][]byte, len(groups))
-		var wg sync.WaitGroup
-		for i, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, g []string) {
-				defer wg.Done()
-				m, err := getBatch(r.replicas[i], g)
-				if err != nil {
-					r.failures[i].Add(1)
-					return
-				}
+	return readWaves(r, keys, getBatch, func([]byte) bool { return true }), nil
+}
+
+// HasBatch implements HasBatcher through readWaves. A false answer leaves
+// the key unresolved, so it is probed on its runner-up too; a key absent
+// everywhere reads as absent, which only costs re-executions whose
+// identical bytes deduplicate.
+func (r *Router) HasBatch(keys []string) (map[string]bool, error) {
+	return readWaves(r, keys, hasBatch, func(ok bool) bool { return ok }), nil
+}
+
+// readWaves is the one batch read: the keys go out in per-replica
+// sub-batches by owner, issued concurrently, and the replies are merged.
+// Keys the owners left unresolved — a failed sub-batch, or a key its owner
+// does not hold — go out in a second wave to their runner-ups. A reply
+// value resolves its key when resolves says so; a key still unresolved
+// after the last wave is missing from the result.
+func readWaves[V any](r *Router, keys []string, read func(Backend, []string) (map[string]V, error), resolves func(V) bool) map[string]V {
+	out := make(map[string]V, len(keys))
+	limit := min(readRanks, len(r.replicas))
+	for rank := 0; rank < limit && len(keys) > 0; rank++ {
+		groups := r.group(keys, rank)
+		results := make([]map[string]V, len(groups))
+		fanOut(groups, func(i int, g []string) {
+			if m, err := read(r.replicas[i], g); err == nil {
 				results[i] = m
-			}(i, g)
-		}
-		wg.Wait()
+			}
+		})
 		for _, m := range results {
-			for k, v := range m {
-				out[k] = v
+			for k, v := range m { //repro:unordered per-key map writes; a key rides in one sub-batch per wave, so no two replies race for it
+				if resolves(v) {
+					out[k] = v
+				}
 			}
 		}
 		if rank+1 < limit {
 			var next []string
-			for _, k := range remaining {
+			for _, k := range keys {
 				if _, ok := out[k]; !ok {
 					next = append(next, k)
 				}
 			}
-			remaining = next
+			keys = next
 		}
 	}
-	return out, nil
+	return out
 }
 
-// HasBatch implements HasBatcher with the same two-wave split/merge/
-// failover shape as GetBatch: keys the owner cannot answer for are probed
-// on their runner-up, and a key absent everywhere reads as absent, which
-// only costs re-executions whose identical bytes deduplicate.
-func (r *Router) HasBatch(keys []string) (map[string]bool, error) {
-	out := make(map[string]bool, len(keys))
-	remaining := keys
-	limit := r.readRankLimit()
-	for rank := 0; rank < limit && len(remaining) > 0; rank++ {
-		groups := r.group(remaining, rank)
-		results := make([]map[string]bool, len(groups))
-		var wg sync.WaitGroup
-		for i, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, g []string) {
-				defer wg.Done()
-				m, err := hasBatch(r.replicas[i], g)
-				if err != nil {
-					r.failures[i].Add(1)
-					return
-				}
-				results[i] = m
-			}(i, g)
+// fanOut calls fn concurrently on every non-empty per-replica group and
+// waits for all of them: the one fan-out behind both read waves and
+// PutBatch.
+func fanOut[T any](groups [][]T, fn func(i int, g []T)) {
+	var wg sync.WaitGroup
+	for i, g := range groups {
+		if len(g) == 0 {
+			continue
 		}
-		wg.Wait()
-		for _, m := range results {
-			for k, ok := range m {
-				if ok {
-					out[k] = true
-				}
-			}
-		}
-		if rank+1 < limit {
-			var next []string
-			for _, k := range remaining {
-				if !out[k] {
-					next = append(next, k)
-				}
-			}
-			remaining = next
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, g)
+		}()
 	}
-	return out, nil
+	wg.Wait()
 }
 
 // PutBatch implements BatchBackend: per-replica sub-batches issued
 // concurrently. added sums the replicas that answered; a failed sub-batch
-// is counted against its replica and reported in the joined error, so a
-// push-merge surfaces partial placement instead of claiming success —
-// while a buffered write path (WriteBuffer) just counts it and moves on.
+// is reported in the joined error, so a push-merge surfaces partial
+// placement instead of claiming success — while a buffered write path
+// (WriteBuffer) just counts it and moves on.
 func (r *Router) PutBatch(entries []Entry) (int, error) {
 	added, _, err := r.putBatchPlaced(entries)
 	return added, err
@@ -288,29 +246,19 @@ func (r *Router) putBatchPlaced(entries []Entry) (added, lost int, err error) {
 		groups[i] = append(groups[i], e)
 	}
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		errs []error
 	)
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
+	fanOut(groups, func(i int, g []Entry) {
+		n, lostG, err := putBatch(r.replicas[i], g)
+		mu.Lock()
+		defer mu.Unlock()
+		added += n
+		lost += lostG
+		if err != nil {
+			errs = append(errs, fmt.Errorf("store: router replica %d (%s): %w", i, r.ring.Members[i].Name, err))
 		}
-		wg.Add(1)
-		go func(i int, g []Entry) {
-			defer wg.Done()
-			n, lostG, err := putBatch(r.replicas[i], g)
-			mu.Lock()
-			defer mu.Unlock()
-			added += n
-			lost += lostG
-			if err != nil {
-				r.failures[i].Add(1)
-				errs = append(errs, fmt.Errorf("store: router replica %d (%s): %w", i, r.ring.Members[i].Name, err))
-			}
-		}(i, g)
-	}
-	wg.Wait()
+	})
 	r.lostWrites.Add(int64(lost))
 	return added, lost, errors.Join(errs...)
 }
@@ -363,32 +311,14 @@ func (r *Router) Degraded() int64 {
 	return n
 }
 
-// Compact implements Compactor over every replica that supports it.
-func (r *Router) Compact() (kept, dropped int, err error) {
-	for _, be := range r.replicas {
-		if c, ok := be.(Compactor); ok {
-			k, d, cerr := c.Compact()
-			kept += k
-			dropped += d
-			if cerr != nil {
-				return kept, dropped, cerr
-			}
-		}
-	}
-	return kept, dropped, nil
-}
-
 // Close implements Backend, closing every replica.
 func (r *Router) Close() error {
 	errs := make([]error, len(r.replicas))
 	for i, be := range r.replicas {
 		errs[i] = be.Close()
 	}
-	return errs2err(errs)
+	return errors.Join(errs...)
 }
-
-// errs2err joins a slice of possibly-nil errors.
-func errs2err(errs []error) error { return errors.Join(errs...) }
 
 // hasBatch probes keys through the backend's batch path when it has one
 // and per-key Has otherwise.

@@ -136,7 +136,6 @@ func TestRouterImplementsBatchInterfaces(t *testing.T) {
 	var _ store.Backend = (*store.Router)(nil)
 	var _ store.BatchBackend = (*store.Router)(nil)
 	var _ store.HasBatcher = (*store.Router)(nil)
-	var _ store.Compactor = (*store.Router)(nil)
 }
 
 // TestRouterPartitionsKeySpace pins the routing invariant: every key lands
@@ -271,14 +270,8 @@ func TestRouterDownReplicaDegradesToMiss(t *testing.T) {
 		t.Fatalf("HasBatch with a down replica: %d present err=%v, want %d and nil", len(present), err, n-sickKeys)
 	}
 
-	// A read-only outage is diagnosed per replica but is NOT degradation:
-	// nothing was written, nothing was lost — only misses happened.
-	fails := r.Failures()
-	for ri, f := range fails {
-		if (ri == sick) != (f > 0) {
-			t.Fatalf("replica %d failures=%d (want >0 only for replica %d): %v", ri, f, sick, fails)
-		}
-	}
+	// A read-only outage is NOT degradation: nothing was written, nothing
+	// was lost — only misses happened.
 	if got := r.Degraded(); got != 0 {
 		t.Fatalf("read-only failures counted as degraded writes: %d", got)
 	}
@@ -373,7 +366,7 @@ func TestTieredOverRouterCountsLossesOnce(t *testing.T) {
 	defer st.Close()
 
 	const n = 30
-	wb := store.NewWriteBuffer(st, 0)
+	wb := store.NewWriteBuffer(st)
 	downCount := 0
 	for i := 0; i < n; i++ {
 		k := store.Key("v1", i)

@@ -265,21 +265,6 @@ func (t *Tiered) Superseded() int64 {
 	return n
 }
 
-// Compact implements Compactor over whichever tiers support it.
-func (t *Tiered) Compact() (kept, dropped int, err error) {
-	for _, tier := range []Backend{t.near, t.far} {
-		if c, ok := tier.(Compactor); ok {
-			k, d, cerr := c.Compact()
-			kept += k
-			dropped += d
-			if cerr != nil {
-				return kept, dropped, cerr
-			}
-		}
-	}
-	return kept, dropped, nil
-}
-
 // Close implements Backend, closing both tiers.
 func (t *Tiered) Close() error {
 	return errors.Join(t.near.Close(), t.far.Close())

@@ -2,9 +2,8 @@ package store
 
 import "sync"
 
-// DefaultWriteBufferEntries is a WriteBuffer's flush threshold when the
-// caller passes 0 — matched to prefetchChunk so write bodies stay the same
-// size as read bodies.
+// DefaultWriteBufferEntries is a WriteBuffer's flush threshold, matched to
+// prefetchChunk so write bodies stay the same size as read bodies.
 const DefaultWriteBufferEntries = prefetchChunk
 
 // Putter is the write surface shared by Store and WriteBuffer, so the JSON
@@ -34,21 +33,17 @@ type Putter interface {
 // Safe for concurrent use by a worker pool; Flush may run concurrently
 // with Put (the in-flight chunk is snapshotted out under the lock).
 type WriteBuffer struct {
-	st  *Store
-	cap int
+	st *Store
 
 	mu      sync.Mutex
 	pending []Entry
 }
 
 // NewWriteBuffer returns a buffered write path into st flushing every
-// capEntries writes (0 selects DefaultWriteBufferEntries). A nil st yields
-// a no-op buffer, mirroring the nil-store discipline of Store itself.
-func NewWriteBuffer(st *Store, capEntries int) *WriteBuffer {
-	if capEntries <= 0 {
-		capEntries = DefaultWriteBufferEntries
-	}
-	return &WriteBuffer{st: st, cap: capEntries}
+// DefaultWriteBufferEntries writes. A nil st yields a no-op buffer,
+// mirroring the nil-store discipline of Store itself.
+func NewWriteBuffer(st *Store) *WriteBuffer {
+	return &WriteBuffer{st: st}
 }
 
 // Put implements Putter: the value is resident (LRU) and counted
@@ -65,7 +60,7 @@ func (w *WriteBuffer) Put(key string, val []byte) {
 	var full []Entry
 	w.mu.Lock()
 	w.pending = append(w.pending, Entry{Key: key, Val: val})
-	if len(w.pending) >= w.cap {
+	if len(w.pending) >= DefaultWriteBufferEntries {
 		full = w.pending
 		w.pending = nil
 	}

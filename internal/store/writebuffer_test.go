@@ -16,7 +16,7 @@ func TestWriteBufferBatchesAndFlushes(t *testing.T) {
 	be := newBatchMapBackend()
 	st := store.New(0, be)
 	defer st.Close()
-	wb := store.NewWriteBuffer(st, 0)
+	wb := store.NewWriteBuffer(st)
 
 	keys := make([]string, 5)
 	for i := range keys {
@@ -52,22 +52,24 @@ func TestWriteBufferBatchesAndFlushes(t *testing.T) {
 }
 
 // TestWriteBufferAutoFlushAtCapacity pins the size bound: the buffer
-// cannot grow past its capacity, it flushes a full chunk and keeps going.
+// cannot grow past DefaultWriteBufferEntries, it flushes a full chunk and
+// keeps going.
 func TestWriteBufferAutoFlushAtCapacity(t *testing.T) {
 	be := newBatchMapBackend()
 	st := store.New(0, be)
 	defer st.Close()
-	wb := store.NewWriteBuffer(st, 2)
+	wb := store.NewWriteBuffer(st)
 
-	for i := 0; i < 5; i++ {
+	const c = store.DefaultWriteBufferEntries
+	for i := 0; i < 2*c+1; i++ {
 		wb.Put(store.Key("v1", i), []byte(`{"v":1}`))
 	}
 	wb.Flush()
-	if got := fmt.Sprint(be.putBatches); got != "[2 2 1]" {
-		t.Fatalf("batch sizes %v, want [2 2 1] (two full chunks, one tail)", be.putBatches)
+	if got, want := fmt.Sprint(be.putBatches), fmt.Sprint([]int{c, c, 1}); got != want {
+		t.Fatalf("batch sizes %v, want %s (two full chunks, one tail)", be.putBatches, want)
 	}
-	if be.Len() != 5 {
-		t.Fatalf("backend holds %d entries, want 5", be.Len())
+	if be.Len() != 2*c+1 {
+		t.Fatalf("backend holds %d entries, want %d", be.Len(), 2*c+1)
 	}
 }
 
@@ -80,7 +82,7 @@ func TestWriteBufferFailedFlushDegrades(t *testing.T) {
 	be.failPuts = true
 	st := store.New(0, be)
 	defer st.Close()
-	wb := store.NewWriteBuffer(st, 0)
+	wb := store.NewWriteBuffer(st)
 
 	keys := make([]string, 3)
 	for i := range keys {
@@ -110,7 +112,7 @@ func TestWriteBufferFailedFlushDegrades(t *testing.T) {
 func TestWriteBufferMemoryOnlyStore(t *testing.T) {
 	st := store.NewMemory(8)
 	defer st.Close()
-	wb := store.NewWriteBuffer(st, 0)
+	wb := store.NewWriteBuffer(st)
 	k := store.Key("v1", "mem")
 	wb.Put(k, []byte(`{"v":1}`))
 	wb.Flush()
@@ -121,5 +123,5 @@ func TestWriteBufferMemoryOnlyStore(t *testing.T) {
 	var none *store.WriteBuffer
 	none.Put(k, nil)
 	none.Flush()
-	store.NewWriteBuffer(nil, 0).Put(k, []byte(`{}`))
+	store.NewWriteBuffer(nil).Put(k, []byte(`{}`))
 }
