@@ -46,7 +46,7 @@
 // Observability (see README "Observability"): -capture persists every
 // executed unit's step log into the store's blob tier, keyed by the same
 // content address as its result; cmd/observe re-materializes a captured
-// execution — verified against the machine's replayer, rendered as a
+// execution — verified by replay on a fresh machine.System, rendered as a
 // per-process timeline plus summary — with zero re-simulation.
 //
 //	experiments -quick -cache DIR -capture   # capture while running

@@ -1,7 +1,7 @@
 // Command observe streams captured execution traces — the blobs the
 // -capture flag of cmd/experiments and cmd/tournament persists — without
 // re-simulating anything: every view below is rendered by re-applying the
-// recorded steps through the machine's replayer, from a local store or a
+// recorded steps through machine.System.Replay, from a local store or a
 // routed fleet.
 //
 // Usage:
@@ -17,7 +17,7 @@
 // Keys are the same content addresses the result store uses — the key a
 // run's -capture stored is the key its result is cached under, so a row in
 // any experiment table can be traced back to the exact execution that
-// produced it. Every trace is verified against a fresh replayer before it
+// produced it. Every trace is verified by replay on a fresh System before it
 // is rendered: a blob that does not replay to the recorded cost bit for
 // bit is refused, never displayed.
 package main
@@ -203,10 +203,9 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 		}
 	}
 	cells := make([]cell, int(maxReg)+1)
-	rep := machine.NewReplayer(f)
+	rep := machine.NewSystem(f)
 	for t, s := range rec.Exec {
-		before := rep.SCCost()
-		done, err := rep.Apply(s)
+		done, charged, err := rep.Replay(s)
 		if err != nil {
 			return fmt.Errorf("heatmap: step %d: %w", t, err)
 		}
@@ -222,7 +221,7 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 		case model.KindRMW:
 			c.rmws++
 		}
-		if rep.SCCost() != before {
+		if charged {
 			c.charged++
 		}
 	}
@@ -256,7 +255,7 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 // show how much real time each unit of SC cost absorbs — the busywait
 // discount of the model, made visible.
 func metastepView(w io.Writer, f program.Factory, rec trace.Record) error {
-	rep := machine.NewReplayer(f)
+	rep := machine.NewSystem(f)
 	name := regNamer(f)
 	if name == nil {
 		name = func(r model.RegID) string { return fmt.Sprintf("r%d", r) }
@@ -281,12 +280,11 @@ func metastepView(w io.Writer, f program.Factory, rec trace.Record) error {
 		meta++
 	}
 	for t, s := range rec.Exec {
-		before := rep.SCCost()
-		done, err := rep.Apply(s)
+		done, charged, err := rep.Replay(s)
 		if err != nil {
 			return fmt.Errorf("metasteps: step %d: %w", t, err)
 		}
-		if rep.SCCost() != before {
+		if charged {
 			flush(t)
 			start, boundary = t, describe(done)
 		}

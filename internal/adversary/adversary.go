@@ -210,7 +210,7 @@ func SearchWorst(eng *runner.CachedEngine, algoName string, n int, cfg Config) (
 				// Hard failures only: unknown algorithm, bad spec, ill-formed
 				// step. Truncated candidates — including traces the cost
 				// model rejects — arrive with Err nil and Canonical false
-				// (runner.ExecuteSchedule classifies them as discards), so a
+				// (runner.ExecuteScheduleTraced classifies them as discards), so a
 				// single bad schedule can never abort the batch.
 				return fmt.Errorf("adversary: %s n=%d candidate %s: %w", algoName, n, c.origin, r.Err)
 			}

@@ -67,7 +67,7 @@ func TestSearchWorstSpecReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := runner.ExecuteSchedule(runner.ScheduleJob{
+	r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{
 		Algo: found.Algo, N: found.N, Sched: found.Spec, Horizon: cfg.Horizon,
 	})
 	if r.Err != nil {

@@ -118,9 +118,11 @@ func (r *Result) generate(j int) error {
 		if err != nil {
 			return err
 		}
-		rep := machine.NewReplayer(r.Factory)
-		if _, err := rep.ApplyAll(alpha); err != nil {
-			return fmt.Errorf("replaying Plin prefix: %w", err)
+		rep := machine.NewSystem(r.Factory)
+		for t, step := range alpha {
+			if _, _, err := rep.Replay(step); err != nil {
+				return fmt.Errorf("replaying Plin prefix at step %d: %w", t, err)
+			}
 		}
 		if rep.Halted(j) {
 			return fmt.Errorf("process %d halted before performing rem", j)

@@ -61,11 +61,14 @@ func Measure(f program.Factory, exec model.Execution) (Report, error) {
 		valid[i] = make([]bool, f.NumRegisters())
 	}
 
-	r := machine.NewReplayer(f)
+	r := machine.NewSystem(f)
 	for t, s := range exec {
-		done, err := r.Apply(s)
+		done, charged, err := r.Replay(s)
 		if err != nil {
 			return rep, fmt.Errorf("cost: step %d: %w", t, err)
+		}
+		if charged {
+			rep.SC++
 		}
 		rep.Steps++
 		if !done.IsShared() {
@@ -102,7 +105,6 @@ func Measure(f program.Factory, exec model.Execution) (Report, error) {
 			rep.DSMRMR++
 		}
 	}
-	rep.SC = r.SCCost()
 	return rep, nil
 }
 
@@ -110,20 +112,4 @@ func Measure(f program.Factory, exec model.Execution) (Report, error) {
 func SCCost(f program.Factory, exec model.Execution) (int, error) {
 	_, sc, err := machine.ReplayExecution(f, exec)
 	return sc, err
-}
-
-// PerProcessSC computes the SC cost attributable to each process.
-func PerProcessSC(f program.Factory, exec model.Execution) ([]int, error) {
-	out := make([]int, f.N())
-	r := machine.NewReplayer(f)
-	for t, s := range exec {
-		before := r.SCCost()
-		if _, err := r.Apply(s); err != nil {
-			return out, fmt.Errorf("cost: step %d: %w", t, err)
-		}
-		if r.SCCost() != before {
-			out[s.Proc]++
-		}
-	}
-	return out, nil
 }

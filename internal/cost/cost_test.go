@@ -118,32 +118,6 @@ func TestSCFreeSpins(t *testing.T) {
 	}
 }
 
-func TestPerProcessSCSumsToTotal(t *testing.T) {
-	f, err := mutex.Bakery(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := machine.RunCanonical(f, machine.NewRandom(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per, err := cost.PerProcessSC(f, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range per {
-		total += c
-	}
-	sc, err := cost.SCCost(f, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != sc {
-		t.Fatalf("per-process SC sums to %d, total is %d", total, sc)
-	}
-}
-
 func TestMeasureRejectsInvalidExecution(t *testing.T) {
 	f := twoReaders(t)
 	bad := model.Execution{{Proc: 0, Kind: model.KindWrite, Reg: 0, Val: 9}}

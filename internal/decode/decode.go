@@ -67,10 +67,10 @@ func Decode(f program.Factory, bits []byte, bitLen int) (model.Execution, error)
 		return nil, err
 	}
 
-	rep := machine.NewReplayer(f)
+	rep := machine.NewSystem(f)
 	var alpha model.Execution
 	apply := func(step model.Step) error {
-		done, err := rep.Apply(step)
+		done, _, err := rep.Replay(step)
 		if err != nil {
 			return err
 		}

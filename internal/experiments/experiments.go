@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/machine"
-	"repro/internal/metastep"
 	"repro/internal/perm"
 	"repro/internal/program"
 	"repro/internal/runner"
@@ -744,7 +743,3 @@ func E9InformationBound(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes, "the measured encodings sit far above the floor (the constant is generous); the floor is what forces Ω(n log n)")
 	return t, nil
 }
-
-// Lemma52Acyclicity is an extra mechanical check used by tests: the
-// explicit ≼ edges of a construction form a DAG.
-func Lemma52Acyclicity(s *metastep.Set) error { return s.CheckAcyclic() }

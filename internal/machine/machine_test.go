@@ -10,6 +10,7 @@ import (
 	"repro/internal/mutex"
 	"repro/internal/perm"
 	"repro/internal/program"
+	"repro/internal/rmw"
 )
 
 // pingPong builds a 2-process algorithm: process 0 writes 1 to r0, enters;
@@ -172,43 +173,67 @@ func TestHoldCSCompletesForAllDelays(t *testing.T) {
 	}
 }
 
-func TestReplayerMatchesSystem(t *testing.T) {
-	f, err := mutex.YangAnderson(4)
+// TestReplayMatchesSystem replays a scheduled run's trace on a fresh
+// system: every replayed step must equal the recorded one, and every
+// charge must be the recorded changed flag of a shared step — for register
+// locks and for an RMW lock, under a fixed and a random scheduler.
+func TestReplayMatchesSystem(t *testing.T) {
+	yang, err := mutex.YangAnderson(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec, err := machine.RunCanonical(f, machine.NewRoundRobin(), 0)
+	bakery, err := mutex.Bakery(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, sc, err := machine.ReplayExecution(f, exec)
+	mcs, err := rmw.MCS(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !replayed.Equal(exec) {
-		t.Fatal("replay produced different step values")
-	}
-	// SC from replay equals the sum of the system's changed flags over
-	// shared steps.
-	s := machine.NewSystem(f)
-	if _, err := machine.Run(s, machine.NewRoundRobin(), 0); err == nil {
-		// Run with 0 horizon returns ErrHorizon immediately; ignore.
-		_ = s
-	}
-	if sc <= 0 {
-		t.Fatalf("SC=%d", sc)
+	for _, f := range []program.Factory{yang, bakery, mcs} {
+		algo := f.Name()
+		for _, spec := range []machine.Spec{machine.RoundRobinSpec(), machine.RandomSpec(7)} {
+			sched, err := spec.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := machine.NewSystem(f)
+			if _, err := machine.Run(s, sched, machine.DefaultHorizon(4)); err != nil {
+				t.Fatalf("%s/%s: %v", algo, spec, err)
+			}
+			exec, changed := s.Trace(), s.Changed()
+			r := machine.NewSystem(f)
+			charges := 0
+			for i, step := range exec {
+				done, charged, err := r.Replay(step)
+				if err != nil {
+					t.Fatalf("%s/%s: step %d: %v", algo, spec, i, err)
+				}
+				if done != step {
+					t.Fatalf("%s/%s: step %d replayed as %v, recorded %v", algo, spec, i, done, step)
+				}
+				if want := changed[i] && step.IsShared(); charged != want {
+					t.Fatalf("%s/%s: step %d (%v) charged=%v, want %v", algo, spec, i, step, charged, want)
+				}
+				if charged {
+					charges++
+				}
+			}
+			if _, sc, err := machine.ReplayExecution(f, exec); err != nil || sc != charges || sc == 0 {
+				t.Fatalf("%s/%s: ReplayExecution SC=%d err=%v, want %d charges", algo, spec, sc, err, charges)
+			}
+		}
 	}
 }
 
-func TestReplayerRejectsForeignSteps(t *testing.T) {
+func TestReplayRejectsForeignSteps(t *testing.T) {
 	f := pingPong(t)
-	r := machine.NewReplayer(f)
+	s := machine.NewSystem(f)
 	// Process 0's first step is try, not a write.
-	_, err := r.Apply(model.Step{Proc: 0, Kind: model.KindWrite, Reg: 0, Val: 1})
-	if err == nil {
+	if _, _, err := s.Replay(model.Step{Proc: 0, Kind: model.KindWrite, Reg: 0, Val: 1}); err == nil {
 		t.Fatal("mismatched step accepted")
 	}
-	if _, err := r.Apply(model.Step{Proc: 9}); err == nil {
+	if _, _, err := s.Replay(model.Step{Proc: 9}); err == nil {
 		t.Fatal("unknown process accepted")
 	}
 }
@@ -336,6 +361,12 @@ func TestWellFormednessEnforced(t *testing.T) {
 	s := machine.NewSystem(f)
 	if _, err := s.Step(0); err == nil {
 		t.Fatal("enter while in remainder section accepted")
+	}
+	// Replay executes through the same step function, so it refuses the
+	// same recorded step.
+	enter := model.Step{Proc: 0, Kind: model.KindCrit, Crit: model.CritEnter}
+	if _, _, err := machine.NewSystem(f).Replay(enter); err == nil {
+		t.Fatal("replayed enter while in remainder section accepted")
 	}
 }
 

@@ -7,124 +7,23 @@ import (
 	"repro/internal/program"
 )
 
-// Replayer re-executes a recorded step sequence through fresh automata and
-// registers. Because the system is deterministic (Section 3.1), a step
-// sequence uniquely determines the system state after it; Replayer is the
-// function from step sequences to states.
-//
-// The construction step uses a Replayer to evaluate δ(α, j): replay α, then
-// ask process j's automaton for its pending step. The decoder uses one to
-// maintain its growing execution.
-type Replayer struct {
-	factory  program.Factory
-	automata []*program.Automaton
-	regs     *model.Registers
-	applied  int
-	scCost   int // state-changing shared steps so far (Definition 3.1)
-}
-
-// NewReplayer creates a replayer in the initial system state.
-func NewReplayer(f program.Factory) *Replayer {
-	return &Replayer{
-		factory:  f,
-		automata: program.NewAutomata(f),
-		regs:     program.NewRegisters(f),
-	}
-}
-
-// N returns the number of processes.
-func (r *Replayer) N() int { return r.factory.N() }
-
-// Applied returns the number of steps replayed so far.
-func (r *Replayer) Applied() int { return r.applied }
-
-// SCCost returns the state change cost (Definition 3.1) of the steps
-// replayed so far: the number of shared-memory steps across which the
-// acting process's state changed. Critical steps are never charged.
-func (r *Replayer) SCCost() int { return r.scCost }
-
-// Registers exposes the current register contents (read-only use expected).
-func (r *Replayer) Registers() *model.Registers { return r.regs }
-
-// Automaton returns process i's automaton in its current replayed state
-// (read-only use expected; use CloneAutomaton to experiment).
-func (r *Replayer) Automaton(i int) *program.Automaton { return r.automata[i] }
-
-// CloneAutomaton returns an independent copy of process i's automaton state.
-func (r *Replayer) CloneAutomaton(i int) *program.Automaton { return r.automata[i].Clone() }
-
-// PendingStep returns δ(α, i) where α is the replayed execution so far.
-func (r *Replayer) PendingStep(i int) model.Step { return r.automata[i].PendingStep() }
-
-// Halted reports whether process i has halted in the replayed state.
-func (r *Replayer) Halted(i int) bool { return r.automata[i].Halted() }
-
-// Apply executes one recorded step. The step must match the acting
-// process's pending step (same operation on the same register); otherwise
-// the recorded sequence is not an execution of this algorithm and an error
-// is returned. The executed step, with the read result filled in, is
-// returned.
-func (r *Replayer) Apply(step model.Step) (model.Step, error) {
-	if step.Proc < 0 || step.Proc >= len(r.automata) {
-		return model.Step{}, fmt.Errorf("machine: replay: no process %d", step.Proc)
-	}
-	a := r.automata[step.Proc]
-	if a.Halted() {
-		return model.Step{}, fmt.Errorf("machine: replay: step %v by halted process", step)
-	}
-	pending := a.PendingStep()
-	if !pending.SameOperation(step) {
-		return model.Step{}, fmt.Errorf("machine: replay: recorded step %v does not match pending step %v", step, pending)
-	}
-	if pending.IsShared() && (pending.Reg < 0 || int(pending.Reg) >= r.regs.Len()) {
-		return model.Step{}, fmt.Errorf("machine: replay: register %d out of range [0,%d)", pending.Reg, r.regs.Len())
-	}
-	var changed bool
-	switch pending.Kind {
-	case model.KindRead:
-		v := r.regs.Read(pending.Reg)
-		pending.Val = v
-		changed = a.FeedChanged(v)
-	case model.KindWrite:
-		r.regs.Write(pending.Reg, pending.Val)
-		changed = a.FeedChanged(0)
-	case model.KindRMW:
-		old := r.regs.ApplyRMW(pending.Reg, pending.RMW, pending.Arg1, pending.Arg2)
-		pending.Val = old
-		changed = a.FeedChanged(old)
-	case model.KindCrit:
-		changed = a.FeedChanged(0)
-	}
-	if pending.IsShared() && changed {
-		r.scCost++
-	}
-	r.applied++
-	return pending, nil
-}
-
-// ApplyAll replays a whole execution, returning the executed steps with
-// read results filled in.
-func (r *Replayer) ApplyAll(exec model.Execution) (model.Execution, error) {
-	out := make(model.Execution, 0, len(exec))
-	for t, s := range exec {
-		done, err := r.Apply(s)
-		if err != nil {
-			return out, fmt.Errorf("machine: replay at step %d: %w", t, err)
-		}
-		out = append(out, done)
-	}
-	return out, nil
-}
-
 // ReplayExecution replays exec from the initial state and returns the
 // executed steps (with read values) and the SC cost of the execution.
 func ReplayExecution(f program.Factory, exec model.Execution) (model.Execution, int, error) {
-	r := NewReplayer(f)
-	out, err := r.ApplyAll(exec)
-	if err != nil {
-		return out, r.SCCost(), err
+	s := NewSystem(f)
+	out := make(model.Execution, 0, len(exec))
+	sc := 0
+	for t, step := range exec {
+		done, charged, err := s.Replay(step)
+		if err != nil {
+			return out, sc, fmt.Errorf("replay step %d: %w", t, err)
+		}
+		out = append(out, done)
+		if charged {
+			sc++
+		}
 	}
-	return out, r.SCCost(), nil
+	return out, sc, nil
 }
 
 // DefaultHorizon returns a generous step budget for canonical executions of

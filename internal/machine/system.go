@@ -9,13 +9,17 @@
 // simulator instead executes one step at a time and records exactly the
 // quantities the models charge for.
 //
+// System.Replay re-executes recorded steps through the same step function,
+// so every consumer of a recorded execution checks it against the
+// simulator's own rules.
+//
 // Concurrency contract for callers that run many simulations in parallel
-// (internal/runner): a System, a Replayer, and every Scheduler are
-// single-run state and must be private to one job — construct them fresh
-// per run (NewSystem, NewReplayer, Spec.New). A program.Factory, by
-// contrast, is immutable once built (programs and register layouts are
-// shared read-only; NewAutomata and NewRegisters copy what they need), so
-// one factory instance may safely serve any number of concurrent runs.
+// (internal/runner): a System and every Scheduler are single-run state and
+// must be private to one job — construct them fresh per run (NewSystem,
+// Spec.New). A program.Factory, by contrast, is immutable once built
+// (programs and register layouts are shared read-only; NewAutomata and
+// NewRegisters copy what they need), so one factory instance may safely
+// serve any number of concurrent runs.
 package machine
 
 import (
@@ -65,22 +69,25 @@ type System struct {
 	trace   model.Execution
 	changed []bool // changed[t]: did step t change its process's state?
 
-	section   []Section
-	csEntries []int // completed enter steps per process
-	csDone    []int // completed rem steps per process
+	procs []procState
+}
+
+// procState is one process's protocol bookkeeping.
+type procState struct {
+	section   Section
+	csEntries int // completed enter steps
+	csDone    int // completed rem steps
 }
 
 // NewSystem creates a system in the initial state s_0 for the factory.
 func NewSystem(f program.Factory) *System {
 	n := f.N()
 	s := &System{
-		factory:   f,
-		n:         n,
-		automata:  program.NewAutomata(f),
-		regs:      program.NewRegisters(f),
-		section:   make([]Section, n),
-		csEntries: make([]int, n),
-		csDone:    make([]int, n),
+		factory:  f,
+		n:        n,
+		automata: program.NewAutomata(f),
+		regs:     program.NewRegisters(f),
+		procs:    make([]procState, n),
 	}
 	return s
 }
@@ -115,14 +122,14 @@ func (s *System) AllHalted() bool {
 }
 
 // Section returns process i's current protocol section.
-func (s *System) Section(i int) Section { return s.section[i] }
+func (s *System) Section(i int) Section { return s.procs[i].section }
 
 // CSEntries returns how many times process i has entered its critical section.
-func (s *System) CSEntries(i int) int { return s.csEntries[i] }
+func (s *System) CSEntries(i int) int { return s.procs[i].csEntries }
 
 // CSCompleted returns how many times process i has completed a full
 // try-enter-exit-rem cycle.
-func (s *System) CSCompleted(i int) int { return s.csDone[i] }
+func (s *System) CSCompleted(i int) int { return s.procs[i].csDone }
 
 // Trace returns the execution so far. The returned slice is owned by the
 // system; callers must not modify it.
@@ -189,6 +196,25 @@ func (s *System) Step(i int) (model.Step, error) {
 	return step, nil
 }
 
+// Replay executes a recorded step as Step would, without appending it to
+// the trace. A step that is not the acting process's pending step (the
+// same operation on the same register) is refused: the recorded sequence
+// is not an execution of this algorithm. Replay returns the executed step,
+// with read results filled in, and whether the SC model charges it: a
+// shared step that changed its process's state (Definition 3.1).
+//
+//repro:hotpath
+func (s *System) Replay(step model.Step) (model.Step, bool, error) {
+	i := step.Proc
+	if i >= 0 && i < s.n && !s.automata[i].Halted() {
+		if pending := s.automata[i].PendingStep(); !pending.SameOperation(step) {
+			return model.Step{}, false, errNotPending(step, pending)
+		}
+	}
+	done, changed, err := s.stepNoRecord(i)
+	return done, changed && done.IsShared(), err
+}
+
 // stepNoRecord executes process i's pending step without appending to the
 // trace arenas, reporting whether the step changed the acting process's
 // state (the SC model's per-step charge). It is the allocation-free core of
@@ -242,6 +268,11 @@ func errNoProcess(i int) error { return fmt.Errorf("machine: no process %d", i) 
 //repro:hotpath-ok cold error path: stepping a halted process ends the run
 func errHalted(i int) error { return fmt.Errorf("machine: process %d is halted", i) }
 
+//repro:hotpath-ok cold error path: a replay that diverges from the algorithm ends it
+func errNotPending(step, pending model.Step) error {
+	return fmt.Errorf("machine: process %d: recorded step %v does not match pending step %v", step.Proc, step, pending)
+}
+
 //repro:hotpath-ok cold error path: an out-of-range register ends the run
 func errRegRange(i int, reg model.RegID, size int) error {
 	return fmt.Errorf("machine: process %d: register %d out of range [0,%d)", i, reg, size)
@@ -263,20 +294,21 @@ var critWant = [4]Section{
 //
 //repro:hotpath
 func (s *System) applyCrit(i int, c model.CritKind) error {
-	if int(c) >= len(critWant) || s.section[i] != critWant[c] {
-		return errBadCrit(i, c, s.section[i])
+	p := &s.procs[i]
+	if int(c) >= len(critWant) || p.section != critWant[c] {
+		return errBadCrit(i, c, p.section)
 	}
 	switch c {
 	case model.CritTry:
-		s.section[i] = SecTrying
+		p.section = SecTrying
 	case model.CritEnter:
-		s.section[i] = SecCritical
-		s.csEntries[i]++
+		p.section = SecCritical
+		p.csEntries++
 	case model.CritExit:
-		s.section[i] = SecExit
+		p.section = SecExit
 	case model.CritRem:
-		s.section[i] = SecRemainder
-		s.csDone[i]++
+		p.section = SecRemainder
+		p.csDone++
 	}
 	return nil
 }
@@ -305,15 +337,13 @@ func (s *System) Clone() *System {
 		automata[i] = a.Clone()
 	}
 	return &System{
-		factory:   s.factory,
-		n:         s.n,
-		automata:  automata,
-		regs:      s.regs.Clone(),
-		trace:     s.trace[:len(s.trace):len(s.trace)],
-		changed:   s.changed[:len(s.changed):len(s.changed)],
-		section:   append([]Section(nil), s.section...),
-		csEntries: append([]int(nil), s.csEntries...),
-		csDone:    append([]int(nil), s.csDone...),
+		factory:  s.factory,
+		n:        s.n,
+		automata: automata,
+		regs:     s.regs.Clone(),
+		trace:    s.trace[:len(s.trace):len(s.trace)],
+		changed:  s.changed[:len(s.changed):len(s.changed)],
+		procs:    append([]procState(nil), s.procs...),
 	}
 }
 
@@ -345,9 +375,7 @@ func (s *System) copyFrom(src *System) {
 		s.regs.CopyFrom(src.regs)
 	}
 	s.trace, s.changed = nil, nil
-	s.section = append(s.section[:0], src.section...)
-	s.csEntries = append(s.csEntries[:0], src.csEntries...)
-	s.csDone = append(s.csDone[:0], src.csDone...)
+	s.procs = append(s.procs[:0], src.procs...)
 }
 
 // InCriticalSection returns the process currently in its critical section,
@@ -355,8 +383,8 @@ func (s *System) copyFrom(src *System) {
 // internal/verify; the system itself permits them so that buggy algorithms
 // can be executed and diagnosed.
 func (s *System) InCriticalSection() int {
-	for i, sec := range s.section {
-		if sec == SecCritical {
+	for i, p := range s.procs {
+		if p.section == SecCritical {
 			return i
 		}
 	}

@@ -219,9 +219,6 @@ func (s *Set) ReadsOn(reg model.RegID) []ID { return s.readsByReg[reg] }
 // Succs returns the direct successors of id in the explicit edge relation.
 func (s *Set) Succs(id ID) []ID { return s.succs[id] }
 
-// Preds returns the direct predecessors of id.
-func (s *Set) Preds(id ID) []ID { return s.preds[id] }
-
 func (s *Set) add(m *Meta) *Meta {
 	m.ID = ID(len(s.metas))
 	m.PreadOf = None

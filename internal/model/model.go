@@ -163,6 +163,8 @@ func (s Step) String() string {
 // same process on the same register, ignoring recorded read results. It is
 // used by replay and by the decoder to check that a pending step matches a
 // recorded one.
+//
+//repro:hotpath
 func (s Step) SameOperation(t Step) bool {
 	if s.Proc != t.Proc || s.Kind != t.Kind {
 		return false

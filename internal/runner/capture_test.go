@@ -252,7 +252,7 @@ func BenchmarkCaptureOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if r := runner.Execute(j); r.Err != nil {
+			if r, _, _ := runner.ExecuteTraced(j); r.Err != nil {
 				b.Fatal(r.Err)
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // Job is a pure, seed-addressed unit of simulator work: one canonical
 // execution of a named algorithm under a scheduler spec. Everything a Job
 // needs is carried by value — factory name, n, scheduler spec, seed,
-// horizon — so Execute can build all mutable state (factory, system,
+// horizon — so ExecuteTraced can build all mutable state (factory, system,
 // scheduler) fresh inside the worker and two workers never share anything
 // writable.
 type Job struct {
@@ -64,22 +64,14 @@ func NewFactory(name string, n int) (program.Factory, error) {
 	}
 }
 
-// Execute runs one job to completion: resolve the factory, build the
+// ExecuteTraced runs one job to completion: resolve the factory, build the
 // scheduler from its spec, drive a canonical execution, and measure its
 // cost. It never shares state with other invocations. Errors are returned
 // unwrapped — the Result already carries the job's coordinates, and folds
-// add their own context.
-func Execute(j Job) Result {
-	res, _, _ := ExecuteTraced(j)
-	return res
-}
-
-// ExecuteTraced is Execute plus the raw material trace capture persists:
-// the execution's step log and the machine's per-step changed flags. Both
-// already exist when the run finishes (the System retains them), so the
-// traced form costs nothing over Execute — callers that drop them get the
-// exact old behaviour. On error the trace and flags are nil: a failed job
-// has no execution worth replaying.
+// add their own context. Beside the Result it returns the raw material
+// trace capture persists: the execution's step log and the machine's
+// per-step changed flags, which the System retains anyway. On error the
+// trace and flags are nil: a failed job has no execution worth replaying.
 func ExecuteTraced(j Job) (Result, model.Execution, []bool) {
 	res := Result{Job: j}
 	f, err := NewFactory(j.Algo, j.N)

@@ -5,7 +5,7 @@
 //
 // The engine makes one demand of its jobs: each must be a pure function of
 // its inputs — it builds every piece of mutable state (System, Scheduler,
-// Replayer, automata, rngs) itself from value-type specifications and seeds,
+// automata, rngs) itself from value-type specifications and seeds,
 // and shares nothing writable with other jobs. The simulator stack is built
 // for this: program.Factory instances are immutable after construction,
 // machine.Spec constructs a fresh Scheduler per call, and MixSeed derives

@@ -195,9 +195,9 @@ func TestJobResultsDeterministic(t *testing.T) {
 
 // TestExecuteUnknownAlgo checks errors are carried in-band on the Result.
 func TestExecuteUnknownAlgo(t *testing.T) {
-	r := runner.Execute(runner.Job{Algo: "no-such-lock", N: 4, Sched: machine.RoundRobinSpec()})
+	r, _, _ := runner.ExecuteTraced(runner.Job{Algo: "no-such-lock", N: 4, Sched: machine.RoundRobinSpec()})
 	if r.Err == nil {
-		t.Fatal("Execute with unknown algorithm: want error")
+		t.Fatal("ExecuteTraced with unknown algorithm: want error")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // ScheduleJob is the schedule-search unit of work: one run of a named
 // algorithm under a candidate schedule, scored even when the candidate
-// fails to complete a canonical execution. Unlike Job — whose Execute
+// fails to complete a canonical execution. Unlike Job — whose ExecuteTraced
 // demands a canonical run and treats anything else as an error —
-// ExecuteSchedule reports what actually happened, so a search driver can
+// ExecuteScheduleTraced reports what actually happened, so a search driver can
 // discard truncated or stalled candidates instead of aborting the batch,
 // and never mistakes a truncated execution for a cheap one.
 type ScheduleJob struct {
@@ -54,16 +54,11 @@ type ScheduleResult struct {
 	Err error
 }
 
-// ExecuteSchedule runs one candidate schedule to completion or truncation.
-// ErrHorizon and ErrStalled are not errors here: they mark the result
-// non-canonical and the truncated execution is still measured, so a fold
-// can report on it without ever ranking it against complete executions.
-func ExecuteSchedule(j ScheduleJob) ScheduleResult {
-	res, _, _ := ExecuteScheduleTraced(j)
-	return res
-}
-
-// ExecuteScheduleTraced is ExecuteSchedule plus the step log and per-step
+// ExecuteScheduleTraced runs one candidate schedule to completion or
+// truncation. ErrHorizon and ErrStalled are not errors here: they mark the
+// result non-canonical and the truncated execution is still measured, so a
+// fold can report on it without ever ranking it against complete
+// executions. Beside the result it returns the step log and per-step
 // changed flags, for trace capture. A hard failure (Err set) returns nil
 // trace and flags; a discarded candidate (non-canonical, zero report)
 // still returns whatever execution it produced — a truncated run replays

@@ -8,7 +8,7 @@ import (
 )
 
 func TestExecuteScheduleCanonical(t *testing.T) {
-	r := runner.ExecuteSchedule(runner.ScheduleJob{
+	r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{
 		Algo: "yang-anderson", N: 4, Sched: machine.RoundRobinSpec(), KeepDecisions: 6,
 	})
 	if r.Err != nil {
@@ -31,7 +31,7 @@ func TestExecuteScheduleCanonical(t *testing.T) {
 }
 
 func TestExecuteScheduleTruncatedIsNotCanonical(t *testing.T) {
-	r := runner.ExecuteSchedule(runner.ScheduleJob{
+	r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{
 		Algo: "yang-anderson", N: 4, Sched: machine.RoundRobinSpec(), Horizon: 7,
 	})
 	if r.Err != nil {
@@ -46,10 +46,10 @@ func TestExecuteScheduleTruncatedIsNotCanonical(t *testing.T) {
 }
 
 func TestExecuteScheduleBadSpecErrors(t *testing.T) {
-	if r := runner.ExecuteSchedule(runner.ScheduleJob{Algo: "yang-anderson", N: 4, Sched: machine.Spec{Kind: "fifo"}}); r.Err == nil {
+	if r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{Algo: "yang-anderson", N: 4, Sched: machine.Spec{Kind: "fifo"}}); r.Err == nil {
 		t.Fatal("unknown scheduler spec accepted")
 	}
-	if r := runner.ExecuteSchedule(runner.ScheduleJob{Algo: "no-such-algo", N: 4, Sched: machine.RoundRobinSpec()}); r.Err == nil {
+	if r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{Algo: "no-such-algo", N: 4, Sched: machine.RoundRobinSpec()}); r.Err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

@@ -14,8 +14,8 @@ import (
 // a unit's content address, and replay/observe decode back. A Record is
 // self-describing — algorithm name, process count, and horizon ride with
 // the step log — so a stored key replays with zero re-simulation: the
-// decoder rebuilds the factory from the record alone and drives a
-// machine.Replayer, never a scheduler.
+// decoder rebuilds the factory from the record alone and replays it through
+// a fresh machine.System, never a scheduler.
 //
 // The encoding is a compact varint framing, deliberately uncompressed:
 // blob transports and file stores compress at their edges (the remote
@@ -221,21 +221,21 @@ func VerifyRecord(f program.Factory, rec Record) (sc int, err error) {
 	if f.N() != rec.N {
 		return 0, fmt.Errorf("trace: record says n=%d but factory has n=%d", rec.N, f.N())
 	}
-	rep := machine.NewReplayer(f)
+	rep := machine.NewSystem(f)
 	for t, s := range rec.Exec {
-		before := rep.SCCost()
-		done, err := rep.Apply(s)
+		done, charged, err := rep.Replay(s)
 		if err != nil {
-			return rep.SCCost(), fmt.Errorf("trace: verify step %d: %w", t, err)
+			return sc, fmt.Errorf("trace: verify step %d: %w", t, err)
+		}
+		if charged {
+			sc++
 		}
 		if done != s {
-			return rep.SCCost(), fmt.Errorf("trace: verify step %d: recorded %v but replay produced %v", t, s, done)
+			return sc, fmt.Errorf("trace: verify step %d: recorded %v but replay produced %v", t, s, done)
 		}
-		if s.IsShared() {
-			if charged := rep.SCCost() != before; charged != rec.Changed[t] {
-				return rep.SCCost(), fmt.Errorf("trace: verify step %d: recorded changed=%v but replay charged=%v", t, rec.Changed[t], charged)
-			}
+		if s.IsShared() && charged != rec.Changed[t] {
+			return sc, fmt.Errorf("trace: verify step %d: recorded changed=%v but replay charged=%v", t, rec.Changed[t], charged)
 		}
 	}
-	return rep.SCCost(), nil
+	return sc, nil
 }

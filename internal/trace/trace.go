@@ -36,7 +36,7 @@ type Options struct {
 // A '█' block in a column marks a process inside its critical section.
 func Timeline(f program.Factory, exec model.Execution, opt Options) (string, error) {
 	n := f.N()
-	rep := machine.NewReplayer(f)
+	rep := machine.NewSystem(f)
 	var b strings.Builder
 
 	// Header.
@@ -52,12 +52,10 @@ func Timeline(f program.Factory, exec model.Execution, opt Options) (string, err
 		limit = opt.MaxSteps
 	}
 	for t := 0; t < limit; t++ {
-		before := rep.SCCost()
-		done, err := rep.Apply(exec[t])
+		done, charged, err := rep.Replay(exec[t])
 		if err != nil {
 			return b.String(), fmt.Errorf("trace: step %d: %w", t, err)
 		}
-		charged := rep.SCCost() != before
 
 		glyph := ""
 		switch done.Kind {
@@ -134,7 +132,7 @@ func describe(s model.Step, charged bool, opt Options) string {
 // Summary renders per-process totals: steps, charged steps, CS interval.
 func Summary(f program.Factory, exec model.Execution) (string, error) {
 	n := f.N()
-	rep := machine.NewReplayer(f)
+	rep := machine.NewSystem(f)
 	steps := make([]int, n)
 	charged := make([]int, n)
 	enterAt := make([]int, n)
@@ -143,13 +141,12 @@ func Summary(f program.Factory, exec model.Execution) (string, error) {
 		enterAt[i], exitAt[i] = -1, -1
 	}
 	for t, s := range exec {
-		before := rep.SCCost()
-		done, err := rep.Apply(s)
+		done, sc, err := rep.Replay(s)
 		if err != nil {
 			return "", fmt.Errorf("trace: step %d: %w", t, err)
 		}
 		steps[done.Proc]++
-		if rep.SCCost() != before {
+		if sc {
 			charged[done.Proc]++
 		}
 		if done.Kind == model.KindCrit {

@@ -96,9 +96,9 @@ func EntryOrder(exec model.Execution, want []int) error {
 // algorithm: every step matches the acting automaton's pending step and
 // every recorded read value matches the register contents at that point.
 func Replayable(f program.Factory, exec model.Execution) error {
-	r := machine.NewReplayer(f)
+	r := machine.NewSystem(f)
 	for t, s := range exec {
-		done, err := r.Apply(s)
+		done, _, err := r.Replay(s)
 		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
