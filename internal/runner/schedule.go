@@ -10,11 +10,12 @@ import (
 
 // ScheduleJob is the schedule-search unit of work: one run of a named
 // algorithm under a candidate schedule, scored even when the candidate
-// fails to complete a canonical execution. Unlike Job — whose ExecuteTraced
-// demands a canonical run and treats anything else as an error —
-// ExecuteScheduleTraced reports what actually happened, so a search driver can
-// discard truncated or stalled candidates instead of aborting the batch,
-// and never mistakes a truncated execution for a cheap one.
+// fails to complete a canonical execution. Unlike Job — whose
+// ExecuteTraced demands a canonical run and treats anything else as an
+// error — ExecuteScheduleTraced reports what actually happened, so a
+// search driver can discard truncated or stalled candidates instead of
+// aborting the batch, and never mistakes a truncated execution for a
+// cheap one.
 type ScheduleJob struct {
 	// Algo is a registered algorithm name (see NewFactory).
 	Algo string

@@ -141,12 +141,12 @@ func Summary(f program.Factory, exec model.Execution) (string, error) {
 		enterAt[i], exitAt[i] = -1, -1
 	}
 	for t, s := range exec {
-		done, sc, err := rep.Replay(s)
+		done, charge, err := rep.Replay(s)
 		if err != nil {
 			return "", fmt.Errorf("trace: step %d: %w", t, err)
 		}
 		steps[done.Proc]++
-		if sc {
+		if charge {
 			charged[done.Proc]++
 		}
 		if done.Kind == model.KindCrit {
