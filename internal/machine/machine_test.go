@@ -219,8 +219,9 @@ func TestReplayMatchesSystem(t *testing.T) {
 					charges++
 				}
 			}
-			if _, sc, err := machine.ReplayExecution(f, exec); err != nil || sc != charges || sc == 0 {
-				t.Fatalf("%s/%s: ReplayExecution SC=%d err=%v, want %d charges", algo, spec, sc, err, charges)
+			replayed, sc, err := machine.ReplayExecution(f, exec)
+			if err != nil || !replayed.Equal(exec) || sc != charges || sc == 0 {
+				t.Fatalf("%s/%s: ReplayExecution SC=%d err=%v same steps=%v, want %d charges", algo, spec, sc, err, replayed.Equal(exec), charges)
 			}
 		}
 	}
