@@ -24,6 +24,19 @@ func TestQuickJSONGolden(t *testing.T) {
 	checkGolden(t, buf.Bytes(), "quick.json", "go run ./cmd/experiments -quick -json")
 }
 
+// TestFullJSONGolden pins the full-scale `experiments -json` bytes the
+// same way. It runs the whole suite, so -short skips it.
+func TestFullJSONGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale suite; run without -short")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-json"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, buf.Bytes(), "full.json", "go run ./cmd/experiments -json")
+}
+
 // checkGolden compares got with testdata/name and its recorded
 // CacheVersion (testdata/name.cacheversion). Either failure prints the
 // command that regenerates both files from the repo root.
