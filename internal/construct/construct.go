@@ -53,6 +53,8 @@ type Result struct {
 	StageSets []int
 	// Iterations is the total number of Generate loop iterations.
 	Iterations int
+
+	sc int // C(α) of the canonical linearization, measured by ConstructPartial
 }
 
 // maxIterations bounds one process's Generate loop. A livelock-free
@@ -95,6 +97,15 @@ func ConstructPartial(f program.Factory, pi []int, stages int) (*Result, error) 
 	if err := r.Set.CheckAcyclic(); err != nil {
 		return nil, fmt.Errorf("construct: %w (Lemma 5.2 violated)", err)
 	}
+	// generate tracks only the process it inserts; replaying the canonical
+	// linearization once checks that the whole set is an execution of A.
+	alpha, err := r.Linearize()
+	if err != nil {
+		return nil, fmt.Errorf("construct: %w", err)
+	}
+	if _, r.sc, err = machine.ReplayExecution(f, alpha); err != nil {
+		return nil, fmt.Errorf("construct: canonical linearization: %w", err)
+	}
 	return r, nil
 }
 
@@ -102,8 +113,33 @@ func ConstructPartial(f program.Factory, pi []int, stages int) (*Result, error) 
 // process j against the current metastep set until j completes its critical
 // and exit sections (its rem step), inserting j's steps so that j stays
 // invisible to the processes already in the set.
+//
+// Figure 1 takes e ← δ(Plin(M, ≼, m′), j) on every iteration. Replaying
+// that prefix from s₀ each time would cost O(iterations × prefix); instead
+// j's automaton persists across iterations and is fed, after each
+// iteration, exactly what j's step returns in that replay:
+//
+//   - 0 after a write or critical step (their results are ignored);
+//   - val(msw) after a read joined into write metastep msw, because Seq
+//     expands the reads of a write metastep after its winning write;
+//   - after a read that becomes a new read metastep, the value ℓ holds at
+//     the end of Plin(M, ≼, m′): that of the highest-ID write metastep on
+//     ℓ among m′'s ancestors, or ℓ's initial value if there is none.
+//     Lemma 5.3 orders the write metasteps on one register by creation,
+//     and the ancestor set is downward closed, so the ancestors among them
+//     are a creation-order prefix whose last element is written last.
+//
+// Every step of j lies in m′'s ancestor set (each new or joined metastep is
+// ordered after the previous m′), the other processes' steps reach j only
+// through the values it reads, and by Lemma 5.4 those values are the same
+// in every linearization. So the automaton is in the state the replay
+// would leave j in; a test keeps the literal replay as an oracle, and
+// ConstructPartial replays the finished set's canonical linearization once
+// to check the whole construction.
 func (r *Result) generate(j int) error {
 	s := r.Set
+	aut := program.NewAutomaton(r.Factory.Program(j), j)
+	regs := r.Factory.NumRegisters()
 	last := metastep.None // m′: the metastep modified or created last
 	limit := maxIterations(s.N())
 
@@ -113,21 +149,14 @@ func (r *Result) generate(j int) error {
 		}
 		r.Iterations++
 
-		// α ← Plin(M, ≼, m′); e ← δ(α, j).
-		alpha, err := s.Plin(last, nil)
-		if err != nil {
-			return err
-		}
-		rep := machine.NewSystem(r.Factory)
-		for t, step := range alpha {
-			if _, _, err := rep.Replay(step); err != nil {
-				return fmt.Errorf("replaying Plin prefix at step %d: %w", t, err)
-			}
-		}
-		if rep.Halted(j) {
+		// e ← δ(Plin(M, ≼, m′), j), read off j's automaton.
+		if aut.Halted() {
 			return fmt.Errorf("process %d halted before performing rem", j)
 		}
-		e := rep.PendingStep(j)
+		e := aut.PendingStep()
+		if e.IsShared() && (e.Reg < 0 || int(e.Reg) >= regs) {
+			return fmt.Errorf("process %d: register %d out of range [0,%d)", j, e.Reg, regs)
+		}
 
 		anc := s.AncestorsOf(last)
 		notOrdered := func(id metastep.ID) bool { return !anc[id] }
@@ -166,12 +195,12 @@ func (r *Result) generate(j int) error {
 				}
 				last = m.ID
 			}
+			aut.Feed(0)
 
 		case model.KindRead:
 			// msw ← min write metastep on ℓ with µ ⋠ m′ whose value would
 			// change p_j's state (the SC oracle of Figure 1).
 			msw := metastep.None
-			aut := rep.Automaton(j)
 			for _, id := range s.WritesOn(e.Reg) {
 				if !notOrdered(id) {
 					continue
@@ -187,12 +216,13 @@ func (r *Result) generate(j int) error {
 					s.AddEdge(last, msw)
 				}
 				last = msw
+				aut.Feed(s.Meta(msw).Value())
 			} else {
 				// No future write changes p_j's state: p_j reads the
 				// current value. Livelock freedom guarantees this read
 				// itself changes p_j's state (else it would be stuck
 				// forever); verify it to fail fast on broken inputs.
-				cur := rep.Registers().Read(e.Reg)
+				cur := r.current(e.Reg, anc)
 				if !aut.WouldChangeState(cur) {
 					return fmt.Errorf("process %d would busywait forever on r%d=%d with no future write changing its state (livelock)", j, e.Reg, cur)
 				}
@@ -201,6 +231,7 @@ func (r *Result) generate(j int) error {
 					s.AddEdge(last, m.ID)
 				}
 				last = m.ID
+				aut.Feed(cur)
 			}
 
 		case model.KindCrit:
@@ -212,11 +243,29 @@ func (r *Result) generate(j int) error {
 			if e.Crit == model.CritRem {
 				return nil
 			}
+			aut.Feed(0)
 
 		default:
 			return ErrRMW
 		}
 	}
+}
+
+// current returns the value register reg holds at the end of any
+// linearization of anc, an ancestor set {µ : µ ≼ m′}: the value of the
+// latest (highest-ID, Lemma 5.3) write metastep on reg in anc, or reg's
+// initial value when anc holds none.
+func (r *Result) current(reg model.RegID, anc []bool) model.Value {
+	ws := r.Set.WritesOn(reg)
+	for k := len(ws) - 1; k >= 0; k-- {
+		if anc[ws[k]] {
+			return r.Set.Meta(ws[k]).Value()
+		}
+	}
+	if init := r.Factory.InitialValues(); init != nil {
+		return init[reg]
+	}
+	return 0
 }
 
 // maximalUnordered returns the ≼-maximal elements among the candidates not
@@ -253,16 +302,9 @@ func (r *Result) Linearize() (model.Execution, error) {
 	return r.Set.Lin(nil)
 }
 
-// Cost returns the state change cost C(α) of the canonical linearization.
-// By Lemma 6.1 every linearization has the same cost; tests check this.
+// Cost returns the state change cost C(α) of the canonical linearization,
+// which ConstructPartial replayed to check the set. By Lemma 6.1 every
+// linearization has the same cost; tests check this.
 func (r *Result) Cost() (int, error) {
-	alpha, err := r.Linearize()
-	if err != nil {
-		return 0, err
-	}
-	_, sc, err := machine.ReplayExecution(r.Factory, alpha)
-	if err != nil {
-		return 0, err
-	}
-	return sc, nil
+	return r.sc, nil
 }

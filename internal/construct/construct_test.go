@@ -3,13 +3,16 @@ package construct_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/construct"
 	"repro/internal/cost"
 	"repro/internal/machine"
+	"repro/internal/model"
 	"repro/internal/mutex"
 	"repro/internal/perm"
+	"repro/internal/program"
 	"repro/internal/verify"
 )
 
@@ -159,6 +162,31 @@ func TestConstructRejectsRMW(t *testing.T) {
 	}
 	if _, err := construct.Construct(f, []int{0, 1, 1}); err == nil {
 		t.Fatal("want error for non-permutation")
+	}
+}
+
+// TestConstructRejectsOutOfRangeRegister: a pending read or write naming
+// a register outside the factory's file ends the construction with an
+// error naming the register, as the simulator's step does, not a panic.
+func TestConstructRejectsOutOfRangeRegister(t *testing.T) {
+	for _, kind := range []model.Kind{model.KindRead, model.KindWrite} {
+		layout := mutex.NewLayout()
+		layout.Reg("r", 0, -1)
+		b := program.NewBuilder("stray")
+		b.Try()
+		if kind == model.KindRead {
+			b.Read(5, b.Var("x"))
+		} else {
+			b.Write(5, program.Const(1))
+		}
+		b.Enter()
+		b.Exit()
+		b.Rem()
+		f := mutex.NewFactory("stray", layout, []*program.Program{b.MustBuild()})
+		_, err := construct.Construct(f, []int{0})
+		if err == nil || !strings.Contains(err.Error(), "register 5 out of range [0,1)") {
+			t.Fatalf("%v of r5 with one register: got error %v, want one naming register 5", kind, err)
+		}
 	}
 }
 

@@ -109,8 +109,8 @@ func TestStepZeroAllocSpin(t *testing.T) {
 
 // TestGreedyNextZeroAlloc guards the scratch-clone lookahead: after the
 // first decision (which allocates the scratch system and age table), a full
-// greedy decision — n candidate lookaheads, each scored against every other
-// process's pending read — must not allocate.
+// greedy decision — n candidate lookaheads, each scored against the pending
+// readers of the register it changes — must not allocate.
 func TestGreedyNextZeroAlloc(t *testing.T) {
 	const runs = 50
 	s := machine.NewSystem(spinFactory(t, 4))

@@ -158,9 +158,9 @@ func BenchmarkSystemClone(b *testing.B) {
 
 // BenchmarkGreedyNext is one full greedy-adversary decision: an n-way
 // lookahead, each candidate simulated one step ahead and scored against
-// every other process's pending read. This is the per-decision cost of the
-// tournament's most expensive fixed policy and of every search candidate's
-// completion tail.
+// the pending readers of the register it changes. This is the
+// per-decision cost of the tournament's most expensive fixed policy and of
+// every search candidate's completion tail.
 func BenchmarkGreedyNext(b *testing.B) {
 	for _, n := range benchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

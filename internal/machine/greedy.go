@@ -1,6 +1,10 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/model"
+)
 
 // GreedyCost is a cost-maximizing adversary: at every decision it performs a
 // one-step lookahead for each live process on a cloned System and schedules
@@ -13,6 +17,10 @@ import "fmt"
 //     from free to charged (a write that wakes spinners plants that many
 //     future charges) minus how many flip from charged to free (silencing
 //     rivals forfeits cost the adversary had already provoked).
+//
+// One step moves only the acting process's automaton and at most one
+// register, so only the pending readers of the register a write or RMW
+// changed are rescored; every other process's answer is unchanged.
 //
 // Immediate charges are certain while induced ones are speculative, so the
 // immediate term is weighted double. Ties rotate through a cursor so that a
@@ -106,17 +114,30 @@ func (g *GreedyCost) score(s *System, i int) int {
 	if step.IsShared() && changed {
 		score += 2
 	}
+	// Only a pending read can flip (WouldChangeState is constant true for
+	// writes, RMWs and critical steps), and only if the step changed the
+	// register it reads: a read or critical step changes no register, and
+	// the other processes' automata are untouched.
+	if step.Kind != model.KindWrite && step.Kind != model.KindRMW {
+		return score
+	}
+	before, after := s.regs.Read(step.Reg), g.scratch.regs.Read(step.Reg)
+	if before == after {
+		return score
+	}
 	for j := 0; j < s.N(); j++ {
-		if j == i || s.Halted(j) || g.scratch.Halted(j) {
+		if j == i || s.Halted(j) {
 			continue
 		}
-		// Only pending reads can flip: WouldChangeState is constant (true)
-		// for writes, RMWs and critical steps, contributing nothing here.
-		before, after := s.WouldChangeState(j), g.scratch.WouldChangeState(j)
+		a := s.automata[j]
+		if p := a.PendingStep(); p.Kind != model.KindRead || p.Reg != step.Reg {
+			continue
+		}
+		wasCharged, isCharged := a.WouldChangeState(before), a.WouldChangeState(after)
 		switch {
-		case after && !before:
+		case isCharged && !wasCharged:
 			score++
-		case before && !after:
+		case wasCharged && !isCharged:
 			score--
 		}
 	}
