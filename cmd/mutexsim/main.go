@@ -47,7 +47,7 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("mutexsim", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr) // diagnostics and usage must not corrupt the data stream on w
 	var (
-		algoName  = fs.String("algo", repro.AlgoYangAnderson, "algorithm (one of: "+strings.Join(repro.Algorithms(), ", ")+", tas, mcs)")
+		algoName  = fs.String("algo", repro.AlgoYangAnderson, "algorithm (one of: "+strings.Join(repro.Algorithms(), ", ")+")")
 		n         = fs.Int("n", 8, "number of processes")
 		schedName = fs.String("sched", "round-robin", "scheduler: round-robin, random, solo, progress-first, hold-cs, greedy-cost")
 		seed      = fs.Int64("seed", 1, "seed for the random scheduler")
@@ -103,7 +103,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, exec, _ := runner.ExecuteTraced(j)
+	res, exec, changed := runner.ExecuteTraced(j)
 	if res.Err != nil {
 		return res.Err
 	}
@@ -123,18 +123,10 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "\ntrace (%d steps):\n%s\n", len(exec), exec)
 	}
 	if *timeline {
-		out, err := trace.Timeline(f, exec, trace.Options{ShowFree: true})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\n%s", out)
+		fmt.Fprintf(w, "\n%s", trace.Timeline(f.N(), exec, changed, trace.Options{ShowFree: true}))
 	}
 	if *summary {
-		out, err := trace.Summary(f, exec)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\n%s", out)
+		fmt.Fprintf(w, "\n%s", trace.Summary(f.N(), exec, changed))
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Command observe streams captured execution traces — the blobs the
-// -capture flag of cmd/experiments and cmd/tournament persists — without
-// re-simulating anything: every view below is rendered by re-applying the
-// recorded steps through machine.System.Replay, from a local store or a
-// routed fleet.
+// -capture flag of cmd/experiments and cmd/tournament persists — from a
+// local store or a routed fleet, without re-simulating anything: no
+// scheduler runs, and the recorded steps are stepped once, by
+// trace.VerifyRecord. Every view below renders the record it accepted.
 //
 // Usage:
 //
@@ -18,8 +18,8 @@
 // run's -capture stored is the key its result is cached under, so a row in
 // any experiment table can be traced back to the exact execution that
 // produced it. Every trace is verified by replay on a fresh System before it
-// is rendered: a blob that does not replay to the recorded cost bit for
-// bit is refused, never displayed.
+// is rendered: a blob that does not replay to its recorded steps and
+// changed flags bit for bit is refused, never displayed.
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mutex"
 	"repro/internal/program"
@@ -88,35 +87,18 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "trace %s\nalgo=%s n=%d steps=%d sc=%d\n\n", key, rec.Algo, rec.N, len(rec.Exec), sc)
 
-	views := 0
 	if *summary {
-		views++
-		if err := summaryView(w, f, rec); err != nil {
-			return err
-		}
+		fmt.Fprint(w, trace.Summary(rec.N, rec.Exec, rec.Changed))
 	}
 	if *heatmap {
-		views++
-		if err := heatmapView(w, f, rec); err != nil {
-			return err
-		}
+		heatmapView(w, f, rec)
 	}
 	if *metasteps {
-		views++
-		if err := metastepView(w, f, rec); err != nil {
-			return err
-		}
+		metastepView(w, f, rec)
 	}
-	if views == 0 {
-		tl, err := trace.Timeline(f, rec.Exec, trace.Options{MaxSteps: *maxSteps, RegisterName: regNamer(f)})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, tl)
-		fmt.Fprintln(w)
-		if err := summaryView(w, f, rec); err != nil {
-			return err
-		}
+	if !*summary && !*heatmap && !*metasteps {
+		fmt.Fprintln(w, trace.Timeline(rec.N, rec.Exec, rec.Changed, trace.Options{MaxSteps: *maxSteps, RegisterName: regNamer(f)}))
+		fmt.Fprint(w, trace.Summary(rec.N, rec.Exec, rec.Changed))
 	}
 	return nil
 }
@@ -180,21 +162,11 @@ func regNamer(f program.Factory) func(model.RegID) string {
 	}
 }
 
-// summaryView prints the per-process totals.
-func summaryView(w io.Writer, f program.Factory, rec trace.Record) error {
-	sum, err := trace.Summary(f, rec.Exec)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, sum)
-	return nil
-}
-
 // heatmapView aggregates shared accesses per register: how often each was
 // read, written, RMW'd, and how many of those accesses the SC model
 // charged — the register contention picture of the run, with a bar scaled
 // to the busiest register.
-func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
+func heatmapView(w io.Writer, f program.Factory, rec trace.Record) {
 	type cell struct{ reads, writes, rmws, charged int }
 	var maxReg model.RegID
 	for _, s := range rec.Exec {
@@ -203,17 +175,12 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 		}
 	}
 	cells := make([]cell, int(maxReg)+1)
-	rep := machine.NewSystem(f)
 	for t, s := range rec.Exec {
-		done, charged, err := rep.Replay(s)
-		if err != nil {
-			return fmt.Errorf("heatmap: step %d: %w", t, err)
-		}
-		if !done.IsShared() {
+		if !s.IsShared() {
 			continue
 		}
-		c := &cells[done.Reg]
-		switch done.Kind {
+		c := &cells[s.Reg]
+		switch s.Kind {
 		case model.KindRead:
 			c.reads++
 		case model.KindWrite:
@@ -221,7 +188,7 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 		case model.KindRMW:
 			c.rmws++
 		}
-		if charged {
+		if rec.Changed[t] {
 			c.charged++
 		}
 	}
@@ -246,7 +213,6 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 			name(model.RegID(r)), c.reads, c.writes, c.rmws, c.charged,
 			"##################################"[:bar])
 	}
-	return nil
 }
 
 // metastepView prints the run's state-change boundaries: each step the SC
@@ -254,8 +220,7 @@ func heatmapView(w io.Writer, f program.Factory, rec trace.Record) error {
 // spins re-reading an unchanged register) belong to it. The step spans
 // show how much real time each unit of SC cost absorbs — the busywait
 // discount of the model, made visible.
-func metastepView(w io.Writer, f program.Factory, rec trace.Record) error {
-	rep := machine.NewSystem(f)
+func metastepView(w io.Writer, f program.Factory, rec trace.Record) {
 	name := regNamer(f)
 	if name == nil {
 		name = func(r model.RegID) string { return fmt.Sprintf("r%d", r) }
@@ -280,16 +245,11 @@ func metastepView(w io.Writer, f program.Factory, rec trace.Record) error {
 		meta++
 	}
 	for t, s := range rec.Exec {
-		done, charged, err := rep.Replay(s)
-		if err != nil {
-			return fmt.Errorf("metasteps: step %d: %w", t, err)
-		}
-		if charged {
+		if rec.Changed[t] && s.IsShared() {
 			flush(t)
-			start, boundary = t, describe(done)
+			start, boundary = t, describe(s)
 		}
 	}
 	flush(len(rec.Exec))
 	fmt.Fprintf(w, "%d metasteps over %d steps\n", meta, len(rec.Exec))
-	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -73,6 +74,51 @@ func TestObserveViews(t *testing.T) {
 	if len(capped) >= len(full) {
 		t.Errorf("-max 5 did not shorten the timeline (%d vs %d bytes)", len(capped), len(full))
 	}
+}
+
+// TestViewsSumToHeaderSC: every view reads the changed flags the verified
+// record carries, so the summary's SC-cost column, the heatmap's charged
+// column and the metastep count all equal the header's sc= for a captured
+// trace.
+func TestViewsSumToHeaderSC(t *testing.T) {
+	dir, key := captureOne(t)
+	sc := -1
+	sums := map[string]int{}
+	for _, view := range []string{"-summary", "-heatmap", "-metasteps"} {
+		for _, line := range strings.Split(observe(t, "-cache", dir, view, key), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) == 4 && strings.HasPrefix(f[3], "sc="):
+				sc = atoi(t, strings.TrimPrefix(f[3], "sc="))
+			case view == "-summary" && len(f) > 2 && f[0] != "proc" && strings.HasPrefix(f[0], "p"):
+				sums[view] += atoi(t, f[2])
+			case view == "-heatmap" && len(f) > 4 && f[0] != "register":
+				sums[view] += atoi(t, f[4])
+			case view == "-metasteps" && strings.Contains(line, "metasteps over"):
+				sums[view] = atoi(t, f[0])
+			}
+		}
+	}
+	if sc <= 0 {
+		t.Fatalf("no positive sc= in the header (got %d)", sc)
+	}
+	for view, sum := range sums {
+		if sum != sc {
+			t.Errorf("%s sums to %d, header says sc=%d", view, sum, sc)
+		}
+	}
+	if len(sums) != 3 {
+		t.Errorf("parsed %d of 3 views: %v", len(sums), sums)
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestObserveRejectsMissingKeyAndMount(t *testing.T) {

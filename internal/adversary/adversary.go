@@ -208,10 +208,10 @@ func SearchWorst(eng *runner.CachedEngine, algoName string, n int, cfg Config) (
 			c := cands[r.Index]
 			if r.Err != nil {
 				// Hard failures only: unknown algorithm, bad spec, ill-formed
-				// step. Truncated candidates — including traces the cost
-				// model rejects — arrive with Err nil and Canonical false
-				// (runner.ExecuteScheduleTraced classifies them as discards), so a
-				// single bad schedule can never abort the batch.
+				// step. Truncated and stalled candidates arrive with Err nil
+				// and Canonical false (runner.ExecuteScheduleTraced classifies
+				// them as discards), so a single bad schedule can never abort
+				// the batch.
 				return fmt.Errorf("adversary: %s n=%d candidate %s: %w", algoName, n, c.origin, r.Err)
 			}
 			found.Evaluated++

@@ -25,7 +25,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/machine"
+	"repro/internal/cost"
 	"repro/internal/metastep"
 	"repro/internal/model"
 	"repro/internal/perm"
@@ -103,9 +103,11 @@ func ConstructPartial(f program.Factory, pi []int, stages int) (*Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("construct: %w", err)
 	}
-	if _, r.sc, err = machine.ReplayExecution(f, alpha); err != nil {
+	rep, err := cost.Measure(f, alpha)
+	if err != nil {
 		return nil, fmt.Errorf("construct: canonical linearization: %w", err)
 	}
+	r.sc = rep.SC
 	return r, nil
 }
 

@@ -103,11 +103,11 @@ func TestLemma61LinearizationCostInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Lin: %v", err)
 				}
-				got, err := cost.SCCost(f, alpha)
+				rep, err := cost.Measure(f, alpha)
 				if err != nil {
-					t.Fatalf("SCCost: %v", err)
+					t.Fatalf("Measure: %v", err)
 				}
-				if got != want {
+				if got := rep.SC; got != want {
 					t.Fatalf("%s n=%d pi=%v: linearization %d has SC=%d, canonical has %d (Lemma 6.1 violated)", name, n, pi, k, got, want)
 				}
 			}

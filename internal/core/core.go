@@ -21,9 +21,9 @@ import (
 	"fmt"
 
 	"repro/internal/construct"
+	"repro/internal/cost"
 	"repro/internal/decode"
 	"repro/internal/encode"
-	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/perm"
 	"repro/internal/program"
@@ -75,7 +75,7 @@ func Run(f program.Factory, pi []int) (*Pipeline, error) {
 	if err := verify.EntryOrder(dec, pi); err != nil {
 		return nil, fmt.Errorf("core: Theorem 5.5 violated: %w", err)
 	}
-	_, sc, err := machine.ReplayExecution(f, dec)
+	rep, err := cost.Measure(f, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -84,8 +84,8 @@ func Run(f program.Factory, pi []int) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc != canonical {
-		return nil, fmt.Errorf("core: decoded cost %d ≠ canonical linearization cost %d (Lemma 6.1)", sc, canonical)
+	if rep.SC != canonical {
+		return nil, fmt.Errorf("core: decoded cost %d ≠ canonical linearization cost %d (Lemma 6.1)", rep.SC, canonical)
 	}
 	return &Pipeline{
 		Factory:  f,
@@ -93,7 +93,7 @@ func Run(f program.Factory, pi []int) (*Pipeline, error) {
 		Result:   res,
 		Encoding: enc,
 		Decoded:  dec,
-		Cost:     sc,
+		Cost:     rep.SC,
 	}, nil
 }
 

@@ -12,6 +12,12 @@
 //     cache per process;
 //   - RMRs in the distributed shared memory (DSM) model, where each
 //     register is local to at most one process.
+//
+// The SC charge of a step is decided once, when a machine.System executes
+// it, and recorded in System.Changed. Of reads those flags beside the steps
+// (System.Trace), so a run is costed without being stepped again; Measure
+// is for an execution that arrives from outside its System, which it
+// replays once through machine.ReplayExecution before applying Of.
 package cost
 
 import (
@@ -48,68 +54,67 @@ type DSMLayout interface {
 	Home(reg model.RegID) int
 }
 
-// Measure replays the execution and computes its cost under all models.
-// The execution must be a valid execution of the factory's algorithm.
+// Measure replays an execution that arrives from outside the System that
+// produced it (machine.ReplayExecution) and computes its cost under all
+// models. The execution must be a valid execution of the factory's
+// algorithm.
 func Measure(f program.Factory, exec model.Execution) (Report, error) {
-	rep := Report{N: f.N()}
+	done, changed, err := machine.ReplayExecution(f, exec)
+	if err != nil {
+		return Report{}, fmt.Errorf("cost: %w", err)
+	}
+	return Of(f, done, changed), nil
+}
+
+// Of computes an execution's cost under all models from the steps and
+// changed flags a System recorded for it (System.Trace and
+// System.Changed, or machine.ReplayExecution's result). SC counts the
+// shared steps whose flag is set; the CC and DSM counts depend on the
+// steps alone.
+func Of(f program.Factory, exec model.Execution, changed []bool) Report {
+	n, regs := f.N(), f.NumRegisters()
+	rep := Report{N: n, Steps: len(exec)}
 	layout, hasLayout := f.(DSMLayout)
 
-	// Per-process CC cache: validBits[proc][reg] true when proc holds a
-	// valid cached copy of reg.
-	valid := make([][]bool, f.N())
-	for i := range valid {
-		valid[i] = make([]bool, f.NumRegisters())
-	}
-
-	r := machine.NewSystem(f)
+	// CC cache: valid[p*regs+r] is true when process p holds a valid
+	// cached copy of register r.
+	valid := make([]bool, n*regs)
 	for t, s := range exec {
-		done, charged, err := r.Replay(s)
-		if err != nil {
-			return rep, fmt.Errorf("cost: step %d: %w", t, err)
-		}
-		if charged {
-			rep.SC++
-		}
-		rep.Steps++
-		if !done.IsShared() {
+		if !s.IsShared() {
 			rep.CritSteps++
 			continue
 		}
 		rep.SharedAccesses++
+		if changed[t] {
+			rep.SC++
+		}
 
 		// CC model: a read hits if cached; otherwise it is remote and
 		// caches the register. A write (or RMW) is remote and invalidates
 		// every other copy.
-		switch done.Kind {
+		own := s.Proc*regs + int(s.Reg)
+		switch s.Kind {
 		case model.KindRead:
-			if !valid[done.Proc][done.Reg] {
+			if !valid[own] {
 				rep.CCRMR++
-				valid[done.Proc][done.Reg] = true
+				valid[own] = true
 			}
 		case model.KindWrite, model.KindRMW:
 			rep.CCRMR++
-			for p := range valid {
-				if p != done.Proc {
-					valid[p][done.Reg] = false
-				}
+			for r := int(s.Reg); r < len(valid); r += regs {
+				valid[r] = false
 			}
-			valid[done.Proc][done.Reg] = true
+			valid[own] = true
 		}
 
 		// DSM model: remote iff the register's home is not the actor.
 		home := -1
 		if hasLayout {
-			home = layout.Home(done.Reg)
+			home = layout.Home(s.Reg)
 		}
-		if home != done.Proc {
+		if home != s.Proc {
 			rep.DSMRMR++
 		}
 	}
-	return rep, nil
-}
-
-// SCCost computes only the state change cost of an execution.
-func SCCost(f program.Factory, exec model.Execution) (int, error) {
-	_, sc, err := machine.ReplayExecution(f, exec)
-	return sc, err
+	return rep
 }

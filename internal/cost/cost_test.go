@@ -1,6 +1,8 @@
 package cost_test
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/mutex"
 	"repro/internal/perm"
 	"repro/internal/program"
+	_ "repro/internal/rmw" // registers tas and mcs
 )
 
 // twoReaders: p0 writes r0; p1 and p2 read it twice each — enough structure
@@ -124,6 +127,100 @@ func TestMeasureRejectsInvalidExecution(t *testing.T) {
 	if _, err := cost.Measure(f, bad); err == nil {
 		t.Fatal("invalid execution accepted")
 	}
+}
+
+// TestReplayRejectsForeignExecution: a step that is not the acting
+// process's pending step (p0 must try before it writes) is refused by the
+// replay every outside execution enters through, and so by Measure.
+func TestReplayRejectsForeignExecution(t *testing.T) {
+	f, err := mutex.YangAnderson(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := model.Execution{{Proc: 0, Kind: model.KindWrite, Reg: 0, Val: 1}}
+	if _, _, err := machine.ReplayExecution(f, bad); err == nil {
+		t.Fatal("foreign execution accepted by ReplayExecution")
+	}
+	if _, err := cost.Measure(f, bad); err == nil {
+		t.Fatal("foreign execution accepted by Measure")
+	}
+}
+
+// TestRunAndReplayAgree pins the one source of charges. For every
+// registered algorithm under every scheduler family, run to completion and
+// cut short at half its length, ReplayExecution must recover exactly the
+// steps and changed flags the run's System recorded, and Of over those
+// flags must equal Measure's replay. SC must count exactly the shared
+// steps whose flag is set: a critical step's flag is set on every run, so
+// charging it would break Definition 3.1 in Of and Measure alike.
+func TestRunAndReplayAgree(t *testing.T) {
+	for _, name := range mutex.Names() {
+		for _, n := range []int{2, 3, 4, 8} {
+			if name == mutex.NameDekker && n != 2 {
+				continue
+			}
+			f, err := mutex.New(name, n)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			for _, spec := range []machine.Spec{
+				machine.RoundRobinSpec(), machine.RandomSpec(int64(n)), machine.ProgressFirstSpec(),
+				machine.HoldCSSpec(n), machine.GreedyCostSpec(),
+			} {
+				full := runFor(t, f, spec, machine.DefaultHorizon(n))
+				half := runFor(t, f, spec, len(full.Trace())/2)
+				for _, s := range []*machine.System{full, half} {
+					exec, changed := s.Trace(), s.Changed()
+					at := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("%s n=%d %s (%d steps): "+format, append([]any{name, n, spec, len(exec)}, args...)...)
+					}
+					done, flags, err := machine.ReplayExecution(f, exec)
+					if err != nil {
+						at("ReplayExecution: %v", err)
+					}
+					if !done.Equal(exec) || !slices.Equal(flags, changed) {
+						at("ReplayExecution returned other steps or flags than the run recorded")
+					}
+					rep := cost.Of(f, exec, changed)
+					if want, err := cost.Measure(f, exec); err != nil || rep != want {
+						at("Of = %v, Measure = %v (err %v)", rep, want, err)
+					}
+					sc := 0
+					for i, st := range exec {
+						if !st.IsShared() && !changed[i] {
+							at("critical step %d recorded unchanged", i)
+						}
+						if st.IsShared() && changed[i] {
+							sc++
+						}
+					}
+					if rep.SC != sc {
+						at("SC = %d, want the %d shared steps whose flag is set", rep.SC, sc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// runFor drives a fresh System under spec for at most horizon steps; a
+// run cut short by the horizon or a stalled scheduler still recorded a
+// valid prefix.
+func runFor(t *testing.T, f program.Factory, spec machine.Spec, horizon int) *machine.System {
+	t.Helper()
+	sched, err := spec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := machine.NewSystem(f)
+	_, err = machine.Run(s, sched, horizon)
+	var h machine.ErrHorizon
+	var st machine.ErrStalled
+	if err != nil && !errors.As(err, &h) && !errors.As(err, &st) {
+		t.Fatalf("%s %s: %v", f.Name(), spec, err)
+	}
+	return s
 }
 
 func TestReportString(t *testing.T) {

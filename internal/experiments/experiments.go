@@ -555,11 +555,11 @@ func E6LinearizationCost(cfg Config) (*Table, error) {
 				if err != nil {
 					return 0, err
 				}
-				c, err := cost.SCCost(f, alpha)
+				rep, err := cost.Measure(f, alpha)
 				if err != nil {
 					return 0, err
 				}
-				costs[c] = true
+				costs[rep.SC] = true
 			}
 			return len(costs), nil
 		}, func(_ int, distinct int) error {

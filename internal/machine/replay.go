@@ -7,23 +7,25 @@ import (
 	"repro/internal/program"
 )
 
-// ReplayExecution replays exec from the initial state and returns the
-// executed steps (with read values) and the SC cost of the execution.
-func ReplayExecution(f program.Factory, exec model.Execution) (model.Execution, int, error) {
+// ReplayExecution steps exec from the initial state through System.Replay
+// and returns the executed steps (with read values) and each step's
+// changed flag, exactly as System.Step records them for a run: critical
+// steps included, so a run's Trace() and Changed() replay to themselves.
+// It is the one entry point for an execution that arrives from outside the
+// System that produced it (a decoded, linearized or stored execution).
+func ReplayExecution(f program.Factory, exec model.Execution) (model.Execution, []bool, error) {
 	s := NewSystem(f)
 	out := make(model.Execution, 0, len(exec))
-	sc := 0
+	changed := make([]bool, 0, len(exec))
 	for t, step := range exec {
-		done, charged, err := s.Replay(step)
+		done, c, err := s.Replay(step)
 		if err != nil {
-			return out, sc, fmt.Errorf("replay step %d: %w", t, err)
+			return out, changed, fmt.Errorf("replay step %d: %w", t, err)
 		}
 		out = append(out, done)
-		if charged {
-			sc++
-		}
+		changed = append(changed, c)
 	}
-	return out, sc, nil
+	return out, changed, nil
 }
 
 // DefaultHorizon returns a generous step budget for canonical executions of
@@ -39,27 +41,24 @@ func DefaultHorizon(n int) int {
 // canonical execution driver: "n different processes, each of which enters
 // the critical section exactly once."
 func RunCanonical(f program.Factory, sched Scheduler, maxSteps int) (model.Execution, error) {
-	exec, _, err := RunCanonicalChanged(f, sched, maxSteps)
-	return exec, err
-}
-
-// RunCanonicalChanged is RunCanonical plus the system's per-step changed
-// flags (one bool per executed step, true when the step wrote a new value
-// into its register). Trace capture persists the flags beside the step log
-// so a later replay can verify the run's cost accounting bit for bit.
-func RunCanonicalChanged(f program.Factory, sched Scheduler, maxSteps int) (model.Execution, []bool, error) {
 	if maxSteps <= 0 {
 		maxSteps = DefaultHorizon(f.N())
 	}
 	s := NewSystem(f)
 	trace, err := Run(s, sched, maxSteps)
 	if err != nil {
-		return trace, s.Changed(), err
+		return trace, err
 	}
-	for i := 0; i < f.N(); i++ {
-		if got := s.CSCompleted(i); got != 1 {
-			return trace, s.Changed(), fmt.Errorf("machine: canonical run: process %d completed %d critical sections, want 1", i, got)
+	return trace, s.CheckCanonical()
+}
+
+// CheckCanonical returns nil when every process has completed exactly one
+// critical-section cycle, which makes a halted run canonical.
+func (s *System) CheckCanonical() error {
+	for i := range s.procs {
+		if got := s.procs[i].csDone; got != 1 {
+			return fmt.Errorf("machine: canonical run: process %d completed %d critical sections, want 1", i, got)
 		}
 	}
-	return trace, s.Changed(), nil
+	return nil
 }

@@ -9,9 +9,12 @@
 // simulator instead executes one step at a time and records exactly the
 // quantities the models charge for.
 //
-// System.Replay re-executes recorded steps through the same step function,
-// so every consumer of a recorded execution checks it against the
-// simulator's own rules.
+// A System records each step's changed flag as it executes it, so the
+// cost models read a run's charges from its own Trace and Changed.
+// System.Replay re-executes recorded steps through the same step function;
+// ReplayExecution uses it to check an execution that arrives from outside
+// its System (decoded, linearized or stored) against the simulator's own
+// rules, and to recover the flags a run of it would have recorded.
 //
 // Concurrency contract for callers that run many simulations in parallel
 // (internal/runner): a System and every Scheduler are single-run state and
@@ -200,8 +203,8 @@ func (s *System) Step(i int) (model.Step, error) {
 // the trace. A step that is not the acting process's pending step (the
 // same operation on the same register) is refused: the recorded sequence
 // is not an execution of this algorithm. Replay returns the executed step,
-// with read results filled in, and whether the SC model charges it: a
-// shared step that changed its process's state (Definition 3.1).
+// with read results filled in, and the changed flag Step would record for
+// it (the SC model charges the shared steps among them, Definition 3.1).
 //
 //repro:hotpath
 func (s *System) Replay(step model.Step) (model.Step, bool, error) {
@@ -211,8 +214,7 @@ func (s *System) Replay(step model.Step) (model.Step, bool, error) {
 			return model.Step{}, false, errNotPending(step, pending)
 		}
 	}
-	done, changed, err := s.stepNoRecord(i)
-	return done, changed && done.IsShared(), err
+	return s.stepNoRecord(i)
 }
 
 // stepNoRecord executes process i's pending step without appending to the

@@ -1,8 +1,8 @@
 package mutex
 
 // Algorithm names for the register-only algorithms defined in this package.
-// RMW-based algorithms (internal/rmw) are registered by the top-level repro
-// package, which imports both.
+// The RMW-based algorithms register themselves from internal/rmw, so they
+// resolve wherever that package is linked in.
 const (
 	// NameYangAnderson is the local-spin tournament algorithm [13].
 	NameYangAnderson = "yang-anderson"

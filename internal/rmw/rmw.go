@@ -17,6 +17,13 @@ import (
 	"repro/internal/program"
 )
 
+// The locks register under the names the rest of the repo resolves, so
+// importing this package is what makes mutex.New accept them.
+func init() {
+	mutex.Register("tas", TestAndSet)
+	mutex.Register("mcs", MCS)
+}
+
 // TestAndSet builds a test-and-test-and-set lock: processes spin (a
 // single-register read busywait, SC-bounded) until the lock register reads
 // 0, then attempt an atomic test-and-set; on failure they return to

@@ -337,9 +337,9 @@ func (j ScheduleJob) CacheKey() string {
 }
 
 // schedulePayload is the cached portion of a ScheduleResult whose Err is
-// nil — including discarded candidates (truncated, stalled, or rejected by
-// the cost model), which cache as non-canonical zero-report entries so a
-// warm search re-discards them without re-simulating.
+// nil — including discarded candidates (truncated or stalled), which cache
+// as non-canonical entries so a warm search re-discards them without
+// re-simulating.
 type schedulePayload struct {
 	Report    cost.Report `json:"report"`
 	Canonical bool        `json:"canonical"`

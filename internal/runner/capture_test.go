@@ -30,19 +30,11 @@ func captureStore(t *testing.T) *store.Store {
 // outside any store.
 func liveTimeline(t *testing.T, j runner.Job) string {
 	t.Helper()
-	r, exec, _ := runner.ExecuteTraced(j)
+	r, exec, changed := runner.ExecuteTraced(j)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	f, err := runner.NewFactory(j.Algo, j.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl, err := trace.Timeline(f, exec, trace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tl
+	return trace.Timeline(j.N, exec, changed, trace.Options{})
 }
 
 // replayTimeline decodes a captured blob, verifies it against a fresh
@@ -61,11 +53,7 @@ func replayTimeline(t *testing.T, blob []byte) string {
 	if _, err := trace.VerifyRecord(f, rec); err != nil {
 		t.Fatal(err)
 	}
-	tl, err := trace.Timeline(f, rec.Exec, trace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tl
+	return trace.Timeline(rec.N, rec.Exec, rec.Changed, trace.Options{})
 }
 
 // TestCaptureReplayTimelineByteIdentical is the determinism contract of

@@ -6,7 +6,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/mutex"
 	"repro/internal/program"
-	"repro/internal/rmw"
+	_ "repro/internal/rmw" // registers the RMW locks with internal/mutex
 )
 
 // Job is a pure, seed-addressed unit of simulator work: one canonical
@@ -16,8 +16,8 @@ import (
 // scheduler) fresh inside the worker and two workers never share anything
 // writable.
 type Job struct {
-	// Algo is a registered algorithm name ("yang-anderson", "bakery", …)
-	// or one of the RMW locks ("tas", "mcs").
+	// Algo is a registered algorithm name ("yang-anderson", "bakery",
+	// "mcs", …).
 	Algo string
 	// N is the number of processes.
 	N int
@@ -48,49 +48,60 @@ type Result struct {
 	Err error
 }
 
-// NewFactory resolves an algorithm name to a fresh factory instance,
-// accepting both the register-only algorithms of internal/mutex and the
-// RMW locks of internal/rmw. Factories are immutable once built (programs
-// and layouts are shared read-only), so the instance may be used from any
-// worker; it is still constructed per job so no lifecycle question arises.
+// NewFactory resolves a registered algorithm name to a fresh factory
+// instance: the register-only algorithms of internal/mutex and the RMW
+// locks internal/rmw registers beside them. Factories are immutable once
+// built (programs and layouts are shared read-only), so the instance may
+// be used from any worker; it is still constructed per job so no lifecycle
+// question arises.
 func NewFactory(name string, n int) (program.Factory, error) {
-	switch name {
-	case "tas":
-		return rmw.TestAndSet(n)
-	case "mcs":
-		return rmw.MCS(n)
-	default:
-		return mutex.New(name, n)
+	f, err := mutex.New(name, n)
+	if err != nil {
+		return nil, err
 	}
+	return f, nil
+}
+
+// run resolves a unit's factory and scheduler and drives them on a fresh
+// System for at most horizon steps (0 means machine.DefaultHorizon(n)).
+// The System is nil when the unit did not resolve; otherwise the error is
+// machine.Run's.
+func run(algo string, n int, spec machine.Spec, horizon int) (program.Factory, *machine.System, error) {
+	f, err := NewFactory(algo, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	sched, err := spec.New()
+	if err != nil {
+		return nil, nil, err
+	}
+	if horizon <= 0 {
+		horizon = machine.DefaultHorizon(n)
+	}
+	s := machine.NewSystem(f)
+	_, err = machine.Run(s, sched, horizon)
+	return f, s, err
 }
 
 // ExecuteTraced runs one job to completion: resolve the factory, build the
-// scheduler from its spec, drive a canonical execution, and measure its
-// cost. It never shares state with other invocations. Errors are returned
-// unwrapped — the Result already carries the job's coordinates, and folds
-// add their own context. Beside the Result it returns the raw material
-// trace capture persists: the execution's step log and the machine's
-// per-step changed flags, which the System retains anyway. On error the
-// trace and flags are nil: a failed job has no execution worth replaying.
+// scheduler from its spec, drive a canonical execution, and read its cost
+// from the charges the System recorded. It never shares state with other
+// invocations. Errors are returned unwrapped — the Result already carries
+// the job's coordinates, and folds add their own context. Beside the
+// Result it returns the raw material trace capture persists: the
+// execution's step log and the machine's per-step changed flags. On error
+// the trace and flags are nil: a failed job has no execution worth
+// replaying.
 func ExecuteTraced(j Job) (Result, model.Execution, []bool) {
 	res := Result{Job: j}
-	f, err := NewFactory(j.Algo, j.N)
+	f, s, err := run(j.Algo, j.N, j.Sched, j.Horizon)
+	if err == nil {
+		err = s.CheckCanonical()
+	}
 	if err != nil {
 		res.Err = err
 		return res, nil, nil
 	}
-	sched, err := j.Sched.New()
-	if err != nil {
-		res.Err = err
-		return res, nil, nil
-	}
-	exec, changed, err := machine.RunCanonicalChanged(f, sched, j.Horizon)
-	if err != nil {
-		res.Err = err
-		return res, nil, nil
-	}
-	if res.Report, res.Err = cost.Measure(f, exec); res.Err != nil {
-		return res, nil, nil
-	}
-	return res, exec, changed
+	res.Report = cost.Of(f, s.Trace(), s.Changed())
+	return res, s.Trace(), s.Changed()
 }

@@ -39,9 +39,7 @@ type ScheduleResult struct {
 	// Job echoes the executed job.
 	Job ScheduleJob
 	// Report is the cost of whatever execution the schedule produced —
-	// complete or truncated. Only meaningful when Err is nil; zero when a
-	// non-canonical trace was rejected by the cost model (such candidates
-	// are discards, not errors).
+	// complete or truncated. Only meaningful when Err is nil.
 	Report cost.Report
 	// Canonical is true when the run completed a canonical execution:
 	// every process halted after exactly one critical-section cycle.
@@ -57,70 +55,29 @@ type ScheduleResult struct {
 
 // ExecuteScheduleTraced runs one candidate schedule to completion or
 // truncation. ErrHorizon and ErrStalled are not errors here: they mark the
-// result non-canonical and the truncated execution is still measured, so a
+// result non-canonical and the truncated execution is still costed, so a
 // fold can report on it without ever ranking it against complete
 // executions. Beside the result it returns the step log and per-step
 // changed flags, for trace capture. A hard failure (Err set) returns nil
-// trace and flags; a discarded candidate (non-canonical, zero report)
-// still returns whatever execution it produced — a truncated run replays
-// like any other.
+// trace and flags; a discarded candidate (non-canonical) still returns
+// whatever execution it produced — a truncated run replays like any other.
 func ExecuteScheduleTraced(j ScheduleJob) (ScheduleResult, model.Execution, []bool) {
 	res := ScheduleResult{Job: j}
-	f, err := NewFactory(j.Algo, j.N)
-	if err != nil {
+	f, s, err := run(j.Algo, j.N, j.Sched, j.Horizon)
+	var h machine.ErrHorizon
+	var st machine.ErrStalled
+	if err != nil && !errors.As(err, &h) && !errors.As(err, &st) {
 		res.Err = err
 		return res, nil, nil
 	}
-	sched, err := j.Sched.New()
-	if err != nil {
-		res.Err = err
-		return res, nil, nil
-	}
-	horizon := j.Horizon
-	if horizon <= 0 {
-		horizon = machine.DefaultHorizon(j.N)
-	}
-	s := machine.NewSystem(f)
-	exec, runErr := machine.Run(s, sched, horizon)
-	if runErr != nil {
-		var h machine.ErrHorizon
-		var st machine.ErrStalled
-		if !errors.As(runErr, &h) && !errors.As(runErr, &st) {
-			res.Err = runErr
-			return res, nil, nil
-		}
-	} else {
-		canonical := s.AllHalted()
-		for i := 0; canonical && i < j.N; i++ {
-			if s.CSCompleted(i) != 1 {
-				canonical = false
-			}
-		}
-		res.Canonical = canonical
-	}
-	if k := j.KeepDecisions; k > 0 {
-		if k > len(exec) {
-			k = len(exec)
-		}
+	res.Canonical = err == nil && s.CheckCanonical() == nil
+	exec := s.Trace()
+	if k := min(j.KeepDecisions, len(exec)); k > 0 {
 		res.Decisions = make([]int, k)
-		for i := 0; i < k; i++ {
+		for i := range res.Decisions {
 			res.Decisions[i] = exec[i].Proc
 		}
 	}
-	rep, err := cost.Measure(f, exec)
-	if err != nil {
-		if res.Canonical {
-			// A canonical execution the cost model rejects is a defect.
-			res.Err = err
-			return res, nil, nil
-		}
-		// A truncated or otherwise non-canonical trace the cost model
-		// rejects is a discard, not a defect: the candidate was already
-		// unscorable, and one bad candidate must never abort a whole search
-		// batch. Report stays zero and Canonical stays false, so folds
-		// discard it exactly like any other incomplete run.
-		return res, exec, s.Changed()
-	}
-	res.Report = rep
+	res.Report = cost.Of(f, exec, s.Changed())
 	return res, exec, s.Changed()
 }

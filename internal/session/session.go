@@ -131,18 +131,11 @@ func (s *Session) Engine() *runner.CachedEngine { return s.eng }
 // given).
 func (s *Session) Store() *store.Store { return s.cli.Store }
 
-// Ring returns the placement ring the mount routed by (nil for local-only
-// and single-replica mounts).
-func (s *Session) Ring() *store.Ring { return s.cli.Ring }
-
 // Priming reports whether this session is a prime-only shard pass.
 func (s *Session) Priming() bool { return s.cli.Priming() }
 
 // Shard returns the prime-shard assignment (0, 0 for a normal run).
 func (s *Session) Shard() (i, m int) { return s.cli.ShardI, s.cli.ShardM }
-
-// Capturing reports whether executed step traces are being persisted.
-func (s *Session) Capturing() bool { return s.eng.Capturing() }
 
 // Coalesced returns how many RunJob calls were served by joining another
 // request's in-flight execution instead of starting their own.

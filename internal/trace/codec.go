@@ -211,30 +211,32 @@ func DecodeRecord(b []byte) (Record, error) {
 }
 
 // VerifyRecord replays the record against fresh automata for its factory
-// and asserts the stored execution is exactly what the algorithm does:
-// every step must match the acting process's pending step (register, kind,
-// operands, read result) and every shared step's recorded state-change
-// flag must match the replayed charge. Returns the replayed SC cost.
-// Critical steps carry no charge, so their Changed flags are recorded but
-// not checkable from the cost stream.
+// (machine.ReplayExecution) and asserts the stored execution is exactly
+// what the algorithm does: every step must match the acting process's
+// pending step (register, kind, operands, read result) and every recorded
+// state-change flag must match the replayed one. A verified record is then
+// what its System recorded, so the views render it without stepping it
+// again. Returns the SC cost: the shared steps whose flag is set.
 func VerifyRecord(f program.Factory, rec Record) (sc int, err error) {
 	if f.N() != rec.N {
 		return 0, fmt.Errorf("trace: record says n=%d but factory has n=%d", rec.N, f.N())
 	}
-	rep := machine.NewSystem(f)
+	if len(rec.Changed) != len(rec.Exec) {
+		return 0, fmt.Errorf("trace: verify: %d steps but %d changed flags", len(rec.Exec), len(rec.Changed))
+	}
+	done, changed, err := machine.ReplayExecution(f, rec.Exec)
+	if err != nil {
+		return 0, fmt.Errorf("trace: verify: %w", err)
+	}
 	for t, s := range rec.Exec {
-		done, charged, err := rep.Replay(s)
-		if err != nil {
-			return sc, fmt.Errorf("trace: verify step %d: %w", t, err)
+		if done[t] != s {
+			return 0, fmt.Errorf("trace: verify step %d: recorded %v but replay produced %v", t, s, done[t])
 		}
-		if charged {
+		if changed[t] != rec.Changed[t] {
+			return 0, fmt.Errorf("trace: verify step %d: recorded changed=%v but replay changed=%v", t, rec.Changed[t], changed[t])
+		}
+		if changed[t] && s.IsShared() {
 			sc++
-		}
-		if done != s {
-			return sc, fmt.Errorf("trace: verify step %d: recorded %v but replay produced %v", t, s, done)
-		}
-		if s.IsShared() && charged != rec.Changed[t] {
-			return sc, fmt.Errorf("trace: verify step %d: recorded changed=%v but replay charged=%v", t, rec.Changed[t], charged)
 		}
 	}
 	return sc, nil

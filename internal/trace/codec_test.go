@@ -155,6 +155,22 @@ func TestVerifyRecord(t *testing.T) {
 		t.Error("flipped changed flag verified")
 	}
 
+	// So must a flipped flag on a critical step: the record carries every
+	// flag its System recorded, and replay recovers all of them.
+	flipped.Changed = append([]bool(nil), rec.Changed...)
+	flipped.Changed[0] = !flipped.Changed[0] // step 0 is a try
+	if _, err := trace.VerifyRecord(f, flipped); err == nil {
+		t.Error("flipped critical-step flag verified")
+	}
+
+	// So must flags that do not align with the steps, instead of indexing
+	// past them.
+	short := rec
+	short.Changed = rec.Changed[:len(rec.Changed)-1]
+	if _, err := trace.VerifyRecord(f, short); err == nil {
+		t.Error("misaligned changed flags verified")
+	}
+
 	// A wrong-size factory must be refused before replay starts.
 	f2, err := mutex.New(mutex.NameYangAnderson, 4)
 	if err != nil {

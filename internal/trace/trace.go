@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/program"
 )
 
 // Options tunes the rendering.
@@ -24,8 +22,9 @@ type Options struct {
 }
 
 // Timeline renders the execution as one row per step with a column per
-// process. Each row shows which process moved and what it did; the acting
-// process's column carries a glyph:
+// process, from the steps and changed flags its System recorded (n is the
+// process count). Each row shows which process moved and what it did; the
+// acting process's column carries a glyph:
 //
 //	T E X Q   try / enter / exit / rem
 //	w         write (always charged)
@@ -34,9 +33,7 @@ type Options struct {
 //	*         RMW
 //
 // A '█' block in a column marks a process inside its critical section.
-func Timeline(f program.Factory, exec model.Execution, opt Options) (string, error) {
-	n := f.N()
-	rep := machine.NewSystem(f)
+func Timeline(n int, exec model.Execution, changed []bool, opt Options) string {
 	var b strings.Builder
 
 	// Header.
@@ -51,31 +48,26 @@ func Timeline(f program.Factory, exec model.Execution, opt Options) (string, err
 	if opt.MaxSteps > 0 && opt.MaxSteps < limit {
 		limit = opt.MaxSteps
 	}
-	for t := 0; t < limit; t++ {
-		done, charged, err := rep.Replay(exec[t])
-		if err != nil {
-			return b.String(), fmt.Errorf("trace: step %d: %w", t, err)
-		}
-
+	for t, s := range exec[:limit] {
 		glyph := ""
-		switch done.Kind {
+		switch s.Kind {
 		case model.KindCrit:
-			switch done.Crit {
+			switch s.Crit {
 			case model.CritTry:
 				glyph = "T"
 			case model.CritEnter:
 				glyph = "E"
-				inCS[done.Proc] = true
+				inCS[s.Proc] = true
 			case model.CritExit:
 				glyph = "X"
-				inCS[done.Proc] = false
+				inCS[s.Proc] = false
 			case model.CritRem:
 				glyph = "Q"
 			}
 		case model.KindWrite:
 			glyph = "w"
 		case model.KindRead:
-			if charged {
+			if changed[t] {
 				glyph = "r"
 			} else {
 				glyph = "·"
@@ -87,22 +79,22 @@ func Timeline(f program.Factory, exec model.Execution, opt Options) (string, err
 		fmt.Fprintf(&b, "%5d ", t)
 		for i := 0; i < n; i++ {
 			cell := " "
-			if inCS[i] && i != done.Proc {
+			if inCS[i] && i != s.Proc {
 				cell = "█"
 			}
-			if i == done.Proc {
+			if i == s.Proc {
 				cell = glyph
 			}
 			fmt.Fprintf(&b, "%-4s", cell)
 		}
 		b.WriteString("  ")
-		b.WriteString(describe(done, charged, opt))
+		b.WriteString(describe(s, changed[t], opt))
 		b.WriteByte('\n')
 	}
 	if limit < len(exec) {
 		fmt.Fprintf(&b, "… %d more steps\n", len(exec)-limit)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 func describe(s model.Step, charged bool, opt Options) string {
@@ -129,10 +121,9 @@ func describe(s model.Step, charged bool, opt Options) string {
 	return d
 }
 
-// Summary renders per-process totals: steps, charged steps, CS interval.
-func Summary(f program.Factory, exec model.Execution) (string, error) {
-	n := f.N()
-	rep := machine.NewSystem(f)
+// Summary renders per-process totals from the steps and changed flags a
+// System recorded: steps, charged steps, CS interval.
+func Summary(n int, exec model.Execution, changed []bool) string {
 	steps := make([]int, n)
 	charged := make([]int, n)
 	enterAt := make([]int, n)
@@ -141,20 +132,16 @@ func Summary(f program.Factory, exec model.Execution) (string, error) {
 		enterAt[i], exitAt[i] = -1, -1
 	}
 	for t, s := range exec {
-		done, charge, err := rep.Replay(s)
-		if err != nil {
-			return "", fmt.Errorf("trace: step %d: %w", t, err)
+		steps[s.Proc]++
+		if changed[t] && s.IsShared() {
+			charged[s.Proc]++
 		}
-		steps[done.Proc]++
-		if charge {
-			charged[done.Proc]++
-		}
-		if done.Kind == model.KindCrit {
-			switch done.Crit {
+		if s.Kind == model.KindCrit {
+			switch s.Crit {
 			case model.CritEnter:
-				enterAt[done.Proc] = t
+				enterAt[s.Proc] = t
 			case model.CritExit:
-				exitAt[done.Proc] = t
+				exitAt[s.Proc] = t
 			}
 		}
 	}
@@ -163,5 +150,5 @@ func Summary(f program.Factory, exec model.Execution) (string, error) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&b, "p%-4d %-6d %-8d [%d, %d]\n", i, steps[i], charged[i], enterAt[i], exitAt[i])
 	}
-	return b.String(), nil
+	return b.String()
 }

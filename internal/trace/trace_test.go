@@ -10,25 +10,24 @@ import (
 	"repro/internal/trace"
 )
 
-func canonical(t *testing.T, name string, n int) (*mutex.Factory, model.Execution) {
+// canonical runs name/n under round-robin and returns the steps and
+// changed flags its System recorded.
+func canonical(t *testing.T, name string, n int) (*mutex.Factory, model.Execution, []bool) {
 	t.Helper()
 	f, err := mutex.New(name, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := machine.RunCanonical(f, machine.NewRoundRobin(), 0)
-	if err != nil {
+	s := machine.NewSystem(f)
+	if _, err := machine.Run(s, machine.NewRoundRobin(), machine.DefaultHorizon(n)); err != nil {
 		t.Fatal(err)
 	}
-	return f, e
+	return f, s.Trace(), s.Changed()
 }
 
 func TestTimelineRenders(t *testing.T) {
-	f, exec := canonical(t, mutex.NameYangAnderson, 3)
-	out, err := trace.Timeline(f, exec, trace.Options{ShowFree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, exec, changed := canonical(t, mutex.NameYangAnderson, 3)
+	out := trace.Timeline(f.N(), exec, changed, trace.Options{ShowFree: true})
 	for _, want := range []string{"try_0", "enter_0", "rem_2", "writes", "reads"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline missing %q", want)
@@ -44,52 +43,32 @@ func TestTimelineRenders(t *testing.T) {
 }
 
 func TestTimelineMaxSteps(t *testing.T) {
-	f, exec := canonical(t, mutex.NameBakery, 3)
-	out, err := trace.Timeline(f, exec, trace.Options{MaxSteps: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, exec, changed := canonical(t, mutex.NameBakery, 3)
+	out := trace.Timeline(f.N(), exec, changed, trace.Options{MaxSteps: 5})
 	if !strings.Contains(out, "more steps") {
 		t.Error("truncation marker missing")
 	}
 }
 
 func TestTimelineRegisterNames(t *testing.T) {
-	f, exec := canonical(t, mutex.NameYangAnderson, 2)
+	f, exec, changed := canonical(t, mutex.NameYangAnderson, 2)
 	lay := f.Layout()
-	out, err := trace.Timeline(f, exec, trace.Options{
+	out := trace.Timeline(f.N(), exec, changed, trace.Options{
 		RegisterName: func(r model.RegID) string { return lay.Name(r) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(out, "C[1][0]") {
 		t.Errorf("register names not applied:\n%s", out)
 	}
 }
 
 func TestSummary(t *testing.T) {
-	f, exec := canonical(t, mutex.NameYangAnderson, 3)
-	out, err := trace.Summary(f, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, exec, changed := canonical(t, mutex.NameYangAnderson, 3)
+	out := trace.Summary(f.N(), exec, changed)
 	if !strings.Contains(out, "p0") || !strings.Contains(out, "CS-interval") {
 		t.Errorf("summary malformed:\n%s", out)
 	}
 	// Every process entered and exited: no [-1, -1] rows.
 	if strings.Contains(out, "[-1") {
 		t.Errorf("summary shows missing CS interval:\n%s", out)
-	}
-}
-
-func TestTimelineRejectsForeignExecution(t *testing.T) {
-	f, _ := canonical(t, mutex.NameYangAnderson, 2)
-	bad := model.Execution{{Proc: 0, Kind: model.KindWrite, Reg: 0, Val: 1}}
-	if _, err := trace.Timeline(f, bad, trace.Options{}); err == nil {
-		t.Fatal("foreign execution accepted")
-	}
-	if _, err := trace.Summary(f, bad); err == nil {
-		t.Fatal("foreign execution accepted by Summary")
 	}
 }

@@ -42,7 +42,7 @@ import (
 	"repro/internal/mutex"
 	"repro/internal/perm"
 	"repro/internal/program"
-	"repro/internal/rmw"
+	_ "repro/internal/rmw" // registers AlgoTAS and AlgoMCS
 	"repro/internal/verify"
 )
 
@@ -97,11 +97,6 @@ const (
 	// passage — the gap registers provably cannot close).
 	AlgoMCS = "mcs"
 )
-
-func init() {
-	mutex.Register(AlgoTAS, rmw.TestAndSet)
-	mutex.Register(AlgoMCS, rmw.MCS)
-}
 
 // Algorithms returns all registered algorithm names, sorted.
 func Algorithms() []string { return mutex.Names() }
