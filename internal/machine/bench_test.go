@@ -132,42 +132,19 @@ func BenchmarkSystemStepSpin(b *testing.B) {
 	}
 }
 
-// BenchmarkSystemClone measures the per-candidate cost the greedy
-// 1-step-lookahead adversary paid per decision before the scratch-clone
-// path: a full deep copy of automata, registers and section state on a
-// system that has already recorded a prefix of trace.
-func BenchmarkSystemClone(b *testing.B) {
-	for _, n := range benchNs {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := machine.NewSystem(churnFactory(b, n))
-			for t := 0; t < 64*n; t++ {
-				if _, err := s.Step(t % n); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for t := 0; t < b.N; t++ {
-				if c := s.Clone(); c == nil {
-					b.Fatal("nil clone")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGreedyNext is one full greedy-adversary decision: an n-way
-// lookahead, each candidate simulated one step ahead and scored against
-// the pending readers of the register it changes. This is the
-// per-decision cost of the tournament's most expensive fixed policy and of
-// every search candidate's completion tail.
+// lookahead, each candidate's charge read from a speculative feed of its
+// automaton on the live System and scored against the pending readers of
+// the register it changes. This is the per-decision cost of the
+// tournament's most expensive fixed policy and of every search
+// candidate's completion tail.
 func BenchmarkGreedyNext(b *testing.B) {
 	for _, n := range benchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			s := machine.NewSystem(spinFactory(b, n))
 			s.Reserve(b.N + 8*n)
 			g := machine.NewGreedyCost()
-			for t := 0; t < 4*n; t++ { // warm up: arms spinners and scratch state
+			for t := 0; t < 4*n; t++ { // warm up: arms spinners and the age table
 				i := g.Next(s)
 				if i < 0 {
 					b.Fatal("no live process")

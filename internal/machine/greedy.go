@@ -7,9 +7,9 @@ import (
 )
 
 // GreedyCost is a cost-maximizing adversary: at every decision it performs a
-// one-step lookahead for each live process on a cloned System and schedules
-// the process whose step maximizes incremental SC cost. The lookahead scores
-// two effects of executing a step now:
+// one-step lookahead for each live process and schedules the process whose
+// step maximizes incremental SC cost. The lookahead scores two effects of
+// executing a step now:
 //
 //   - the immediate charge: whether the step itself is a state-changing
 //     shared step (Definition 3.1 charges exactly those);
@@ -19,8 +19,12 @@ import (
 //     rivals forfeits cost the adversary had already provoked).
 //
 // One step moves only the acting process's automaton and at most one
-// register, so only the pending readers of the register a write or RMW
-// changed are rescored; every other process's answer is unchanged.
+// register, so the lookahead reads everything it needs from the live
+// System without executing the step: its charge from a speculative feed
+// of the acting automaton, the register's new value from the written
+// value or model.RMWResult, and the rescored answers of only the pending
+// readers of the register a write or RMW changed. Every other process's
+// answer is unchanged.
 //
 // Immediate charges are certain while induced ones are speculative, so the
 // immediate term is weighted double. Ties rotate through a cursor so that a
@@ -40,12 +44,6 @@ import (
 type GreedyCost struct {
 	rr  int   // rotating tie-break cursor
 	age []int // decisions since each process was last scheduled
-
-	// scratch is the reusable lookahead system: score re-seeds it from the
-	// live system (System.copyFrom) and steps it without trace recording,
-	// so one decision costs zero allocations instead of n full clones each
-	// of which would privatize the whole recorded trace on its first step.
-	scratch *System
 }
 
 // NewGreedyCost returns a greedy cost-maximizing scheduler.
@@ -59,11 +57,6 @@ func (g *GreedyCost) Next(s *System) int {
 	n := s.N()
 	if g.age == nil {
 		g.age = make([]int, n)
-	}
-	if g.scratch == nil {
-		// Seed the reusable lookahead system here, outside the per-candidate
-		// hot loop: score stays allocation-free on every call.
-		g.scratch = s.Clone()
 	}
 	best, bestScore := -1, minScore
 	patience := 3 * n
@@ -92,36 +85,41 @@ func (g *GreedyCost) Next(s *System) int {
 	return best
 }
 
-// minScore is below any reachable score, so even a process whose lookahead
-// step errors is scheduled when it is the only live one (letting Run surface
-// the error instead of reporting a stall).
+// minScore is below any reachable score, so even a process whose pending
+// step the System refuses is scheduled when it is the only live one
+// (letting Run surface the error instead of reporting a stall).
 const minScore = -1 << 30
 
-// score executes process i's pending step on the reusable scratch system
-// and counts the immediate SC charge plus the net induced charges on the
-// other processes' pending reads. The scratch is re-seeded from s before
-// every candidate, so the speculative step never touches the live system.
-// Next seeds the scratch before its candidate loop, so score never clones.
+// score counts the immediate SC charge of process i's pending step plus
+// the net induced charges on the other processes' pending reads, without
+// executing the step: the live System is left exactly as it was. A step
+// that checkStep refuses, and that stepNoRecord would therefore refuse,
+// scores minScore+1.
 //
 //repro:hotpath
 func (g *GreedyCost) score(s *System, i int) int {
-	g.scratch.copyFrom(s)
-	step, changed, err := g.scratch.stepNoRecord(i)
-	if err != nil {
+	a := s.automata[i]
+	step := a.PendingStep()
+	if s.checkStep(i, step) != nil {
 		return minScore + 1
 	}
+	if !step.IsShared() {
+		return 0 // a critical step is never charged and changes no register
+	}
+	before := s.regs.Read(step.Reg)
 	score := 0
-	if step.IsShared() && changed {
+	if a.WouldChangeState(before) { // what a read or RMW reads; Feed ignores it for a write
 		score += 2
 	}
-	// Only a pending read can flip (WouldChangeState is constant true for
-	// writes, RMWs and critical steps), and only if the step changed the
-	// register it reads: a read or critical step changes no register, and
-	// the other processes' automata are untouched.
-	if step.Kind != model.KindWrite && step.Kind != model.KindRMW {
+	// Only a write or RMW that changes its register can flip another
+	// process's pending read: the other processes' automata are untouched.
+	after := step.Val // a write's value
+	switch step.Kind {
+	case model.KindRead:
 		return score
+	case model.KindRMW:
+		after = model.RMWResult(step.RMW, before, step.Arg1, step.Arg2)
 	}
-	before, after := s.regs.Read(step.Reg), g.scratch.regs.Read(step.Reg)
 	if before == after {
 		return score
 	}
@@ -129,11 +127,11 @@ func (g *GreedyCost) score(s *System, i int) int {
 		if j == i || s.Halted(j) {
 			continue
 		}
-		a := s.automata[j]
-		if p := a.PendingStep(); p.Kind != model.KindRead || p.Reg != step.Reg {
+		aj := s.automata[j]
+		if p := aj.PendingStep(); p.Kind != model.KindRead || p.Reg != step.Reg {
 			continue
 		}
-		wasCharged, isCharged := a.WouldChangeState(before), a.WouldChangeState(after)
+		wasCharged, isCharged := aj.WouldChangeState(before), aj.WouldChangeState(after)
 		switch {
 		case isCharged && !wasCharged:
 			score++

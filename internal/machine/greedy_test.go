@@ -8,48 +8,6 @@ import (
 	"repro/internal/mutex"
 )
 
-func TestSystemCloneIsIndependent(t *testing.T) {
-	f, err := mutex.YangAnderson(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := machine.NewSystem(f)
-	for i := 0; i < 6; i++ {
-		if _, err := s.Step(i % 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := s.Clone()
-	wantLen := len(s.Trace())
-
-	// Stepping the clone must not disturb the original's trace, registers,
-	// or automata — and vice versa.
-	if _, err := c.Step(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Step(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Trace()) != wantLen || len(s.Changed()) != wantLen {
-		t.Fatalf("cloned steps leaked into the original trace: len=%d want %d", len(s.Trace()), wantLen)
-	}
-	if _, err := s.Step(2); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Trace()) != wantLen+2 {
-		t.Fatalf("original steps leaked into the clone trace: len=%d want %d", len(c.Trace()), wantLen+2)
-	}
-	for i := 0; i < wantLen; i++ {
-		if s.Trace()[i] != c.Trace()[i] {
-			t.Fatalf("shared history diverged at step %d", i)
-		}
-	}
-
-	if s.N() != c.N() || s.Factory().Name() != c.Factory().Name() {
-		t.Fatal("clone lost identity")
-	}
-}
-
 func TestGreedyCostCompletesCanonically(t *testing.T) {
 	for _, name := range []string{"yang-anderson", "bakery", "peterson"} {
 		f, err := mutex.New(name, 5)

@@ -220,10 +220,7 @@ func (s *System) Replay(step model.Step) (model.Step, bool, error) {
 // stepNoRecord executes process i's pending step without appending to the
 // trace arenas, reporting whether the step changed the acting process's
 // state (the SC model's per-step charge). It is the allocation-free core of
-// Step, and what the greedy adversary's scratch lookahead calls directly —
-// a lookahead needs the step and its charge, not a trace it will throw away
-// (recording on a clipped copy-on-write clone would reallocate and copy the
-// entire shared history on every candidate).
+// Step and Replay.
 //
 //repro:hotpath
 func (s *System) stepNoRecord(i int) (model.Step, bool, error) {
@@ -235,8 +232,8 @@ func (s *System) stepNoRecord(i int) (model.Step, bool, error) {
 		return model.Step{}, false, errHalted(i)
 	}
 	step := a.PendingStep()
-	if step.IsShared() && (step.Reg < 0 || int(step.Reg) >= s.regs.Len()) {
-		return model.Step{}, false, errRegRange(i, step.Reg, s.regs.Len())
+	if err := s.checkStep(i, step); err != nil {
+		return model.Step{}, false, err
 	}
 	var changed bool
 	switch step.Kind {
@@ -252,9 +249,7 @@ func (s *System) stepNoRecord(i int) (model.Step, bool, error) {
 		step.Val = old
 		changed = a.FeedChanged(old)
 	case model.KindCrit:
-		if err := s.applyCrit(i, step.Crit); err != nil {
-			return model.Step{}, false, err
-		}
+		s.applyCrit(i, step.Crit)
 		changed = a.FeedChanged(0)
 	}
 	return step, changed, nil
@@ -291,15 +286,31 @@ var critWant = [4]Section{
 	model.CritRem:   SecExit,
 }
 
-// applyCrit advances process i's protocol section, enforcing the
-// well-formedness cycle try → enter → exit → rem.
+// checkStep refuses process i's pending step if i may not take it now: a
+// shared step on a register outside the file, or a critical step out of
+// the well-formedness cycle try → enter → exit → rem. stepNoRecord and the
+// greedy lookahead both ask it, so a candidate is scored exactly when it
+// could be executed.
 //
 //repro:hotpath
-func (s *System) applyCrit(i int, c model.CritKind) error {
-	p := &s.procs[i]
-	if int(c) >= len(critWant) || p.section != critWant[c] {
-		return errBadCrit(i, c, p.section)
+func (s *System) checkStep(i int, step model.Step) error {
+	if step.IsShared() && (step.Reg < 0 || int(step.Reg) >= s.regs.Len()) {
+		return errRegRange(i, step.Reg, s.regs.Len())
 	}
+	if step.Kind == model.KindCrit {
+		if sec := s.procs[i].section; int(step.Crit) >= len(critWant) || sec != critWant[step.Crit] {
+			return errBadCrit(i, step.Crit, sec)
+		}
+	}
+	return nil
+}
+
+// applyCrit advances process i's protocol section along the cycle
+// checkStep enforces.
+//
+//repro:hotpath
+func (s *System) applyCrit(i int, c model.CritKind) {
+	p := &s.procs[i]
 	switch c {
 	case model.CritTry:
 		p.section = SecTrying
@@ -312,72 +323,11 @@ func (s *System) applyCrit(i int, c model.CritKind) error {
 		p.section = SecRemainder
 		p.csDone++
 	}
-	return nil
 }
 
 //repro:hotpath-ok cold error path: a well-formedness violation ends the run
 func errBadCrit(i int, c model.CritKind, sec Section) error {
 	return fmt.Errorf("machine: process %d: %s step while in %s section", i, c, sec)
-}
-
-// Clone returns an independent copy of the system in its current state.
-// Automata, registers, sections and counters are deep-copied; the recorded
-// trace and changed flags are shared copy-on-write. The three-index slice
-// expressions clip the clone's capacity at its length, so the histories
-// stay isolated even though the parent's arena (see Reserve) may extend
-// beyond the clip point: the clone's first Step must reallocate into
-// private storage, while the parent keeps appending in place past indices
-// the clone can never observe. Cloning therefore costs O(n + registers),
-// not O(trace); a clone that then Steps pays O(trace) once to privatize
-// its history, which is why per-decision lookahead uses the scratch
-// copyFrom path instead.
-//
-//repro:hotpath-ok allocates by design; schedulers clone once per run to seed a scratch, never per decision
-func (s *System) Clone() *System {
-	automata := make([]*program.Automaton, len(s.automata))
-	for i, a := range s.automata {
-		automata[i] = a.Clone()
-	}
-	return &System{
-		factory:  s.factory,
-		n:        s.n,
-		automata: automata,
-		regs:     s.regs.Clone(),
-		trace:    s.trace[:len(s.trace):len(s.trace)],
-		changed:  s.changed[:len(s.changed):len(s.changed)],
-		procs:    append([]procState(nil), s.procs...),
-	}
-}
-
-// copyFrom overwrites this system's mutable state with src's, reusing every
-// buffer the receiver already owns — the zero-alloc re-seed a lookahead
-// scheduler performs on its scratch system before each speculative step.
-// The trace arenas are not copied: a scratch system exists to answer "what
-// would this step change?", via stepNoRecord, and carries no history. The
-// receiver must come from Clone (or copyFrom) of a system with the same
-// factory shape; NewGreedyCost maintains exactly one such scratch.
-//
-//repro:hotpath
-func (s *System) copyFrom(src *System) {
-	s.factory = src.factory
-	s.n = src.n
-	if len(s.automata) != len(src.automata) {
-		s.automata = make([]*program.Automaton, len(src.automata))
-		for i, a := range src.automata {
-			s.automata[i] = a.Clone()
-		}
-	} else {
-		for i, a := range src.automata {
-			s.automata[i].CopyFrom(a)
-		}
-	}
-	if s.regs == nil {
-		s.regs = src.regs.Clone()
-	} else {
-		s.regs.CopyFrom(src.regs)
-	}
-	s.trace, s.changed = nil, nil
-	s.procs = append(s.procs[:0], src.procs...)
 }
 
 // InCriticalSection returns the process currently in its critical section,

@@ -316,23 +316,8 @@ func (r *Registers) Restore(snap []Value) {
 }
 
 // Clone returns an independent copy of the register file.
-//
-//repro:hotpath-ok allocates by design; reached from hot copyFrom only on first seeding or a shape change, never steady state
 func (r *Registers) Clone() *Registers {
 	return &Registers{vals: r.Snapshot()}
-}
-
-// CopyFrom overwrites this register file's contents with src's, reusing the
-// receiver's storage when the sizes match — the zero-alloc counterpart of
-// Clone for lookahead schedulers that re-seed one scratch file per decision.
-//
-//repro:hotpath
-func (r *Registers) CopyFrom(src *Registers) {
-	if cap(r.vals) < len(src.vals) {
-		r.vals = make([]Value, len(src.vals))
-	}
-	r.vals = r.vals[:len(src.vals)]
-	copy(r.vals, src.vals)
 }
 
 // ApplyRMW atomically applies a read-modify-write primitive to register id
@@ -341,21 +326,32 @@ func (r *Registers) CopyFrom(src *Registers) {
 //repro:hotpath
 func (r *Registers) ApplyRMW(id RegID, kind RMWKind, arg1, arg2 Value) Value {
 	old := r.vals[id]
+	r.vals[id] = RMWResult(kind, old, arg1, arg2)
+	return old
+}
+
+// RMWResult returns the value a read-modify-write primitive leaves in a
+// register that held old. It is the one definition of the primitives:
+// ApplyRMW stores its result, and a lookahead that must not touch the
+// register file asks it what a step would store.
+//
+//repro:hotpath
+func RMWResult(kind RMWKind, old, arg1, arg2 Value) Value {
 	switch kind {
 	case RMWTestAndSet:
-		r.vals[id] = 1
+		return 1
 	case RMWCompareAndSwap:
 		if old == arg1 {
-			r.vals[id] = arg2
+			return arg2
 		}
+		return old
 	case RMWFetchAndStore:
-		r.vals[id] = arg1
+		return arg1
 	case RMWFetchAndAdd:
-		r.vals[id] = old + arg1
+		return old + arg1
 	default:
 		panic(badRMWKind(kind))
 	}
-	return old
 }
 
 // badRMWKind formats the unknown-RMW panic message.

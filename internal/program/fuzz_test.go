@@ -9,7 +9,8 @@ import (
 )
 
 // randomProgram builds a random but structurally valid program: a mix of
-// reads, writes, local assignments, forward branches and a terminal halt.
+// reads, writes, RMWs, critical steps, local assignments, forward branches
+// and a terminal halt.
 // Backward branches are only emitted around a read (so every loop contains
 // a shared step and the local-cycle validator stays satisfied).
 func randomProgram(rng *rand.Rand, regs int) *program.Program {
@@ -30,7 +31,7 @@ func randomProgram(rng *rand.Rand, regs int) *program.Program {
 
 	blocks := 3 + rng.Intn(5)
 	for k := 0; k < blocks; k++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			b.Read(reg(), rv())
 		case 1:
@@ -43,6 +44,10 @@ func randomProgram(rng *rand.Rand, regs int) *program.Program {
 			// but which still exercises the spin machinery.
 			v := rv()
 			b.Spin(reg(), v, program.Lt(v, program.Const(7)))
+		case 4:
+			b.RMW(model.RMWKind(rng.Intn(4)), reg(), re(), re(), rv())
+		case 5:
+			b.Crit(model.CritKind(rng.Intn(4)))
 		}
 	}
 	b.Halt()
@@ -100,28 +105,34 @@ func TestFuzzInterpreterInvariants(t *testing.T) {
 	}
 }
 
-// TestFuzzSpinFreedom: for random programs, whenever the pending step is a
-// read whose WouldChangeState(v) is false, feeding v must leave the
-// StateKey unchanged — Definition 3.1 as an executable invariant.
+// TestFuzzSpinFreedom: for random programs and every pending step kind,
+// WouldChangeState(v) answers exactly whether Feed(v) changes the StateKey
+// (Definition 3.1 as an executable invariant), and asking leaves the state
+// as it was.
 func TestFuzzSpinFreedom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	seen := map[model.Kind]int{}
 	for trial := 0; trial < 200; trial++ {
 		p := randomProgram(rng, 3)
 		a := program.NewAutomaton(p, 1)
 		for step := 0; step < 50 && !a.Halted(); step++ {
-			s := a.PendingStep()
+			kind := a.PendingStep().Kind
 			v := model.Value(rng.Intn(10))
-			if s.Kind == model.KindRead {
-				would := a.WouldChangeState(v)
-				before := a.StateKey()
-				a.Feed(v)
-				changed := a.StateKey() != before
-				if changed != would {
-					t.Fatalf("trial %d: WouldChangeState(%d)=%v but Feed changed=%v\n%s", trial, v, would, changed, p.Disassemble())
-				}
-			} else {
-				a.Feed(v)
+			before := a.StateKey()
+			would := a.WouldChangeState(v)
+			if got := a.StateKey(); got != before {
+				t.Fatalf("trial %d: WouldChangeState(%d) on a %v step moved the state %q -> %q\n%s", trial, v, kind, before, got, p.Disassemble())
 			}
+			a.Feed(v)
+			if changed := a.StateKey() != before; changed != would {
+				t.Fatalf("trial %d: WouldChangeState(%d)=%v on a %v step but Feed changed=%v\n%s", trial, v, would, kind, changed, p.Disassemble())
+			}
+			seen[kind]++
+		}
+	}
+	for _, kind := range []model.Kind{model.KindRead, model.KindWrite, model.KindRMW, model.KindCrit} {
+		if seen[kind] == 0 {
+			t.Errorf("no %v step was checked", kind)
 		}
 	}
 }

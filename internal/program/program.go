@@ -9,8 +9,9 @@
 //   - a deterministic transition function δ: PendingStep() computes the next
 //     shared-memory or critical step from the current state;
 //   - Feed applies the result of a step, advancing the state;
-//   - Clone copies the state, which is how the construction's SC(α, µ, i)
-//     oracle asks "would p_i change state if it read value v?";
+//   - WouldChangeState feeds a value speculatively and rolls the state
+//     back, which is how the construction's SC(α, µ, i) oracle asks "would
+//     p_i change state if it read value v?";
 //   - StateKey is a canonical fingerprint of the state, which is what the
 //     state change cost model (Definition 3.1) charges on.
 //
@@ -272,7 +273,7 @@ type Automaton struct {
 	// scratch is a reusable pre-state snapshot buffer for FeedChanged and
 	// WouldChangeState, so the per-step state-change test of the SC cost
 	// model allocates nothing in steady state. It is never part of the
-	// automaton's state: Clone and CopyFrom ignore it.
+	// automaton's state: Clone ignores it.
 	scratch []model.Value
 }
 
@@ -412,27 +413,10 @@ func (a *Automaton) badState(what string) string {
 }
 
 // Clone returns an independent copy of the automaton in the same state.
-//
-//repro:hotpath-ok allocates by design; reached from hot copyFrom only on first seeding or a shape change, never steady state
 func (a *Automaton) Clone() *Automaton {
 	env := make([]model.Value, len(a.env))
 	copy(env, a.env)
 	return &Automaton{prog: a.prog, proc: a.proc, pc: a.pc, env: env, halted: a.halted}
-}
-
-// CopyFrom overwrites this automaton's state with src's, reusing the
-// receiver's buffers when shapes allow — the zero-alloc counterpart of
-// Clone for schedulers that re-seed one scratch automaton per lookahead
-// instead of allocating a fresh copy per candidate decision.
-//
-//repro:hotpath
-func (a *Automaton) CopyFrom(src *Automaton) {
-	a.prog, a.proc, a.pc, a.halted = src.prog, src.proc, src.pc, src.halted
-	if cap(a.env) < len(src.env) {
-		a.env = make([]model.Value, len(src.env))
-	}
-	a.env = a.env[:len(src.env)]
-	copy(a.env, src.env)
 }
 
 // snapshot records the automaton's current state into the reusable scratch
@@ -497,22 +481,23 @@ func (a *Automaton) StateKey() string {
 	return b.String()
 }
 
-// WouldChangeState reports whether feeding value v to the pending read (or
-// RMW) would change the automaton's state. This is the paper's SC(α, m, i)
-// helper (Figure 1): process p_i, whose state is st(α, i), changes state
-// upon reading v exactly when this returns true. It panics if the pending
-// step is not a read or RMW.
+// WouldChangeState reports whether executing the pending step with result
+// v would change the automaton's state, and leaves the state as it was.
+// For a read or RMW, v is the value the step reads; for a write or
+// critical step Feed ignores v, so the answer depends on the program alone
+// (a write at the head of a loop that returns to it changes nothing). For
+// reads this is the paper's SC(α, m, i) helper (Figure 1): process p_i,
+// whose state is st(α, i), changes state upon reading v exactly when this
+// returns true. It panics where Feed does: on a halted automaton or at a
+// non-step instruction.
 //
 //repro:hotpath
 func (a *Automaton) WouldChangeState(v model.Value) bool {
-	in := a.prog.Instrs[a.pc]
-	if in.Op != OpCRead && in.Op != OpCRMW {
-		panic(a.badState("WouldChangeState at non-read instruction"))
-	}
 	// Speculatively feed, compare, and roll back through the scratch
-	// snapshot — the schedulers that poll every pending read per decision
+	// snapshot — the schedulers that poll every pending step per decision
 	// (ProgressFirst, GreedyCost) ask this O(n) times per step, so it must
-	// not clone or build state strings.
+	// not clone or build state strings. Feed panics before it mutates
+	// anything, so a refused step leaves the state intact too.
 	pc, halted := a.snapshot()
 	a.Feed(v)
 	changed := a.stateChangedSince(pc, halted)
