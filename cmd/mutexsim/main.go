@@ -103,7 +103,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, exec, changed := runner.ExecuteTraced(j)
+	res, exec, changed := runner.ExecuteTracedOn(f, j)
 	if res.Err != nil {
 		return res.Err
 	}

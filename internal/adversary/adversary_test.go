@@ -67,7 +67,11 @@ func TestSearchWorstSpecReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{
+	f, err := runner.NewFactory(found.Algo, found.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, _ := runner.ExecuteScheduleTraced(f, runner.ScheduleJob{
 		Algo: found.Algo, N: found.N, Sched: found.Spec, Horizon: cfg.Horizon,
 	})
 	if r.Err != nil {

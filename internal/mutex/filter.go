@@ -2,6 +2,7 @@ package mutex
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/model"
 	"repro/internal/program"
@@ -43,28 +44,32 @@ func Filter(n int) (*Factory, error) {
 		x := b.Var("x")
 		v := b.Var("v")
 		me := program.Const(int64(i))
+		stillVictim := program.Eq(v, me)
 
 		b.Try()
 		for l := 1; l < n; l++ {
+			ls := strconv.Itoa(l)
+			rivalLeft := program.Lt(x, program.Const(int64(l)))
+			levelDone := "level_done_" + ls
 			b.Write(level[i], program.Const(int64(l)))
 			b.Write(victim[l], me)
 			for j := 0; j < n; j++ {
 				if j == i {
 					continue
 				}
-				wait := fmt.Sprintf("wait_l%d_j%d", l, j)
-				pass := fmt.Sprintf("pass_l%d_j%d", l, j)
+				lj := ls + "_j" + strconv.Itoa(j)
+				wait, pass := "wait_l"+lj, "pass_l"+lj
 				b.Label(wait)
 				b.Read(level[j], x)
-				b.If(program.Lt(x, program.Const(int64(l))), pass)
+				b.If(rivalLeft, pass)
 				b.Read(victim[l], v)
-				b.If(program.Eq(v, me), wait)
+				b.If(stillVictim, wait)
 				// No longer the victim: the whole level's condition fails;
 				// skip the remaining rivals at this level.
-				b.Goto(fmt.Sprintf("level_done_%d", l))
+				b.Goto(levelDone)
 				b.Label(pass)
 			}
-			b.Label(fmt.Sprintf("level_done_%d", l))
+			b.Label(levelDone)
 			b.Let(x, program.Const(0))
 			b.Let(v, program.Const(0))
 		}

@@ -2,6 +2,8 @@ package program
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -10,8 +12,13 @@ import (
 // All emit methods record the first error encountered and turn subsequent
 // calls into no-ops; Build returns the error. This keeps algorithm
 // definitions free of per-call error handling.
+//
+// Instructions accumulate in a scratch buffer drawn from a pool, and Build
+// copies them out at their exact size, so a factory's per-process builders
+// reuse one grown buffer instead of each regrowing its own from empty.
 type Builder struct {
 	name      string
+	scratch   *[]Instr // pooled buffer backing instrs; nil once Build released it
 	instrs    []Instr
 	varIndex  map[string]int
 	varNames  []string
@@ -27,10 +34,17 @@ type fixup struct {
 	label string
 }
 
+// instrBuffers holds cleared instruction buffers between builds. Pointers
+// to slices, so returning one to the pool allocates nothing.
+var instrBuffers = sync.Pool{New: func() any { return new([]Instr) }}
+
 // NewBuilder creates a builder for a program with the given name.
 func NewBuilder(name string) *Builder {
+	scratch := instrBuffers.Get().(*[]Instr)
 	return &Builder{
 		name:     name,
+		scratch:  scratch,
+		instrs:   (*scratch)[:0],
 		varIndex: make(map[string]int),
 		labels:   make(map[string]int),
 	}
@@ -67,7 +81,7 @@ func (b *Builder) Label(name string) {
 // from helper functions without colliding with user labels.
 func (b *Builder) AutoLabel(prefix string) string {
 	b.autoLabel++
-	return fmt.Sprintf("%s$%d", prefix, b.autoLabel)
+	return prefix + "$" + strconv.Itoa(b.autoLabel)
 }
 
 func (b *Builder) emit(in Instr) {
@@ -174,8 +188,12 @@ func (b *Builder) Spin(reg model.RegID, dst VarRef, until Expr) {
 	b.If(Not(until), label)
 }
 
-// Build resolves labels, validates, and returns the immutable Program.
+// Build resolves labels, validates, and returns the immutable Program. The
+// Program owns its instructions (cap equals len, no array shared with any
+// other program), and the Builder's scratch buffer goes back to the pool:
+// a Builder builds one Program.
 func (b *Builder) Build() (*Program, error) {
+	defer b.release()
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -189,11 +207,24 @@ func (b *Builder) Build() (*Program, error) {
 		}
 		b.instrs[f.instr].Target = target
 	}
-	p := &Program{Name: b.name, Instrs: b.instrs, VarNames: b.varNames}
+	p := &Program{Name: b.name, Instrs: make([]Instr, len(b.instrs)), VarNames: b.varNames}
+	copy(p.Instrs, b.instrs)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// release clears the scratch buffer, so the pool pins no expressions or
+// labels, and returns it, grown to whatever this program needed.
+func (b *Builder) release() {
+	if b.scratch == nil {
+		return
+	}
+	clear(b.instrs)
+	*b.scratch = b.instrs[:0]
+	instrBuffers.Put(b.scratch)
+	b.scratch, b.instrs = nil, nil
 }
 
 // MustBuild is Build that panics on error; algorithm constructors use it

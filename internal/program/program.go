@@ -207,56 +207,58 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	// Local-only cycle detection: build the local control-flow graph where
-	// a local instruction at i has edges to its possible successors, and
-	// non-local instructions are sinks. DFS with colors.
+	// Local-only cycle detection: the local control-flow graph has an edge
+	// from each local instruction to each of its successors, and non-local
+	// instructions are sinks. Depth-first search with colors, roots in
+	// program order, on an explicit stack of (node, next successor) frames.
 	const (
 		white, gray, black = 0, 1, 2
 	)
 	color := make([]byte, n)
-	var visit func(i int) error
-	visit = func(i int) error {
-		if i >= n {
-			return nil
+	type frame struct{ node, next int }
+	var stack []frame
+	for root, in := range p.Instrs {
+		if color[root] != white || !in.IsLocal() {
+			continue
 		}
-		if !p.Instrs[i].IsLocal() {
-			return nil
-		}
-		switch color[i] {
-		case gray:
-			return fmt.Errorf("program %q: local-instruction cycle through instr %d (transition function would diverge)", p.Name, i)
-		case black:
-			return nil
-		}
-		color[i] = gray
-		in := p.Instrs[i]
-		succs := []int{}
-		switch in.Op {
-		case OpCLet:
-			succs = append(succs, i+1)
-		case OpCGoto:
-			succs = append(succs, in.Target)
-		case OpCIf:
-			succs = append(succs, i+1, in.Target)
-		}
-		for _, s := range succs {
-			if s < n {
-				if err := visit(s); err != nil {
-					return err
-				}
+		color[root] = gray
+		stack = append(stack[:0], frame{node: root})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			s, ok := p.localSucc(top.node, top.next)
+			if !ok {
+				color[top.node] = black
+				stack = stack[:len(stack)-1]
+				continue
 			}
-		}
-		color[i] = black
-		return nil
-	}
-	for i := range p.Instrs {
-		if color[i] == white {
-			if err := visit(i); err != nil {
-				return err
+			top.next++
+			if s >= n || !p.Instrs[s].IsLocal() || color[s] == black {
+				continue
 			}
+			if color[s] == gray {
+				return fmt.Errorf("program %q: local-instruction cycle through instr %d (transition function would diverge)", p.Name, s)
+			}
+			color[s] = gray
+			stack = append(stack, frame{node: s})
 		}
 	}
 	return nil
+}
+
+// localSucc returns the k-th control-flow successor of local instruction
+// i: i+1 after a Let, the target of a Goto, and i+1 then the target of an
+// If. ok is false past the last one.
+func (p *Program) localSucc(i, k int) (s int, ok bool) {
+	in := p.Instrs[i]
+	switch {
+	case in.Op == OpCLet && k == 0, in.Op == OpCIf && k == 0:
+		return i + 1, true
+	case in.Op == OpCGoto && k == 0:
+		return in.Target, true
+	case in.Op == OpCIf && k == 1:
+		return in.Target, true
+	}
+	return 0, false
 }
 
 // Automaton is a running instance of a Program for one process: the paper's

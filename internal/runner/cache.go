@@ -147,6 +147,9 @@ type outcome[P any] struct {
 	err error
 }
 
+// skipper is told about each unit a fan-out settles without executing it.
+type skipper interface{ skipped(i int) }
+
 // cachedMap is the one lookup → execute → write-back → fold sequence every
 // cached fan-out runs: CachedMap, Run, RunSchedules and RunOne are payload
 // adapters over it. exec(i, k) executes unit i under its key k ("" when the
@@ -154,7 +157,9 @@ type outcome[P any] struct {
 // value is never stored, and fold receives both and decides whether the
 // fan-out goes on. Folds run in index order on the calling goroutine,
 // whether each value came from the store or from exec, so they are
-// byte-identical at any worker count.
+// byte-identical at any worker count. skip, when not nil, is told on the
+// worker about each unit that does not execute: a hit, or a unit a prime
+// pass leaves to the store or to another shard.
 //
 // Keys are computed once, up front. A fan-out of more than one unit
 // against a batching backend travels batched: reads go out in one
@@ -167,7 +172,7 @@ type outcome[P any] struct {
 //
 // In prime mode the fold never runs: only this shard's keys the store
 // lacks execute, and an error from exec aborts the pass.
-func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(i int, k string) (P, error), fold func(i int, p P, err error) error) error {
+func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(i int, k string) (P, error), skip skipper, fold func(i int, p P, err error) error) error {
 	keys := make([]string, n) // "" = nothing to look up or write back
 	if c.cache != nil {
 		for i := range keys {
@@ -197,6 +202,9 @@ func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(
 			// whose identical bytes deduplicate.
 			k := keys[i]
 			if k == "" || !c.inShard(k) || present[k] || present == nil && c.cache.Has(k) {
+				if skip != nil {
+					skip.skipped(i)
+				}
 				return nil
 			}
 			p, err := exec(i, k)
@@ -218,6 +226,9 @@ func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(
 				get = store.GetResidentJSON[P]
 			}
 			if p, ok := get(c.cache, k); ok {
+				if skip != nil {
+					skip.skipped(i)
+				}
 				return outcome[P]{p: p}, nil
 			}
 		}
@@ -245,7 +256,7 @@ func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(
 // store, and only this shard's missing keys are executed. Errors from fn
 // still abort — a prime pass surfaces real simulation failures.
 func CachedMap[T any](ce *CachedEngine, n int, key func(i int) string, fn func(i int) (T, error), fold func(i int, v T) error) error {
-	return cachedMap(ce, n, key, func(i int, _ string) (T, error) { return fn(i) }, func(i int, v T, err error) error {
+	return cachedMap(ce, n, key, func(i int, _ string) (T, error) { return fn(i) }, nil, func(i int, v T, err error) error {
 		if err != nil || fold == nil {
 			return err
 		}
@@ -303,13 +314,19 @@ type jobPayload struct {
 // the batch. In prime mode only this shard's missing keys execute and the
 // fold is skipped.
 func (c *CachedEngine) Run(jobs []Job, fold func(Result) error) error {
+	fs := &factories[Job]{jobs: jobs}
 	return cachedMap(c, len(jobs), func(i int) string { return jobs[i].CacheKey() },
 		func(i int, k string) (jobPayload, error) {
 			j := jobs[i]
-			r, exec, changed := ExecuteTraced(j)
+			f, err := fs.take(i)
+			if err != nil {
+				return jobPayload{}, err
+			}
+			r, exec, changed := ExecuteTracedOn(f, j)
 			c.captureTrace(k, trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
 			return jobPayload{Report: r.Report}, r.Err
 		},
+		fs,
 		func(i int, p jobPayload, err error) error {
 			return fold(Result{Index: i, Job: jobs[i], Report: p.Report, Err: err})
 		})
@@ -356,13 +373,19 @@ type schedulePayload struct {
 // and the folds run because the search itself needs them.
 func (c *CachedEngine) RunSchedules(jobs []ScheduleJob, fold func(ScheduleResult) error) error {
 	c = c.unsharded()
+	fs := &factories[ScheduleJob]{jobs: jobs}
 	return cachedMap(c, len(jobs), func(i int) string { return jobs[i].CacheKey() },
 		func(i int, k string) (schedulePayload, error) {
 			j := jobs[i]
-			r, exec, changed := ExecuteScheduleTraced(j)
+			f, err := fs.take(i)
+			if err != nil {
+				return schedulePayload{}, err
+			}
+			r, exec, changed := ExecuteScheduleTraced(f, j)
 			c.captureTrace(k, trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
 			return schedulePayload{Report: r.Report, Canonical: r.Canonical, Decisions: r.Decisions}, r.Err
 		},
+		fs,
 		func(i int, p schedulePayload, err error) error {
 			return fold(ScheduleResult{
 				Index: i, Job: jobs[i],

@@ -186,7 +186,7 @@ func TestScheduleCaptureRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, exec, _ := runner.ExecuteScheduleTraced(j)
+		want, exec, _ := runner.ExecuteScheduleTraced(mustFactory(t, j.Algo, j.N), j)
 		if want.Err != nil {
 			t.Fatal(want.Err)
 		}

@@ -193,14 +193,6 @@ func TestJobResultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestExecuteUnknownAlgo checks errors are carried in-band on the Result.
-func TestExecuteUnknownAlgo(t *testing.T) {
-	r, _, _ := runner.ExecuteTraced(runner.Job{Algo: "no-such-lock", N: 4, Sched: machine.RoundRobinSpec()})
-	if r.Err == nil {
-		t.Fatal("ExecuteTraced with unknown algorithm: want error")
-	}
-}
-
 // TestMixSeedStableAndDistinct pins MixSeed's determinism and checks that
 // neighbouring coordinates get distinct seeds (jobs must not share rng
 // streams by accident).

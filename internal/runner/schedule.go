@@ -6,12 +6,13 @@ import (
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/program"
 )
 
 // ScheduleJob is the schedule-search unit of work: one run of a named
 // algorithm under a candidate schedule, scored even when the candidate
 // fails to complete a canonical execution. Unlike Job — whose
-// ExecuteTraced demands a canonical run and treats anything else as an
+// ExecuteTracedOn demands a canonical run and treats anything else as an
 // error — ExecuteScheduleTraced reports what actually happened, so a
 // search driver can discard truncated or stalled candidates instead of
 // aborting the batch, and never mistakes a truncated execution for a
@@ -31,6 +32,9 @@ type ScheduleJob struct {
 	// giving mutation-based search its editable genome. 0 records none.
 	KeepDecisions int
 }
+
+// cell returns the factory the candidate runs on.
+func (j ScheduleJob) cell() cell { return cell{j.Algo, j.N} }
 
 // ScheduleResult carries one candidate evaluation back for ordered folding.
 type ScheduleResult struct {
@@ -53,17 +57,17 @@ type ScheduleResult struct {
 	Err error
 }
 
-// ExecuteScheduleTraced runs one candidate schedule to completion or
-// truncation. ErrHorizon and ErrStalled are not errors here: they mark the
+// ExecuteScheduleTraced runs one candidate schedule on its resolved
+// factory f to completion or truncation. ErrHorizon and ErrStalled are not errors here: they mark the
 // result non-canonical and the truncated execution is still costed, so a
 // fold can report on it without ever ranking it against complete
 // executions. Beside the result it returns the step log and per-step
 // changed flags, for trace capture. A hard failure (Err set) returns nil
 // trace and flags; a discarded candidate (non-canonical) still returns
 // whatever execution it produced — a truncated run replays like any other.
-func ExecuteScheduleTraced(j ScheduleJob) (ScheduleResult, model.Execution, []bool) {
+func ExecuteScheduleTraced(f program.Factory, j ScheduleJob) (ScheduleResult, model.Execution, []bool) {
 	res := ScheduleResult{Job: j}
-	f, s, err := run(j.Algo, j.N, j.Sched, j.Horizon)
+	s, err := run(f, j.Sched, j.Horizon)
 	var h machine.ErrHorizon
 	var st machine.ErrStalled
 	if err != nil && !errors.As(err, &h) && !errors.As(err, &st) {

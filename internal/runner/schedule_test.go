@@ -4,11 +4,22 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/program"
 	"repro/internal/runner"
 )
 
+// mustFactory builds a registered algorithm's factory or fails the test.
+func mustFactory(t testing.TB, algo string, n int) program.Factory {
+	t.Helper()
+	f, err := runner.NewFactory(algo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestExecuteScheduleCanonical(t *testing.T) {
-	r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{
+	r, _, _ := runner.ExecuteScheduleTraced(mustFactory(t, "yang-anderson", 4), runner.ScheduleJob{
 		Algo: "yang-anderson", N: 4, Sched: machine.RoundRobinSpec(), KeepDecisions: 6,
 	})
 	if r.Err != nil {
@@ -31,7 +42,7 @@ func TestExecuteScheduleCanonical(t *testing.T) {
 }
 
 func TestExecuteScheduleTruncatedIsNotCanonical(t *testing.T) {
-	r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{
+	r, _, _ := runner.ExecuteScheduleTraced(mustFactory(t, "yang-anderson", 4), runner.ScheduleJob{
 		Algo: "yang-anderson", N: 4, Sched: machine.RoundRobinSpec(), Horizon: 7,
 	})
 	if r.Err != nil {
@@ -46,11 +57,18 @@ func TestExecuteScheduleTruncatedIsNotCanonical(t *testing.T) {
 }
 
 func TestExecuteScheduleBadSpecErrors(t *testing.T) {
-	if r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{Algo: "yang-anderson", N: 4, Sched: machine.Spec{Kind: "fifo"}}); r.Err == nil {
+	if r, _, _ := runner.ExecuteScheduleTraced(mustFactory(t, "yang-anderson", 4), runner.ScheduleJob{Algo: "yang-anderson", N: 4, Sched: machine.Spec{Kind: "fifo"}}); r.Err == nil {
 		t.Fatal("unknown scheduler spec accepted")
 	}
-	if r, _, _ := runner.ExecuteScheduleTraced(runner.ScheduleJob{Algo: "no-such-algo", N: 4, Sched: machine.RoundRobinSpec()}); r.Err == nil {
-		t.Fatal("unknown algorithm accepted")
+	eng := runner.NewCached(runner.New(1), nil)
+	err := eng.RunSchedules([]runner.ScheduleJob{{Algo: "no-such-algo", N: 4, Sched: machine.RoundRobinSpec()}}, func(r runner.ScheduleResult) error {
+		if r.Err == nil {
+			t.Error("unknown algorithm accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,8 +3,9 @@
 # BENCH_sim.json, the machine-readable perf baseline for the stepping
 # trajectory (System.Step across step kinds, the greedy adversary's
 # per-decision lookahead, a whole canonical run, the adversary's full
-# quick-config schedule search cold and through a warm result store, and
-# the trace-capture tax on one executed job, off vs on).
+# quick-config schedule search cold and through a warm result store, the
+# trace-capture tax on one executed job, off vs on, and building one
+# algorithm factory, which a fan-out does once per (algo, n) it executes).
 #
 # Usage: scripts/bench_sim.sh [output.json]
 #
@@ -28,7 +29,7 @@ if [ -f "$out" ]; then
   baseline="$(awk '/^"baseline":\[/{f=1;next} /^\],/{f=0} f' "$out")"
 fi
 
-go test -run '^$' -bench 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$|BenchmarkGreedyNext$|BenchmarkCanonicalRun$|BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$|BenchmarkCaptureOverhead$' -benchmem ./internal/machine ./internal/adversary ./internal/runner >"$tmp"
+go test -run '^$' -bench 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$|BenchmarkGreedyNext$|BenchmarkCanonicalRun$|BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$|BenchmarkCaptureOverhead$|BenchmarkNewFactory$' -benchmem ./internal/machine ./internal/adversary ./internal/runner >"$tmp"
 
 go_version="$(go env GOVERSION)"
 awk -v go_version="$go_version" -v baseline="$baseline" '
