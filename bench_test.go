@@ -130,6 +130,34 @@ func BenchmarkConstruct(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode measures the decoding step alone: one Decode of a
+// constructed encoding per iteration, the encoding built before the timer
+// starts.
+func BenchmarkDecode(b *testing.B) {
+	for _, n := range []int{8, 16, 32} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			f, err := repro.NewAlgorithm(repro.AlgoYangAnderson, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := construct.Construct(f, perm.Sample(n, 1, 99)[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc, err := encode.Encode(res.Set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decode.Decode(f, enc.Bits, enc.BitLen); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEncodeDecode measures encode+decode round-trips, reporting the
 // encoding size.
 func BenchmarkEncodeDecode(b *testing.B) {
@@ -167,10 +195,6 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // byte-identical (see internal/experiments determinism tests); only the
 // wall time differs, by roughly the core count on an unloaded machine.
 func BenchmarkSweepWorkers(b *testing.B) {
-	f, err := repro.NewAlgorithm(repro.AlgoYangAnderson, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
 	perms := perm.Sample(8, 24, 20060723)
 	counts := []int{1, runtime.GOMAXPROCS(0)}
 	if counts[1] == 1 {
@@ -181,7 +205,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 			eng := runner.NewCached(runner.New(w), nil)
 			var maxCost int
 			for i := 0; i < b.N; i++ {
-				stats, err := core.SweepCached(eng, f, perms)
+				stats, err := core.SweepCached(eng, repro.AlgoYangAnderson, 8, perms)
 				if err != nil {
 					b.Fatal(err)
 				}

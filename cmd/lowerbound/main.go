@@ -97,17 +97,14 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-shard is a batch priming mode; lowerbound always prints its proof")
 	}
 
-	f, err := repro.NewAlgorithm(*algoName, *n)
-	if err != nil {
-		return err
-	}
-
 	if *all {
-		stats, err := core.ExhaustiveSweepCached(s.Engine(), f)
+		// The sweep builds the factory on its first executed unit, so a
+		// sweep the store serves entirely builds none.
+		stats, err := core.ExhaustiveSweepCached(s.Engine(), *algoName, *n)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "algorithm      %s\n", f.Name())
+		fmt.Fprintf(w, "algorithm      %s\n", runner.FactoryName(*algoName, *n))
 		fmt.Fprintf(w, "permutations   %d (all of S_%d)\n", stats.Perms, *n)
 		fmt.Fprintf(w, "distinct execs %d (injectivity %v)\n", stats.Distinct, stats.Distinct == stats.Perms)
 		fmt.Fprintf(w, "cost           min=%d mean=%.1f max=%d\n", stats.MinCost, stats.MeanCost(), stats.MaxCost)
@@ -117,6 +114,10 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
+	f, err := repro.NewAlgorithm(*algoName, *n)
+	if err != nil {
+		return err
+	}
 	pi, err := parsePerm(*permSpec, *n, *seed)
 	if err != nil {
 		return err

@@ -88,8 +88,9 @@ func ConstructPartial(f program.Factory, pi []int, stages int) (*Result, error) 
 		Perm:    append([]int(nil), pi...),
 		Factory: f,
 	}
+	var a ancestry
 	for stage := 0; stage < stages; stage++ {
-		if err := r.generate(pi[stage]); err != nil {
+		if err := r.generate(pi[stage], &a); err != nil {
 			return nil, fmt.Errorf("construct: stage %d (process %d): %w", stage, pi[stage], err)
 		}
 		r.StageSets = append(r.StageSets, r.Set.Len())
@@ -109,6 +110,14 @@ func ConstructPartial(f program.Factory, pi []int, stages int) (*Result, error) 
 	}
 	r.sc = rep.SC
 	return r, nil
+}
+
+// ancestry is generate's ancestor set {µ : µ ≼ m′}, indexed by metastep
+// ID, and the queue its searches share. ConstructPartial reuses the
+// storage from stage to stage.
+type ancestry struct {
+	anc   []bool
+	queue []metastep.ID
 }
 
 // generate implements procedure Generate(M, ≼, j) of Figure 1: it runs
@@ -138,12 +147,21 @@ func ConstructPartial(f program.Factory, pi []int, stages int) (*Result, error) 
 // would leave j in; a test keeps the literal replay as an oracle, and
 // ConstructPartial replays the finished set's canonical linearization once
 // to check the whole construction.
-func (r *Result) generate(j int) error {
+//
+// The ancestor set {µ ≼ m′} is kept the same way, grown instead of
+// recomputed. Each iteration adds the edge old m′ → new m′, so the new set
+// contains the old one. Every edge generate adds ends in a metastep
+// outside the set: mw and msw are chosen among µ ⋠ m′, and the other
+// targets are new. So no member's own ancestors ever change, the set stays
+// downward closed, and extending it by a reverse search from the new m′
+// that stops at marked metasteps visits each metastep once per stage.
+func (r *Result) generate(j int, a *ancestry) error {
 	s := r.Set
 	aut := program.NewAutomaton(r.Factory.Program(j), j)
 	regs := r.Factory.NumRegisters()
 	last := metastep.None // m′: the metastep modified or created last
 	limit := maxIterations(s.N())
+	a.anc = a.anc[:0] // {µ ≼ None} is empty
 
 	for iter := 0; ; iter++ {
 		if iter > limit {
@@ -160,7 +178,8 @@ func (r *Result) generate(j int) error {
 			return fmt.Errorf("process %d: register %d out of range [0,%d)", j, e.Reg, regs)
 		}
 
-		anc := s.AncestorsOf(last)
+		a.anc, a.queue = s.ExtendAncestors(a.anc, last, a.queue)
+		anc := a.anc
 		notOrdered := func(id metastep.ID) bool { return !anc[id] }
 
 		switch e.Kind {
@@ -185,7 +204,7 @@ func (r *Result) generate(j int) error {
 				// Mr ← maximal read metasteps on ℓ with µ ⋠ m′: they become
 				// prereads, ordered before m, so their readers never see
 				// the new value.
-				mr := r.maximalUnordered(s.ReadsOn(e.Reg), anc)
+				mr := r.maximalUnordered(s.ReadsOn(e.Reg), a)
 				if len(mr) > 0 {
 					s.SetPread(m.ID, mr)
 					for _, µ := range mr {
@@ -271,30 +290,19 @@ func (r *Result) current(reg model.RegID, anc []bool) model.Value {
 }
 
 // maximalUnordered returns the ≼-maximal elements among the candidates not
-// in anc. A candidate is non-maximal if it precedes another candidate.
-func (r *Result) maximalUnordered(candidates []metastep.ID, anc []bool) []metastep.ID {
+// in the ancestor set, in the candidates' order.
+func (r *Result) maximalUnordered(candidates []metastep.ID, a *ancestry) []metastep.ID {
 	var unordered []metastep.ID
 	for _, id := range candidates {
-		if !anc[id] {
+		if !a.anc[id] {
 			unordered = append(unordered, id)
 		}
 	}
 	if len(unordered) <= 1 {
 		return unordered
 	}
-	maximal := make([]metastep.ID, 0, len(unordered))
-	for _, c := range unordered {
-		isMax := true
-		for _, d := range unordered {
-			if c != d && r.Set.Reaches(c, d) {
-				isMax = false
-				break
-			}
-		}
-		if isMax {
-			maximal = append(maximal, c)
-		}
-	}
+	var maximal []metastep.ID
+	maximal, a.queue = r.Set.Maximal(unordered, a.anc, a.queue)
 	return maximal
 }
 

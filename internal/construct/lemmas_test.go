@@ -81,7 +81,7 @@ func TestLemma53WriteTotalOrder(t *testing.T) {
 		for reg := range regs {
 			writes := s.WritesOn(reg)
 			for k := 0; k+1 < len(writes); k++ {
-				if !s.Reaches(writes[k], writes[k+1]) {
+				if !construct.Reaches(s, writes[k], writes[k+1]) {
 					t.Fatalf("%s pi=%v: writes on r%d not totally ordered: m%d ⋠ m%d",
 						res.Factory.Name(), res.Perm, reg, writes[k], writes[k+1])
 				}
@@ -99,7 +99,7 @@ func TestProcessChainsAreChains(t *testing.T) {
 		for i := 0; i < s.N(); i++ {
 			chain := s.Chain(i)
 			for k := 0; k+1 < len(chain); k++ {
-				if !s.Reaches(chain[k], chain[k+1]) {
+				if !construct.Reaches(s, chain[k], chain[k+1]) {
 					t.Fatalf("%s pi=%v: process %d's chain not ordered at position %d",
 						res.Factory.Name(), res.Perm, i, k)
 				}
@@ -121,7 +121,7 @@ func TestPrereadsPrecedeTheirWrite(t *testing.T) {
 					t.Fatalf("read metastep m%d is a preread of both m%d and m%d", pr, prev, m.ID)
 				}
 				owner[pr] = m.ID
-				if !s.Reaches(pr, m.ID) {
+				if !construct.Reaches(s, pr, m.ID) {
 					t.Fatalf("preread m%d not ordered before m%d", pr, m.ID)
 				}
 				if back := s.Meta(pr).PreadOf; back != m.ID {

@@ -15,11 +15,84 @@ import (
 
 // This file holds the literal form of Figure 1's Generate, in which every
 // iteration takes e ← δ(Plin(M, ≼, m′), j) by re-linearizing the prefix
-// and replaying it from s₀ on a fresh System. Construct keeps j's automaton
-// across iterations instead; the oracle test requires both to build the
-// same metastep set. Every iteration inserts its step into the set and
-// records its decision there (which metastep it joined or created, and the
-// edge from m′), so equal sets mean every iteration agreed.
+// and replaying it from s₀ on a fresh System, computes {µ ≼ m′} by a fresh
+// search, and finds the maximal prereads by testing every pair. Construct
+// keeps j's automaton and one growing ancestor set across iterations
+// instead, and finds the maximal prereads in one search; the oracle test
+// requires both to build the same metastep set. Every iteration inserts
+// its step into the set and records its decision there (which metastep it
+// joined or created, and the edge from m′), so equal sets mean every
+// iteration agreed.
+
+// ancestorsOf returns {µ : µ ≼ m} (m included; empty for None) as a
+// boolean slice indexed by ID, by a fresh reverse breadth-first search over
+// the explicit edges.
+func ancestorsOf(s *metastep.Set, m metastep.ID) []bool {
+	preds := make([][]metastep.ID, s.Len())
+	for id := range preds {
+		for _, b := range s.Succs(metastep.ID(id)) {
+			preds[b] = append(preds[b], metastep.ID(id))
+		}
+	}
+	anc := make([]bool, s.Len())
+	if m == metastep.None {
+		return anc
+	}
+	anc[m] = true
+	queue := []metastep.ID{m}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, p := range preds[cur] {
+			if !anc[p] {
+				anc[p] = true
+				queue = append(queue, p)
+			}
+		}
+	}
+	return anc
+}
+
+// Reaches reports whether a ≼ b (a == b counts). It is exported for the
+// lemma tests of package construct_test.
+func Reaches(s *metastep.Set, a, b metastep.ID) bool {
+	return a == b || ancestorsOf(s, b)[a]
+}
+
+// plin is procedure Plin(M, ≼, m) of Figure 1: the canonical linearization
+// of {µ : µ ≼ m}, empty for m == None.
+func plin(s *metastep.Set, m metastep.ID) (model.Execution, error) {
+	if m == metastep.None {
+		return nil, nil
+	}
+	return s.LinSubset(ancestorsOf(s, m), nil)
+}
+
+// literalMaximal returns the ≼-maximal elements among the candidates not in
+// anc, testing every pair: a candidate is not maximal if it precedes
+// another.
+func literalMaximal(s *metastep.Set, candidates []metastep.ID, anc []bool) []metastep.ID {
+	var unordered []metastep.ID
+	for _, id := range candidates {
+		if !anc[id] {
+			unordered = append(unordered, id)
+		}
+	}
+	var maximal []metastep.ID
+	for _, c := range unordered {
+		isMax := true
+		for _, d := range unordered {
+			if c != d && Reaches(s, c, d) {
+				isMax = false
+				break
+			}
+		}
+		if isMax {
+			maximal = append(maximal, c)
+		}
+	}
+	return maximal
+}
 
 // literalConstruct runs the n-stage construction with literalGenerate.
 func literalConstruct(f program.Factory, pi []int) (*Result, error) {
@@ -51,7 +124,7 @@ func literalGenerate(r *Result, j int) error {
 		r.Iterations++
 
 		// α ← Plin(M, ≼, m′); e ← δ(α, j).
-		alpha, err := s.Plin(last, nil)
+		alpha, err := plin(s, last)
 		if err != nil {
 			return err
 		}
@@ -66,7 +139,7 @@ func literalGenerate(r *Result, j int) error {
 		}
 		e := rep.PendingStep(j)
 
-		anc := s.AncestorsOf(last)
+		anc := ancestorsOf(s, last)
 		notOrdered := func(id metastep.ID) bool { return !anc[id] }
 
 		switch e.Kind {
@@ -86,7 +159,7 @@ func literalGenerate(r *Result, j int) error {
 				last = mw
 			} else {
 				m := s.NewWriteMeta(e)
-				mr := r.maximalUnordered(s.ReadsOn(e.Reg), anc)
+				mr := literalMaximal(s, s.ReadsOn(e.Reg), anc)
 				if len(mr) > 0 {
 					s.SetPread(m.ID, mr)
 					for _, µ := range mr {

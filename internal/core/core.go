@@ -59,7 +59,7 @@ func Run(f program.Factory, pi []int) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec, err := decode.Decode(f, enc.Bits, enc.BitLen)
+	dec, changed, err := decode.DecodeTraced(f, enc.Bits, enc.BitLen)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode(pi=%v): %w", pi, err)
 	}
@@ -75,10 +75,9 @@ func Run(f program.Factory, pi []int) (*Pipeline, error) {
 	if err := verify.EntryOrder(dec, pi); err != nil {
 		return nil, fmt.Errorf("core: Theorem 5.5 violated: %w", err)
 	}
-	rep, err := cost.Measure(f, dec)
-	if err != nil {
-		return nil, err
-	}
+	// The decoder stepped α on a fresh System, so its recorded flags are
+	// α's charges.
+	rep := cost.Of(f, dec, changed)
 	// Lemma 6.1: decoded cost equals the canonical linearization's cost.
 	canonical, err := res.Cost()
 	if err != nil {
@@ -142,7 +141,12 @@ func (s SweepStats) MeanBits() float64 {
 // Pipelines execute in parallel on the default engine (bounded by
 // GOMAXPROCS), with no store; use SweepCached to choose the engine.
 func Sweep(f program.Factory, perms [][]int) (SweepStats, error) {
-	return SweepCached(runner.NewCached(runner.Default(), nil), f, perms)
+	return sweep(runner.NewCached(runner.Default(), nil), f.Name(), f.N(), built(f), perms)
+}
+
+// built returns f as an already-resolved factory.
+func built(f program.Factory) func() (program.Factory, error) {
+	return func() (program.Factory, error) { return f, nil }
 }
 
 // sweepOut is the per-permutation result a sweep aggregates — and the unit
@@ -170,29 +174,42 @@ type sweepKeyParts struct {
 
 // hashExec returns the short content hash of a decoded execution's string
 // form, used for distinctness counting.
-func hashExec(s string) string {
-	sum := sha256.Sum256([]byte(s))
+func hashExec(exec model.Execution) string {
+	sum := sha256.Sum256(exec.Append(make([]byte, 0, 24*len(exec))))
 	return hex.EncodeToString(sum[:8])
 }
 
-// SweepCached runs the pipeline for every permutation in perms on the given
-// engine and aggregates. The factory is shared read-only across workers
-// (factories are immutable; every run builds fresh automata and
-// registers), and results are folded in permutation order, so the stats —
-// including first-error behaviour — are identical at every worker count.
-// With a store, each permutation's pipeline summary is keyed by
-// (algorithm, n, π) under the code-version salt, so re-runs — in this
-// process or any other sharing the store — fold cached summaries instead
-// of re-verifying the pipeline, and the aggregated stats are identical
-// either way. On a priming (shard) engine it only fills the store: the
-// returned stats are meaningless and the caller must not validate them.
-func SweepCached(eng *runner.CachedEngine, f program.Factory, perms [][]int) (SweepStats, error) {
-	stats := SweepStats{N: f.N(), MinCost: -1}
+// SweepCached runs the pipeline of the registered algorithm algo at n
+// processes for every permutation in perms on the given engine and
+// aggregates. The sweep's first executed unit builds the factory, once,
+// and every other unit shares it read-only (factories are immutable; every
+// run builds fresh automata and registers); a sweep the store serves
+// entirely builds none, and a build error is the sweep's error. Results
+// are folded in permutation order, so the stats — including first-error
+// behaviour — are identical at every worker count. With a store, each
+// permutation's pipeline summary is keyed by (algorithm, n, π) under the
+// code-version salt, so re-runs — in this process or any other sharing
+// the store — fold cached summaries instead of re-verifying the pipeline,
+// and the aggregated stats are identical either way. On a priming (shard)
+// engine it only fills the store: the returned stats are meaningless and
+// the caller must not validate them.
+func SweepCached(eng *runner.CachedEngine, algo string, n int, perms [][]int) (SweepStats, error) {
+	return sweep(eng, runner.FactoryName(algo, n), n, runner.LazyFactory(algo, n), perms)
+}
+
+// sweep is SweepCached for the factory named name at n processes, which
+// factory resolves.
+func sweep(eng *runner.CachedEngine, name string, n int, factory func() (program.Factory, error), perms [][]int) (SweepStats, error) {
+	stats := SweepStats{N: n, MinCost: -1}
 	seen := make(map[string]bool, len(perms))
 	key := func(i int) string {
-		return store.Key(runner.CacheVersion, sweepKeyParts{Op: "sweep", Algo: f.Name(), N: f.N(), Perm: perms[i]})
+		return store.Key(runner.CacheVersion, sweepKeyParts{Op: "sweep", Algo: name, N: n, Perm: perms[i]})
 	}
 	err := runner.CachedMap(eng, len(perms), key, func(i int) (sweepOut, error) {
+		f, err := factory()
+		if err != nil {
+			return sweepOut{}, err
+		}
 		p, err := Run(f, perms[i])
 		if err != nil {
 			return sweepOut{}, err
@@ -201,7 +218,7 @@ func SweepCached(eng *runner.CachedEngine, f program.Factory, perms [][]int) (Sw
 			Cost: p.Cost,
 			Bits: p.Encoding.BitLen,
 			BPC:  p.BitsPerCost(),
-			Hash: hashExec(p.Decoded.String()),
+			Hash: hashExec(p.Decoded),
 		}, nil
 	}, func(i int, o sweepOut) error {
 		stats.Perms++
@@ -234,15 +251,21 @@ func SweepCached(eng *runner.CachedEngine, f program.Factory, perms [][]int) (Sw
 // distinct decoded executions (n! of them). It runs on the default engine
 // with no store; use ExhaustiveSweepCached to choose the engine.
 func ExhaustiveSweep(f program.Factory) (SweepStats, error) {
-	return ExhaustiveSweepCached(runner.NewCached(runner.Default(), nil), f)
+	return exhaustiveSweep(runner.NewCached(runner.Default(), nil), f.Name(), f.N(), built(f))
 }
 
-// ExhaustiveSweepCached is ExhaustiveSweep on the given engine. On a
-// priming (shard) engine the injectivity check is skipped — a prime pass
-// folds nothing, so there is nothing to count; the check runs on the merged
-// replay instead.
-func ExhaustiveSweepCached(eng *runner.CachedEngine, f program.Factory) (SweepStats, error) {
-	n := f.N()
+// ExhaustiveSweepCached is ExhaustiveSweep of the registered algorithm algo
+// at n processes on the given engine, building the factory as SweepCached
+// does. On a priming (shard) engine the injectivity check is skipped — a
+// prime pass folds nothing, so there is nothing to count; the check runs
+// on the merged replay instead.
+func ExhaustiveSweepCached(eng *runner.CachedEngine, algo string, n int) (SweepStats, error) {
+	return exhaustiveSweep(eng, runner.FactoryName(algo, n), n, runner.LazyFactory(algo, n))
+}
+
+// exhaustiveSweep is ExhaustiveSweepCached for the factory named name at n
+// processes, which factory resolves.
+func exhaustiveSweep(eng *runner.CachedEngine, name string, n int, factory func() (program.Factory, error)) (SweepStats, error) {
 	if n > 8 {
 		return SweepStats{}, fmt.Errorf("core: exhaustive sweep of S_%d (%d permutations) refused; use Sweep with a sample", n, perm.Factorial(n))
 	}
@@ -251,7 +274,7 @@ func ExhaustiveSweepCached(eng *runner.CachedEngine, f program.Factory) (SweepSt
 		perms = append(perms, append([]int(nil), pi...))
 		return true
 	})
-	stats, err := SweepCached(eng, f, perms)
+	stats, err := sweep(eng, name, n, factory, perms)
 	if err != nil {
 		return stats, err
 	}

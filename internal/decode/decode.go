@@ -27,7 +27,8 @@ package decode
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/encode"
 	"repro/internal/machine"
@@ -49,45 +50,57 @@ const (
 // signature is the parsed cell signature for one register's minimum
 // unexecuted write metastep.
 type signature struct {
-	winner int // process holding the winning write
-	pr     int // |pread(m)|
-	r      int // |read(m)|
-	w      int // |write(m)| + 1
+	set    bool // a signature cell arrived and its metastep is not yet emitted
+	winner int  // process holding the winning write
+	pr     int  // |pread(m)|
+	r      int  // |read(m)|
+	w      int  // |write(m)| + 1
 }
 
 // Decode reconstructs a linearization of the constructed metastep set from
 // the encoding bits alone. bitLen is the exact bit length of the encoding.
 func Decode(f program.Factory, bits []byte, bitLen int) (model.Execution, error) {
+	alpha, _, err := DecodeTraced(f, bits, bitLen)
+	return alpha, err
+}
+
+// DecodeTraced is Decode that also returns each step's changed flag, as the
+// decoder's own System recorded it while stepping α (Trace and Changed).
+// cost.Of(f, α, changed) is then α's cost without replaying α again.
+func DecodeTraced(f program.Factory, bits []byte, bitLen int) (model.Execution, []bool, error) {
 	if f.UsesRMW() {
-		return nil, ErrRMW
+		return nil, nil, ErrRMW
 	}
-	n := f.N()
+	n, regs := f.N(), f.NumRegisters()
 	cols, err := encode.ParseBits(bits, bitLen, n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	rep := machine.NewSystem(f)
-	var alpha model.Execution
-	apply := func(step model.Step) error {
-		done, _, err := rep.Replay(step)
-		if err != nil {
-			return err
-		}
-		alpha = append(alpha, done)
-		return nil
+	// Each cell is one step of its process, so the cells count α's steps.
+	cells := 0
+	for _, col := range cols {
+		cells += len(col)
+	}
+	rep.Reserve(cells)
+	step := func(i int) error {
+		_, err := rep.Step(i)
+		return err
 	}
 
 	pc := make([]int, n)
 	st := make([]status, n)
-	readers := make(map[model.RegID][]int)
-	writers := make(map[model.RegID][]int)
-	sigs := make(map[model.RegID]*signature)
-	prDone := make(map[model.RegID]int)
+	readers := make([][]int, regs) // parked readers per register, in parking order
+	writers := make([][]int, regs) // parked writers per register
+	sigs := make([]signature, regs)
+	prDone := make([]int, regs) // prereads executed since the register's last write metastep
+	var signed []model.RegID    // registers with a signature set, ascending
+	var rl []int
 
 	for round := 0; ; round++ {
-		if round > 16*(len(alpha)+n+4) {
-			return nil, fmt.Errorf("decode: no progress after %d rounds (decoder stuck at %d steps)", round, len(alpha))
+		if round > 16*(len(rep.Trace())+n+4) {
+			return nil, nil, fmt.Errorf("decode: no progress after %d rounds (decoder stuck at %d steps)", round, len(rep.Trace()))
 		}
 		progress := false
 		allDone := true
@@ -105,7 +118,7 @@ func Decode(f program.Factory, bits []byte, bitLen int) (model.Execution, error)
 			allDone = false
 			if pc[i] >= len(cols[i]) {
 				if !rep.Halted(i) {
-					return nil, fmt.Errorf("decode: process %d out of cells but not halted (pending %v)", i, rep.PendingStep(i))
+					return nil, nil, fmt.Errorf("decode: process %d out of cells but not halted (pending %v)", i, rep.PendingStep(i))
 				}
 				st[i] = stDone
 				progress = true
@@ -114,136 +127,148 @@ func Decode(f program.Factory, bits []byte, bitLen int) (model.Execution, error)
 			cell := cols[i][pc[i]]
 			pc[i]++
 			if rep.Halted(i) {
-				return nil, fmt.Errorf("decode: process %d halted with cells remaining", i)
+				return nil, nil, fmt.Errorf("decode: process %d halted with cells remaining", i)
 			}
 			pending := rep.PendingStep(i)
+			if pending.IsShared() && (pending.Reg < 0 || int(pending.Reg) >= regs) {
+				return nil, nil, fmt.Errorf("decode: process %d: pending step %v names a register outside [0,%d)", i, pending, regs)
+			}
 			switch cell.Tag {
 			case encode.TagC:
 				if pending.Kind != model.KindCrit {
-					return nil, fmt.Errorf("decode: process %d: cell C but pending step %v", i, pending)
+					return nil, nil, fmt.Errorf("decode: process %d: cell C but pending step %v", i, pending)
 				}
-				if err := apply(pending); err != nil {
-					return nil, err
+				if err := step(i); err != nil {
+					return nil, nil, err
 				}
 				progress = true
 			case encode.TagSR, encode.TagPR:
 				if pending.Kind != model.KindRead {
-					return nil, fmt.Errorf("decode: process %d: cell %v but pending step %v", i, cell.Tag, pending)
+					return nil, nil, fmt.Errorf("decode: process %d: cell %v but pending step %v", i, cell.Tag, pending)
 				}
 				if cell.Tag == encode.TagPR {
 					prDone[pending.Reg]++
 				}
-				if err := apply(pending); err != nil {
-					return nil, err
+				if err := step(i); err != nil {
+					return nil, nil, err
 				}
 				progress = true
 			case encode.TagR:
 				if pending.Kind != model.KindRead {
-					return nil, fmt.Errorf("decode: process %d: cell R but pending step %v", i, pending)
+					return nil, nil, fmt.Errorf("decode: process %d: cell R but pending step %v", i, pending)
 				}
 				readers[pending.Reg] = append(readers[pending.Reg], i)
 				st[i] = stParked
 				progress = true
 			case encode.TagW, encode.TagWSig:
 				if pending.Kind != model.KindWrite {
-					return nil, fmt.Errorf("decode: process %d: cell %v but pending step %v", i, cell.Tag, pending)
+					return nil, nil, fmt.Errorf("decode: process %d: cell %v but pending step %v", i, cell.Tag, pending)
 				}
 				if cell.Tag == encode.TagWSig {
-					if old := sigs[pending.Reg]; old != nil {
-						return nil, fmt.Errorf("decode: register %d: signature from process %d while process %d's is unresolved", pending.Reg, i, old.winner)
+					reg := pending.Reg
+					if sigs[reg].set {
+						return nil, nil, fmt.Errorf("decode: register %d: signature from process %d while process %d's is unresolved", reg, i, sigs[reg].winner)
 					}
-					sigs[pending.Reg] = &signature{winner: i, pr: cell.Pr, r: cell.R, w: cell.W}
+					sigs[reg] = signature{set: true, winner: i, pr: cell.Pr, r: cell.R, w: cell.W}
+					at, _ := slices.BinarySearch(signed, reg)
+					signed = slices.Insert(signed, at, reg)
 				}
 				writers[pending.Reg] = append(writers[pending.Reg], i)
 				st[i] = stParked
 				progress = true
 			default:
-				return nil, fmt.Errorf("decode: process %d: unexpected tag %v", i, cell.Tag)
+				return nil, nil, fmt.Errorf("decode: process %d: unexpected tag %v", i, cell.Tag)
 			}
 		}
 		if allDone {
-			return alpha, nil
+			return rep.Trace(), rep.Changed(), nil
 		}
 
 		// Phase 2 (Figure 3, lines 38-45): for each register whose
-		// signature is known, test whether the parked processes complete
-		// the metastep; if so, emit it.
-		regs := make([]model.RegID, 0, len(sigs))
-		for reg := range sigs {
-			regs = append(regs, reg)
-		}
-		sort.Slice(regs, func(a, b int) bool { return regs[a] < regs[b] })
-		for _, reg := range regs {
+		// signature is known, in ascending order, test whether the parked
+		// processes complete the metastep; if so, emit it.
+		unresolved := signed[:0]
+		for _, reg := range signed {
 			sig := sigs[reg]
 			if prDone[reg] != sig.pr || len(writers[reg]) != sig.w {
+				unresolved = append(unresolved, reg)
 				continue
 			}
 			winVal := rep.PendingStep(sig.winner).Val
 			// R_ℓ: parked readers the winner's value would awaken
 			// (Figure 3, line 21). Readers it would not are parts of later
 			// metasteps on this register and stay parked.
-			var rl []int
+			rl = rl[:0]
 			for _, q := range readers[reg] {
 				if rep.Automaton(q).WouldChangeState(winVal) {
 					rl = append(rl, q)
 				}
 			}
 			if len(rl) != sig.r {
+				unresolved = append(unresolved, reg)
 				continue
 			}
 			// Emit: non-winning writes (ascending process), the winning
 			// write, then the reads (ascending process).
-			ws := append([]int(nil), writers[reg]...)
-			sort.Ints(ws)
+			ws := writers[reg]
+			slices.Sort(ws)
 			for _, q := range ws {
 				if q == sig.winner {
 					continue
 				}
-				if err := apply(rep.PendingStep(q)); err != nil {
-					return nil, err
+				if err := step(q); err != nil {
+					return nil, nil, err
 				}
 			}
-			if err := apply(rep.PendingStep(sig.winner)); err != nil {
-				return nil, err
+			if err := step(sig.winner); err != nil {
+				return nil, nil, err
 			}
-			sort.Ints(rl)
+			slices.Sort(rl)
 			for _, q := range rl {
-				if err := apply(rep.PendingStep(q)); err != nil {
-					return nil, err
+				if err := step(q); err != nil {
+					return nil, nil, err
 				}
 			}
 			// Unpark the metastep's processes; other parked readers stay.
 			for _, q := range ws {
 				st[q] = stNeedCell
 			}
-			inRl := make(map[int]bool, len(rl))
 			for _, q := range rl {
 				st[q] = stNeedCell
-				inRl[q] = true
 			}
-			var still []int
+			still := readers[reg][:0]
 			for _, q := range readers[reg] {
-				if !inRl[q] {
+				if st[q] == stParked {
 					still = append(still, q)
 				}
 			}
 			readers[reg] = still
-			writers[reg] = nil
-			delete(sigs, reg)
+			writers[reg] = ws[:0]
+			sigs[reg] = signature{}
 			prDone[reg] = 0
 			progress = true
 		}
+		signed = unresolved
 
 		if !progress {
-			return nil, fmt.Errorf("decode: stuck: %d steps decoded, parked readers=%v writers=%v sigs=%v", len(alpha), readers, writers, describeSigs(sigs))
+			return nil, nil, fmt.Errorf("decode: stuck: %d steps decoded, parked %s", len(rep.Trace()), describeParked(readers, writers, sigs))
 		}
 	}
 }
 
-func describeSigs(sigs map[model.RegID]*signature) string {
-	out := ""
-	for reg, s := range sigs {
-		out += fmt.Sprintf("r%d:{win=%d pr=%d r=%d w=%d} ", reg, s.winner, s.pr, s.r, s.w)
+// describeParked lists, per register, the parked readers and writers and
+// the pending signature, for the stuck-decoder error.
+func describeParked(readers, writers [][]int, sigs []signature) string {
+	var b strings.Builder
+	for reg := range sigs {
+		if len(readers[reg]) == 0 && len(writers[reg]) == 0 && !sigs[reg].set {
+			continue
+		}
+		fmt.Fprintf(&b, "r%d:{readers=%v writers=%v", reg, readers[reg], writers[reg])
+		if s := sigs[reg]; s.set {
+			fmt.Fprintf(&b, " sig={win=%d pr=%d r=%d w=%d}", s.winner, s.pr, s.r, s.w)
+		}
+		b.WriteString("} ")
 	}
-	return out
+	return b.String()
 }

@@ -2,13 +2,17 @@ package decode_test
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/construct"
 	"repro/internal/decode"
 	"repro/internal/encode"
+	"repro/internal/machine"
 	"repro/internal/mutex"
 	"repro/internal/perm"
+	"repro/internal/program"
 	"repro/internal/rmw"
 )
 
@@ -159,4 +163,89 @@ func TestDecodeAllPermsMatchesConstruction(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestDecodeRejectsBadBitLength: a bit length longer than the bits, or
+// negative, is an error, not a panic.
+func TestDecodeRejectsBadBitLength(t *testing.T) {
+	f, err := mutex.New(mutex.NameYangAnderson, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bitLen := range []int{64, 9, -1} {
+		if _, err := decode.Decode(f, []byte{0xff}, bitLen); err == nil {
+			t.Fatalf("bitLen=%d over one byte accepted", bitLen)
+		}
+	}
+}
+
+// TestDecodeRejectsOutOfRangeRegister: a cell whose process's pending step
+// names a register outside the factory's file ends the decode with an
+// error naming the register, for every shared cell tag.
+func TestDecodeRejectsOutOfRangeRegister(t *testing.T) {
+	for _, tag := range []encode.Tag{encode.TagR, encode.TagW, encode.TagWSig, encode.TagPR, encode.TagSR} {
+		layout := mutex.NewLayout()
+		layout.Reg("r", 0, -1)
+		b := program.NewBuilder("stray")
+		b.Try()
+		if tag == encode.TagW || tag == encode.TagWSig {
+			b.Write(5, program.Const(1))
+		} else {
+			b.Read(5, b.Var("x"))
+		}
+		b.Enter()
+		b.Exit()
+		b.Rem()
+		f := mutex.NewFactory("stray", layout, []*program.Program{b.MustBuild()})
+		var w encode.BitWriter
+		w.WriteBits(uint64(encode.TagC), 3)
+		w.WriteBits(uint64(tag), 3)
+		if tag == encode.TagWSig {
+			w.WriteGamma(1)
+			w.WriteGamma(1)
+			w.WriteGamma(1)
+		}
+		w.WriteBits(uint64(encode.TagC)+1, 3) // the column's end tag
+		_, err := decode.Decode(f, w.Bytes(), w.Len())
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1)") {
+			t.Fatalf("cell %v for a step on r5 with one register: got error %v, want one naming the register file", tag, err)
+		}
+	}
+}
+
+// TestDecodeTracedFlagsMatchReplay: the changed flags DecodeTraced returns
+// are the ones a fresh replay of α records, and α is Decode's, for every
+// register algorithm over all of S_3 (S_2 for dekker).
+func TestDecodeTracedFlagsMatchReplay(t *testing.T) {
+	for _, name := range mutex.Names() {
+		n := 3
+		if name == mutex.NameDekker {
+			n = 2
+		}
+		f, err := mutex.New(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.UsesRMW() {
+			continue
+		}
+		perm.ForEach(n, func(pi []int) bool {
+			_, _, enc := pipelineBits(t, name, pi)
+			alpha, changed, err := decode.DecodeTraced(f, enc.Bits, enc.BitLen)
+			if err != nil {
+				t.Fatalf("%s pi=%v: %v", name, pi, err)
+			}
+			_, want, err := machine.ReplayExecution(f, alpha)
+			if err != nil {
+				t.Fatalf("%s pi=%v: %v", name, pi, err)
+			}
+			if !slices.Equal(changed, want) {
+				t.Fatalf("%s pi=%v: decoder's flags %v, replay's %v", name, pi, changed, want)
+			}
+			if plain, err := decode.Decode(f, enc.Bits, enc.BitLen); err != nil || !plain.Equal(alpha) {
+				t.Fatalf("%s pi=%v: Decode disagrees with DecodeTraced (%v)", name, pi, err)
+			}
+			return true
+		})
+	}
 }

@@ -161,8 +161,12 @@ func cellFor(m *metastep.Meta, i int) (Cell, error) {
 
 // ParseBits reconstructs the table columns from the bitstring alone. The
 // decoder uses it as its getStep(E, i, j) primitive; nothing but the bits
-// and the process count crosses the boundary.
+// and the process count crosses the boundary. A bitLen that is negative or
+// longer than bitstr is an error.
 func ParseBits(bitstr []byte, bitLen, n int) ([][]Cell, error) {
+	if bitLen < 0 || bitLen > 8*len(bitstr) {
+		return nil, fmt.Errorf("encode: bit length %d outside [0,%d] for a %d-byte bitstring", bitLen, 8*len(bitstr), len(bitstr))
+	}
 	r := NewBitReader(bitstr, bitLen)
 	cols := make([][]Cell, n)
 	for i := 0; i < n; i++ {

@@ -51,10 +51,7 @@ func E10CCExtension(cfg Config) (*Table, error) {
 	eng := cfg.eng()
 	err := runner.MapOrdered(eng.Engine, len(jobs), func(ri int) (rowOut, error) {
 		j := jobs[ri]
-		f, err := algo(j.algo, j.n)
-		if err != nil {
-			return rowOut{}, err
-		}
+		factory := runner.LazyFactory(j.algo, j.n)
 		perms := perm.Sample(j.n, 6, cfg.Seed+int64(j.n)*31)
 		o := rowOut{perms: len(perms), minR: 1e9}
 		key := func(pi int) string {
@@ -65,7 +62,11 @@ func E10CCExtension(cfg Config) (*Table, error) {
 				Perm []int  `json:"perm"`
 			}{"E10", j.algo, j.n, perms[pi]})
 		}
-		err = runner.CachedMap(eng, len(perms), key, func(pi int) (permOut, error) {
+		err := runner.CachedMap(eng, len(perms), key, func(pi int) (permOut, error) {
+			f, err := factory()
+			if err != nil {
+				return permOut{}, err
+			}
 			p, err := core.Run(f, perms[pi])
 			if err != nil {
 				return permOut{}, fmt.Errorf("E10 %s n=%d: %w", j.algo, j.n, err)
@@ -159,7 +160,7 @@ func E11EncodingAblation(cfg Config) (*Table, error) {
 	}
 	err := runner.CachedMap(eng, len(jobs), key, func(ri int) (out, error) {
 		j := jobs[ri]
-		f, err := algo(j.algo, j.n)
+		f, err := runner.NewFactory(j.algo, j.n)
 		if err != nil {
 			return out{}, err
 		}

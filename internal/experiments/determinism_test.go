@@ -44,18 +44,14 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 // and ExhaustiveSweepCached aggregate to identical SweepStats at every worker
 // count for fixed seeds.
 func TestParallelSweepStatsIdentical(t *testing.T) {
-	f, err := mutex.New(mutex.NameYangAnderson, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	perms := perm.Sample(5, 40, 20060723)
 
-	base, err := core.SweepCached(runner.NewCached(runner.New(1), nil), f, perms)
+	base, err := core.SweepCached(runner.NewCached(runner.New(1), nil), mutex.NameYangAnderson, 5, perms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 8} {
-		got, err := core.SweepCached(runner.NewCached(runner.New(w), nil), f, perms)
+		got, err := core.SweepCached(runner.NewCached(runner.New(w), nil), mutex.NameYangAnderson, 5, perms)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -64,12 +60,12 @@ func TestParallelSweepStatsIdentical(t *testing.T) {
 		}
 	}
 
-	exBase, err := core.ExhaustiveSweepCached(runner.NewCached(runner.New(1), nil), f)
+	exBase, err := core.ExhaustiveSweepCached(runner.NewCached(runner.New(1), nil), mutex.NameYangAnderson, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 8} {
-		got, err := core.ExhaustiveSweepCached(runner.NewCached(runner.New(w), nil), f)
+		got, err := core.ExhaustiveSweepCached(runner.NewCached(runner.New(w), nil), mutex.NameYangAnderson, 5)
 		if err != nil {
 			t.Fatalf("exhaustive workers=%d: %v", w, err)
 		}

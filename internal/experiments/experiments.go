@@ -26,7 +26,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/perm"
-	"repro/internal/program"
 	"repro/internal/runner"
 	"repro/internal/store"
 )
@@ -140,10 +139,6 @@ func All() []struct {
 	}
 }
 
-func algo(name string, n int) (program.Factory, error) {
-	return runner.NewFactory(name, n)
-}
-
 func f2(v float64) string    { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string    { return fmt.Sprintf("%.1f", v) }
 func itoa(v int) string      { return fmt.Sprintf("%d", v) }
@@ -188,16 +183,13 @@ func E1LowerBound(cfg Config) (*Table, error) {
 	}
 	err := runner.MapOrdered(eng.Engine, len(jobs), func(i int) (out, error) {
 		j := jobs[i]
-		f, err := algo(j.algo, j.n)
-		if err != nil {
-			return out{}, err
-		}
 		o := out{kind: "sample"}
+		var err error
 		if j.exhaustive {
 			o.kind = "all S_n"
-			o.stats, err = core.ExhaustiveSweepCached(eng, f)
+			o.stats, err = core.ExhaustiveSweepCached(eng, j.algo, j.n)
 		} else {
-			o.stats, err = core.SweepCached(eng, f, perm.Sample(j.n, j.k, cfg.Seed+int64(j.n)))
+			o.stats, err = core.SweepCached(eng, j.algo, j.n, perm.Sample(j.n, j.k, cfg.Seed+int64(j.n)))
 		}
 		if err != nil {
 			return out{}, fmt.Errorf("E1 %s n=%d: %w", j.algo, j.n, err)
@@ -309,10 +301,7 @@ func E3EntryOrder(cfg Config) (*Table, error) {
 	}
 	err := runner.MapOrdered(eng.Engine, len(jobs), func(ri int) (out, error) {
 		j := jobs[ri]
-		f, err := algo(j.algo, j.n)
-		if err != nil {
-			return out{}, err
-		}
+		factory := runner.LazyFactory(j.algo, j.n)
 		var perms [][]int
 		if j.k == 0 {
 			perm.ForEach(j.n, func(pi []int) bool {
@@ -334,7 +323,11 @@ func E3EntryOrder(cfg Config) (*Table, error) {
 				Idx  int    `json:"idx"`
 			}{"E3", j.algo, j.n, perms[pi], cfg.Seed, ri, pi})
 		}
-		err = runner.CachedMap(eng, len(perms), key, func(pi int) (count, error) {
+		err := runner.CachedMap(eng, len(perms), key, func(pi int) (count, error) {
+			f, err := factory()
+			if err != nil {
+				return count{}, err
+			}
 			p, err := core.Run(f, perms[pi])
 			if err != nil {
 				return count{}, fmt.Errorf("E3 %s n=%d pi=%v: %w", j.algo, j.n, perms[pi], err)
@@ -415,11 +408,7 @@ func E4EncodingLength(cfg Config) (*Table, error) {
 	eng := cfg.eng()
 	err := runner.MapOrdered(eng.Engine, len(jobs), func(i int) (core.SweepStats, error) {
 		j := jobs[i]
-		f, err := algo(j.algo, j.n)
-		if err != nil {
-			return core.SweepStats{}, err
-		}
-		stats, err := core.SweepCached(eng, f, perm.Sample(j.n, 6, cfg.Seed+int64(j.n)))
+		stats, err := core.SweepCached(eng, j.algo, j.n, perm.Sample(j.n, 6, cfg.Seed+int64(j.n)))
 		if err != nil {
 			return stats, fmt.Errorf("E4 %s n=%d: %w", j.algo, j.n, err)
 		}
@@ -473,11 +462,7 @@ func E5DecodeInjectivity(cfg Config) (*Table, error) {
 	eng := cfg.eng()
 	err := runner.MapOrdered(eng.Engine, len(jobs), func(i int) (core.SweepStats, error) {
 		j := jobs[i]
-		f, err := algo(j.algo, j.n)
-		if err != nil {
-			return core.SweepStats{}, err
-		}
-		stats, err := core.ExhaustiveSweepCached(eng, f)
+		stats, err := core.ExhaustiveSweepCached(eng, j.algo, j.n)
 		if err != nil {
 			return stats, fmt.Errorf("E5 %s n=%d: %w", j.algo, j.n, err)
 		}
@@ -525,10 +510,7 @@ func E6LinearizationCost(cfg Config) (*Table, error) {
 	eng := cfg.eng()
 	err := runner.MapOrdered(eng.Engine, len(jobs), func(ri int) (int, error) {
 		j := jobs[ri]
-		f, err := algo(j.algo, j.n)
-		if err != nil {
-			return 0, err
-		}
+		factory := runner.LazyFactory(j.algo, j.n)
 		worst := 1
 		key := func(trial int) string {
 			return ukey(struct {
@@ -540,7 +522,11 @@ func E6LinearizationCost(cfg Config) (*Table, error) {
 				Trial int    `json:"trial"`
 			}{"E6", j.algo, j.n, cfg.Seed, ri, trial})
 		}
-		err = runner.CachedMap(eng, trials, key, func(trial int) (int, error) {
+		err := runner.CachedMap(eng, trials, key, func(trial int) (int, error) {
+			f, err := factory()
+			if err != nil {
+				return 0, err
+			}
 			// Each trial draws its permutation and its linearizations from
 			// an rng addressed by (experiment, row, trial).
 			rng := rand.New(rand.NewSource(runner.MixSeed(cfg.Seed, 6, int64(ri), int64(trial))))
@@ -715,11 +701,7 @@ func E9InformationBound(cfg Config) (*Table, error) {
 	eng := cfg.eng()
 	err := runner.MapOrdered(eng.Engine, len(ns), func(i int) (core.SweepStats, error) {
 		n := ns[i]
-		f, err := algo("yang-anderson", n)
-		if err != nil {
-			return core.SweepStats{}, err
-		}
-		stats, err := core.ExhaustiveSweepCached(eng, f)
+		stats, err := core.ExhaustiveSweepCached(eng, "yang-anderson", n)
 		if err != nil {
 			return stats, fmt.Errorf("E9 n=%d: %w", n, err)
 		}

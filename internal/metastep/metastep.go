@@ -1,6 +1,6 @@
 // Package metastep implements Definition 5.1 of the paper: metasteps,
 // partial orders over them, and linearization (the Seq, Lin and Plin
-// procedures of Figure 1).
+// procedures of Figure 1; Plin is LinSubset over an ancestor set).
 //
 // A metastep bundles a set of same-register steps so that expanding it —
 // non-winning writes first, then the winning write, then the reads — hides
@@ -311,35 +311,61 @@ func (s *Set) AddEdge(a, b ID) {
 	s.preds[b] = append(s.preds[b], a)
 }
 
-// AncestorsOf returns the set {µ : µ ≼ m} (including m itself) as a
-// boolean slice indexed by ID, computed by reverse breadth-first search
-// over the explicit edges.
-func (s *Set) AncestorsOf(m ID) []bool {
-	anc := make([]bool, len(s.metas))
-	if m == None {
-		return anc
+// ExtendAncestors marks {µ : µ ≼ m} in anc, an ancestor set indexed by
+// ID, and returns anc grown to Len() with queue, the search's scratch
+// space, for reuse. The reverse breadth-first search over the explicit
+// edges stops at metasteps anc already marks, so anc must be downward
+// closed (every ancestor of a marked metastep is marked), as every set
+// built by ExtendAncestors alone is while the edges into its members stay
+// fixed. Then each metastep is visited once however many calls grow the
+// same set. m == None only grows anc.
+func (s *Set) ExtendAncestors(anc []bool, m ID, queue []ID) ([]bool, []ID) {
+	if grow := len(s.metas) - len(anc); grow > 0 {
+		anc = append(anc, make([]bool, grow)...)
 	}
-	queue := []ID{m}
+	if m == None || anc[m] {
+		return anc, queue
+	}
 	anc[m] = true
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range s.preds[cur] {
+	return anc, s.markAncestors(anc, append(queue[:0], m))
+}
+
+// Maximal returns the ≼-maximal elements of cands, in the order given. A
+// candidate is not maximal exactly when it is a proper ancestor of another
+// candidate, so one reverse search from the candidates marks every such
+// candidate. No candidate may lie in anc, a downward-closed set such as an
+// ancestor set: then no path between two candidates passes through anc,
+// and the search never enters it. The search marks what it visits in anc
+// and clears those marks before it returns, so anc comes back as it was;
+// queue is scratch space, returned for reuse.
+func (s *Set) Maximal(cands []ID, anc []bool, queue []ID) ([]ID, []ID) {
+	queue = s.markAncestors(anc, append(queue[:0], cands...))
+	var maximal []ID
+	for _, c := range cands {
+		if !anc[c] {
+			maximal = append(maximal, c)
+		}
+	}
+	for _, id := range queue {
+		anc[id] = false
+	}
+	return maximal, queue
+}
+
+// markAncestors marks in anc every unmarked metastep ordered before one in
+// queue, appending each to queue as it marks it, and returns queue: a
+// reverse breadth-first search that does not pass through marked
+// metasteps.
+func (s *Set) markAncestors(anc []bool, queue []ID) []ID {
+	for k := 0; k < len(queue); k++ {
+		for _, p := range s.preds[queue[k]] {
 			if !anc[p] {
 				anc[p] = true
 				queue = append(queue, p)
 			}
 		}
 	}
-	return anc
-}
-
-// Reaches reports whether a ≼ b (a == b counts).
-func (s *Set) Reaches(a, b ID) bool {
-	if a == b {
-		return true
-	}
-	return s.AncestorsOf(b)[a]
+	return queue
 }
 
 // CheckAcyclic verifies the explicit edges form a DAG, i.e. ≼ is a partial
@@ -473,15 +499,6 @@ func (s *Set) LinSubset(subset []bool, rng *rand.Rand) (model.Execution, error) 
 		out = append(out, Seq(s.metas[id], rng)...)
 	}
 	return out, nil
-}
-
-// Plin produces a linearization of {µ : µ ≼ m} (Figure 1, procedure Plin).
-// m == None yields the empty execution.
-func (s *Set) Plin(m ID, rng *rand.Rand) (model.Execution, error) {
-	if m == None {
-		return nil, nil
-	}
-	return s.LinSubset(s.AncestorsOf(m), rng)
 }
 
 // TotalSteps returns the number of steps across all metasteps.

@@ -2,6 +2,7 @@ package metastep_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/metastep"
@@ -75,22 +76,130 @@ func TestChains(t *testing.T) {
 	}
 }
 
-func TestAncestorsReaches(t *testing.T) {
+// ancestors returns {µ : µ ≼ m} computed afresh.
+func ancestors(s *metastep.Set, m metastep.ID) []bool {
+	anc, _ := s.ExtendAncestors(nil, m, nil)
+	return anc
+}
+
+// TestExtendAncestors pins the ancestor set: m and everything ordered
+// before it, sized to the whole set; grown from a smaller ancestor set it
+// equals the fresh one, and its search stops at what is already marked.
+func TestExtendAncestors(t *testing.T) {
 	s := buildDiamond(t)
-	anc := s.AncestorsOf(3) // c1
+	anc := ancestors(s, 3) // c1
 	for _, id := range []metastep.ID{0, 1, 2, 3} {
 		if !anc[id] {
 			t.Fatalf("m%d should precede c1", id)
 		}
 	}
-	if !s.Reaches(0, 3) || s.Reaches(3, 0) {
-		t.Fatal("Reaches disagrees with edge structure")
+	if pr := ancestors(s, 1); !pr[1] || pr[0] || pr[2] || pr[3] {
+		t.Fatalf("ancestors of the preread = %v, want only itself", pr)
 	}
-	if !s.Reaches(2, 2) {
-		t.Fatal("Reaches must be reflexive")
+	if none := ancestors(s, metastep.None); len(none) != s.Len() || none[0] || none[3] {
+		t.Fatalf("ancestors of None = %v, want an all-false slice of full length", none)
 	}
-	if anc := s.AncestorsOf(metastep.None); len(anc) != s.Len() {
-		t.Fatal("AncestorsOf(None) should be an all-false slice of full length")
+
+	grown, queue := s.ExtendAncestors(nil, 2, nil) // mw: {c0, pr, mw}
+	grown, queue = s.ExtendAncestors(grown, 3, queue)
+	if len(queue) != 1 || queue[0] != 3 {
+		t.Fatalf("extending {c0, pr, mw} by c1 visited %v, want only c1", queue)
+	}
+	for id := range anc {
+		if grown[id] != anc[id] {
+			t.Fatalf("grown ancestor set %v differs from the fresh one %v", grown, anc)
+		}
+	}
+	c2 := s.NewCritMeta(crit(0, model.CritExit))
+	if grown, _ = s.ExtendAncestors(grown, metastep.None, queue); len(grown) != s.Len() || grown[c2.ID] {
+		t.Fatalf("extending by None gave %v, want the same set grown to %d", grown, s.Len())
+	}
+}
+
+// TestMaximal pins the maximal-candidate search: a candidate below another,
+// directly or through other metasteps, is dropped; the rest come back in
+// the order given, and the ancestor set the search borrows is restored.
+func TestMaximal(t *testing.T) {
+	s := metastep.NewSet(4)
+	c0 := s.NewCritMeta(crit(0, model.CritTry))
+	r1 := s.NewReadMeta(r(1, 0))
+	x := s.NewCritMeta(crit(2, model.CritTry))
+	r2 := s.NewReadMeta(r(2, 0))
+	r3 := s.NewReadMeta(r(3, 0))
+	s.AddEdge(c0.ID, r3.ID)
+	s.AddEdge(r1.ID, x.ID) // r1 ≼ x ≼ r2, through a non-candidate
+	s.AddEdge(x.ID, r2.ID)
+	anc := ancestors(s, c0.ID)
+	got, _ := s.Maximal([]metastep.ID{r3.ID, r1.ID, r2.ID}, anc, nil)
+	if len(got) != 2 || got[0] != r3.ID || got[1] != r2.ID {
+		t.Fatalf("Maximal = %v, want [m%d m%d]", got, r3.ID, r2.ID)
+	}
+	if want := ancestors(s, c0.ID); len(anc) != len(want) || anc[x.ID] || anc[r1.ID] || !anc[c0.ID] {
+		t.Fatalf("Maximal left the ancestor set as %v, want %v", anc, want)
+	}
+}
+
+// TestAncestrySearchesMatchPairwise checks both searches on random DAGs
+// against their definitions: an ancestor set grown through a chain of
+// metasteps equals the fresh set of the chain's last element, and Maximal
+// keeps exactly the candidates outside the set that precede no other
+// candidate.
+func TestAncestrySearchesMatchPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		size := 2 + rng.Intn(30)
+		s := metastep.NewSet(1)
+		for id := 0; id < size; id++ {
+			s.NewReadMeta(r(0, 0))
+			for k := rng.Intn(3); k > 0 && id > 0; k-- {
+				s.AddEdge(metastep.ID(rng.Intn(id)), metastep.ID(id))
+			}
+		}
+		// A chain m_1 ≼ m_2 ≼ …: each step adds the edge old → new, as
+		// generate's m′ does.
+		var anc []bool
+		var queue []metastep.ID
+		last := metastep.None
+		for step := 0; step < 4; step++ {
+			next := metastep.ID(rng.Intn(size))
+			if last != metastep.None {
+				if ancestors(s, last)[next] {
+					continue // the edge last → next would close a cycle
+				}
+				s.AddEdge(last, next)
+			}
+			last = next
+			anc, queue = s.ExtendAncestors(anc, last, queue)
+			if want := ancestors(s, last); !slices.Equal(anc, want) {
+				t.Fatalf("trial %d: grown ancestor set %v, fresh %v", trial, anc, want)
+			}
+		}
+		var cands []metastep.ID
+		for id := 0; id < size; id++ {
+			if !anc[id] && rng.Intn(2) == 0 {
+				cands = append(cands, metastep.ID(id))
+			}
+		}
+		var want []metastep.ID
+		for _, c := range cands {
+			isMax := true
+			for _, d := range cands {
+				if c != d && ancestors(s, d)[c] {
+					isMax = false
+				}
+			}
+			if isMax {
+				want = append(want, c)
+			}
+		}
+		before := append([]bool(nil), anc...)
+		got, _ := s.Maximal(cands, anc, queue)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Maximal(%v) = %v, pairwise %v", trial, cands, got, want)
+		}
+		if !slices.Equal(anc, before) {
+			t.Fatalf("trial %d: Maximal changed the ancestor set", trial)
+		}
 	}
 }
 
@@ -140,9 +249,11 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 	}
 }
 
+// TestPlinSubset: Plin(M, ≼, m) of Figure 1 is LinSubset over m's
+// ancestor set.
 func TestPlinSubset(t *testing.T) {
 	s := buildDiamond(t)
-	exec, err := s.Plin(2, nil) // up to mw
+	exec, err := s.LinSubset(ancestors(s, 2), nil) // up to mw
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +266,7 @@ func TestPlinSubset(t *testing.T) {
 			t.Fatal("Plin(mw) must not contain c1's step")
 		}
 	}
-	empty, err := s.Plin(metastep.None, nil)
+	empty, err := s.LinSubset(ancestors(s, metastep.None), nil)
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("Plin(None) = %v, %v", empty, err)
 	}

@@ -13,7 +13,7 @@ package model
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Value is the contents of a shared register. The paper allows an arbitrary
@@ -143,20 +143,49 @@ type Step struct {
 //repro:hotpath
 func (s Step) IsShared() bool { return s.Kind != KindCrit }
 
-// String renders the step in the paper's notation, e.g. "write_3(r5, 1)".
-func (s Step) String() string {
+// String renders the step in the paper's notation, e.g. "write_3(r5,1)".
+func (s Step) String() string { return string(s.Append(nil)) }
+
+// Append appends the step's String form to b and returns the result.
+func (s Step) Append(b []byte) []byte {
 	switch s.Kind {
 	case KindRead:
-		return fmt.Sprintf("read_%d(r%d)=%d", s.Proc, s.Reg, s.Val)
+		b = appendOp(b, "read", s.Proc, s.Reg)
+		b = append(b, ")="...)
+		return strconv.AppendInt(b, s.Val, 10)
 	case KindWrite:
-		return fmt.Sprintf("write_%d(r%d,%d)", s.Proc, s.Reg, s.Val)
+		b = appendOp(b, "write", s.Proc, s.Reg)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, s.Val, 10)
+		return append(b, ')')
 	case KindCrit:
-		return fmt.Sprintf("%s_%d", s.Crit, s.Proc)
+		b = append(b, s.Crit.String()...)
+		b = append(b, '_')
+		return strconv.AppendInt(b, int64(s.Proc), 10)
 	case KindRMW:
-		return fmt.Sprintf("%s_%d(r%d,%d,%d)=%d", s.RMW, s.Proc, s.Reg, s.Arg1, s.Arg2, s.Val)
+		b = appendOp(b, s.RMW.String(), s.Proc, s.Reg)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, s.Arg1, 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, s.Arg2, 10)
+		b = append(b, ")="...)
+		return strconv.AppendInt(b, s.Val, 10)
 	default:
-		return fmt.Sprintf("step_%d(kind=%d)", s.Proc, s.Kind)
+		b = append(b, "step_"...)
+		b = strconv.AppendInt(b, int64(s.Proc), 10)
+		b = append(b, "(kind="...)
+		b = strconv.AppendUint(b, uint64(s.Kind), 10)
+		return append(b, ')')
 	}
+}
+
+// appendOp appends "op_proc(rreg", the common head of a shared step.
+func appendOp(b []byte, op string, proc int, reg RegID) []byte {
+	b = append(b, op...)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(proc), 10)
+	b = append(b, "(r"...)
+	return strconv.AppendInt(b, int64(reg), 10)
 }
 
 // SameOperation reports whether two steps denote the same operation by the
@@ -240,16 +269,20 @@ func (e Execution) EntryOrder() []int {
 	return order
 }
 
-// String renders the execution one step per line.
-func (e Execution) String() string {
-	var b strings.Builder
+// String renders the execution as its steps' String forms separated by
+// single spaces.
+func (e Execution) String() string { return string(e.Append(nil)) }
+
+// Append appends the execution's String form to b and returns the result,
+// formatting nothing through fmt.
+func (e Execution) Append(b []byte) []byte {
 	for i, s := range e {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		b.WriteString(s.String())
+		b = s.Append(b)
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports whether two executions are identical step for step.

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -186,5 +187,44 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.Contains(model.Kind(99).String(), "99") {
 		t.Error("unknown kind should include the raw value")
+	}
+}
+
+// fmtStep is the fmt rendering Step.String had before it appended
+// without fmt; the stored sweep hashes are digests of these bytes.
+func fmtStep(s model.Step) string {
+	switch s.Kind {
+	case model.KindRead:
+		return fmt.Sprintf("read_%d(r%d)=%d", s.Proc, s.Reg, s.Val)
+	case model.KindWrite:
+		return fmt.Sprintf("write_%d(r%d,%d)", s.Proc, s.Reg, s.Val)
+	case model.KindCrit:
+		return fmt.Sprintf("%s_%d", s.Crit, s.Proc)
+	case model.KindRMW:
+		return fmt.Sprintf("%s_%d(r%d,%d,%d)=%d", s.RMW, s.Proc, s.Reg, s.Arg1, s.Arg2, s.Val)
+	default:
+		return fmt.Sprintf("step_%d(kind=%d)", s.Proc, s.Kind)
+	}
+}
+
+// TestAppendMatchesFmt: Step.Append and Execution.Append give the bytes
+// fmt gave, for every kind (unknown kinds and sub-kinds included) and any
+// field values, after whatever b already holds.
+func TestAppendMatchesFmt(t *testing.T) {
+	check := func(proc int, kind, crit, rmw uint8, reg int, val, arg1, arg2 int64) bool {
+		s := model.Step{
+			Proc: proc, Kind: model.Kind(kind % 6), Reg: model.RegID(reg), Val: val,
+			Crit: model.CritKind(crit % 6), RMW: model.RMWKind(rmw % 6), Arg1: arg1, Arg2: arg2,
+		}
+		want := fmtStep(s)
+		exec := model.Execution{s, s}
+		return s.String() == want && string(s.Append([]byte("x"))) == "x"+want &&
+			exec.String() == want+" "+want && string(exec.Append([]byte("y"))) == "y"+want+" "+want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := (model.Execution{}).String(); got != "" {
+		t.Fatalf("empty execution renders %q", got)
 	}
 }

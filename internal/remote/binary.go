@@ -142,6 +142,8 @@ func newBinaryDecoder(r io.Reader, gz bool) (*binaryDecoder, error) {
 
 // readChunk reads one uvarint-length-prefixed byte string into a fresh
 // slice (the caller retains it). A nil slice is returned for length zero.
+// io.EOF means the stream ended before the length prefix; a stream that
+// ends after it is cut, and reports io.ErrUnexpectedEOF.
 //
 //repro:hotpath
 func (d *binaryDecoder) readChunk() ([]byte, error) {
@@ -157,6 +159,9 @@ func (d *binaryDecoder) readChunk() ([]byte, error) {
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(d.br, b); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, errTruncatedRecord(err)
 	}
 	return b, nil

@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,6 +81,69 @@ func TestBinaryDecoderRejectsGarbage(t *testing.T) {
 	defer dec.Close()
 	if _, _, _, err := dec.Next(); err == nil {
 		t.Fatal("truncated record decoded without error")
+	}
+}
+
+// cutAfterKeyLength is an RSB1 body holding one complete record and then
+// only the next record's key-length prefix: a stream cut inside a record.
+func cutAfterKeyLength(t *testing.T, gz bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := newBinaryEncoder(&buf, false)
+	enc.Record("k1", []byte(`{"v":1}`))
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(2) // uvarint(len("k2")), and nothing after it
+	if !gz {
+		return buf.Bytes()
+	}
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return zbuf.Bytes()
+}
+
+// TestBinaryDecoderRejectsCutAfterLength: a stream that ends right after a
+// key's length prefix is cut inside a record, not cleanly ended between
+// records, with and without gzip.
+func TestBinaryDecoderRejectsCutAfterLength(t *testing.T) {
+	for _, gz := range []bool{false, true} {
+		dec, err := newBinaryDecoder(bytes.NewReader(cutAfterKeyLength(t, gz)), gz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		err = dec.each(func(string, []byte) error { records++; return nil })
+		dec.Close()
+		if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("gz=%v: %d records then err=%v, want io.ErrUnexpectedEOF", gz, records, err)
+		}
+	}
+}
+
+// TestMPutRejectsCutBody: a gzipped mput body cut after a key's length
+// prefix gets 400, not a 200 that counts only the records before the cut.
+func TestMPutRejectsCutBody(t *testing.T) {
+	ts, _ := openBinaryTestServer(t)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/mput", bytes.NewReader(cutAfterKeyLength(t, true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", binaryContentType)
+	req.Header.Set("Content-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mput of a cut body: got %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -95,6 +95,63 @@ func TestFanOutBuildsEachCellOnce(t *testing.T) {
 	}
 }
 
+// TestFactoryNameMatchesBuild: FactoryName names every registered
+// algorithm's factory as the factory itself does, so keys built from it
+// address the same units as keys built from a factory's Name.
+func TestFactoryNameMatchesBuild(t *testing.T) {
+	for _, name := range mutex.Names() {
+		if name == countedAlgo {
+			continue // a test wrapper around bakery, named as bakery
+		}
+		for n := 1; n <= 6; n++ {
+			f, err := runner.NewFactory(name, n)
+			if err != nil {
+				continue // n outside the algorithm's range
+			}
+			if got, want := runner.FactoryName(name, n), f.Name(); got != want {
+				t.Errorf("FactoryName(%q, %d) = %q, factory says %q", name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestLazyFactoryBuildsOnce: a LazyFactory nobody calls builds nothing,
+// and one called from many goroutines builds once and hands every caller
+// the same factory.
+func TestLazyFactoryBuildsOnce(t *testing.T) {
+	if _, total := countBuilds(func() { runner.LazyFactory(countedAlgo, 3) }); total != 0 {
+		t.Fatalf("an uncalled LazyFactory built %d factories", total)
+	}
+	lazy := runner.LazyFactory(countedAlgo, 3)
+	got := make([]any, 8)
+	_, total := countBuilds(func() {
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f, err := lazy()
+				if err != nil {
+					t.Error(err)
+				}
+				got[i] = f
+			}()
+		}
+		wg.Wait()
+	})
+	if total != 1 {
+		t.Fatalf("8 concurrent calls built %d factories, want 1", total)
+	}
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("call %d got a different factory", i)
+		}
+	}
+	if _, err := runner.LazyFactory("no-such-lock", 3)(); err == nil {
+		t.Fatal("LazyFactory of an unknown algorithm built something")
+	}
+}
+
 // TestExecuteUnknownAlgo checks that a factory that fails to resolve
 // reaches every unit naming it in-band, on its Result, while the units
 // around it run as usual.

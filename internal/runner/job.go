@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"strconv"
 	"sync"
 
 	"repro/internal/cost"
@@ -64,6 +65,23 @@ func NewFactory(name string, n int) (program.Factory, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// FactoryName returns the Name of the factory NewFactory(name, n) builds,
+// without building it: every registered algorithm names its factory
+// "name(n=N)". Store keys that carry a factory's name use it, so a fan-out
+// served from the store need not build the factory to address its units.
+func FactoryName(name string, n int) string {
+	return name + "(n=" + strconv.Itoa(n) + ")"
+}
+
+// LazyFactory returns a function that builds the factory of a registered
+// algorithm at n processes on its first call, once, and returns that
+// factory, or the build error, on every call from any goroutine. A fan-out
+// that resolves its factory through it from its executed units builds it
+// at most once, and not at all when the store serves every unit.
+func LazyFactory(name string, n int) func() (program.Factory, error) {
+	return sync.OnceValues(func() (program.Factory, error) { return NewFactory(name, n) })
 }
 
 // cell names one factory: a registered algorithm at a process count.

@@ -167,8 +167,12 @@ func DecodeRecord(b []byte) (Record, error) {
 	if rec.N <= 0 || steps > maxRecordSteps {
 		return rec, fmt.Errorf("trace: implausible record header (n=%d, steps=%d)", rec.N, steps)
 	}
-	rec.Exec = make(model.Execution, 0, steps)
-	rec.Changed = make([]bool, 0, steps)
+	// Preallocate no more than the remaining bytes can hold, at two bytes
+	// (a process and a flag byte) per step: the header's count is not yet
+	// checked against the record.
+	prealloc := min(steps, uint64(len(r.buf)/2))
+	rec.Exec = make(model.Execution, 0, prealloc)
+	rec.Changed = make([]bool, 0, prealloc)
 	for t := uint64(0); t < steps; t++ {
 		proc := r.uvarint()
 		fb := r.bytes(1)

@@ -2,7 +2,9 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -178,5 +180,49 @@ func TestVerifyRecord(t *testing.T) {
 	}
 	if _, err := trace.VerifyRecord(f2, rec); err == nil {
 		t.Error("mismatched process count verified")
+	}
+}
+
+// TestDecodeRecordAllocationBoundedByInput: a 12-byte blob whose header
+// claims 2²² steps is refused as truncated without allocating for the
+// steps it claims, and valid records still round-trip byte for byte.
+func TestDecodeRecordAllocationBoundedByInput(t *testing.T) {
+	blob := []byte("RTB1")
+	blob = binary.AppendUvarint(blob, 1)
+	blob = append(blob, 'a')
+	blob = binary.AppendUvarint(blob, 1)     // n
+	blob = binary.AppendUvarint(blob, 0)     // horizon
+	blob = binary.AppendUvarint(blob, 1<<22) // steps
+	if len(blob) != 12 {
+		t.Fatalf("test blob is %d bytes, want 12", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := trace.DecodeRecord(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "trace: truncated record" {
+		t.Fatalf("DecodeRecord = %v, want trace: truncated record", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("decoding a 12-byte blob allocated %d bytes, want under 64 KB", grew)
+	}
+
+	for _, name := range []string{mutex.NameYangAnderson, mutex.NameBakery} {
+		_, rec := liveRecord(t, name, 4)
+		enc, err := trace.EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.DecodeRecord(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := trace.EncodeRecord(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("%s: record does not round-trip byte for byte", name)
+		}
 	}
 }

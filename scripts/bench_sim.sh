@@ -4,8 +4,11 @@
 # trajectory (System.Step across step kinds, the greedy adversary's
 # per-decision lookahead, a whole canonical run, the adversary's full
 # quick-config schedule search cold and through a warm result store, the
-# trace-capture tax on one executed job, off vs on, and building one
-# algorithm factory, which a fan-out does once per (algo, n) it executes).
+# trace-capture tax on one executed job, off vs on, building one
+# algorithm factory, which a fan-out does once per (algo, n) it executes,
+# and the proof pipeline's construction and decoding steps alone, on
+# yang-anderson: BenchmarkConstruct at n = 4…32 and BenchmarkDecode at
+# n = 8…32, the encoding built before the timer starts).
 #
 # Usage: scripts/bench_sim.sh [output.json]
 #
@@ -29,7 +32,7 @@ if [ -f "$out" ]; then
   baseline="$(awk '/^"baseline":\[/{f=1;next} /^\],/{f=0} f' "$out")"
 fi
 
-go test -run '^$' -bench 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$|BenchmarkGreedyNext$|BenchmarkCanonicalRun$|BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$|BenchmarkCaptureOverhead$|BenchmarkNewFactory$' -benchmem ./internal/machine ./internal/adversary ./internal/runner >"$tmp"
+go test -run '^$' -bench 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$|BenchmarkGreedyNext$|BenchmarkCanonicalRun$|BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$|BenchmarkCaptureOverhead$|BenchmarkNewFactory$|BenchmarkConstruct$|BenchmarkDecode$' -benchmem ./internal/machine ./internal/adversary ./internal/runner . >"$tmp"
 
 go_version="$(go env GOVERSION)"
 awk -v go_version="$go_version" -v baseline="$baseline" '
