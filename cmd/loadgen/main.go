@@ -22,9 +22,9 @@
 // The report (stdout, one JSON object with -json, aligned text otherwise)
 // carries request percentiles (p50/p90/p99), the error and rejection
 // counts, and the server-side cache hit rate and coalescing count diffed
-// from /v1/stats before and after the run. scripts/bench_serve.sh wires
-// this against a routed two-stored fleet and commits the result as
-// BENCH_serve.json.
+// from /v1/stats before and after the run. CI's experimentd smoke runs it
+// against a routed two-stored fleet and checks that no request failed or
+// was refused.
 package main
 
 import (
@@ -70,7 +70,7 @@ type serverStats struct {
 	Served    int64 `json:"served"`
 }
 
-// report is the run's outcome, the row bench_serve.sh commits.
+// report is the run's outcome, the object -json prints.
 type report struct {
 	Requests  int     `json:"requests"`
 	Units     int     `json:"units"`

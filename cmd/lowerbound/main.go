@@ -114,19 +114,15 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	f, err := repro.NewAlgorithm(*algoName, *n)
-	if err != nil {
-		return err
-	}
 	pi, err := parsePerm(*permSpec, *n, *seed)
 	if err != nil {
 		return err
 	}
-	p, proof, err := prove(s, f, pi, *verbose)
+	p, proof, err := prove(s, *algoName, pi, *verbose)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "algorithm   %s\n", f.Name())
+	fmt.Fprintf(w, "algorithm   %s\n", runner.FactoryName(*algoName, *n))
 	fmt.Fprintf(w, "perm        %v\n", pi)
 	fmt.Fprintf(w, "metasteps   %d (%d steps, %d construct iterations)\n",
 		p.Metasteps, p.Steps, p.Iterations)
@@ -143,10 +139,12 @@ func run(args []string, w io.Writer) error {
 
 // prove resolves one proof's printable statistics as a one-unit fan-out
 // on the session's cached engine: from the store when it holds them, by
-// running the pipeline otherwise (writing back on success). -v always
-// runs, and so keys nothing — its views need the full proof, which the
-// store deliberately does not carry.
-func prove(s *session.Session, f repro.Algorithm, pi []int, verbose bool) (p provePayload, proof *repro.Proof, err error) {
+// building algo's factory and running the pipeline otherwise (writing
+// back on success), so a proof the store serves builds no factory. The
+// key names the factory as runner.FactoryName, its Name without building
+// it. -v always runs, and so keys nothing — its views need the full
+// proof, which the store deliberately does not carry.
+func prove(s *session.Session, algo string, pi []int, verbose bool) (p provePayload, proof *repro.Proof, err error) {
 	key := func(int) string {
 		if verbose {
 			return ""
@@ -156,9 +154,13 @@ func prove(s *session.Session, f repro.Algorithm, pi []int, verbose bool) (p pro
 			Algo string `json:"algo"`
 			N    int    `json:"n"`
 			Perm []int  `json:"perm"`
-		}{"prove", f.Name(), len(pi), pi})
+		}{"prove", runner.FactoryName(algo, len(pi)), len(pi), pi})
 	}
 	err = runner.CachedMap(s.Engine(), 1, key, func(int) (provePayload, error) {
+		f, err := repro.NewAlgorithm(algo, len(pi))
+		if err != nil {
+			return provePayload{}, err
+		}
 		pf, err := repro.Prove(f, pi)
 		if err != nil {
 			return provePayload{}, err

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/mutex"
 	"repro/internal/session/sessiontest"
 	"repro/internal/store"
 )
@@ -62,6 +65,71 @@ func TestCachedOutputUnchanged(t *testing.T) {
 		}
 		if cold.String() != warm.String() {
 			t.Fatalf("%v: warm output diverged from cold:\n%s\nvs\n%s", base, warm.String(), cold.String())
+		}
+	}
+}
+
+// countedAlgo is yang-anderson under a test-only name, registered with a
+// wrapper that counts the factories it builds.
+const countedAlgo = "counted-yang-anderson"
+
+var factoryBuilds atomic.Int64
+
+func init() {
+	mutex.Register(countedAlgo, func(n int) (*mutex.Factory, error) {
+		factoryBuilds.Add(1)
+		return mutex.YangAnderson(n)
+	})
+}
+
+// TestWarmProofBuildsNoFactory pins that a single-permutation proof the
+// store serves builds no factory: the cold run builds exactly one, the
+// warm run none, and both print the same bytes.
+func TestWarmProofBuildsNoFactory(t *testing.T) {
+	args := []string{"-algo", countedAlgo, "-n", "4", "-perm", "2,0,3,1", "-cache", t.TempDir()}
+	var cold, warm bytes.Buffer
+	factoryBuilds.Store(0)
+	if err := run(args, &cold); err != nil {
+		t.Fatal(err)
+	}
+	if n := factoryBuilds.Load(); n != 1 {
+		t.Fatalf("cold run built %d factories, want 1", n)
+	}
+	factoryBuilds.Store(0)
+	if err := run(args, &warm); err != nil {
+		t.Fatal(err)
+	}
+	if n := factoryBuilds.Load(); n != 0 {
+		t.Fatalf("warm run built %d factories, want 0", n)
+	}
+	if cold.String() != warm.String() {
+		t.Fatalf("warm output diverged from cold:\n%s\nvs\n%s", warm.String(), cold.String())
+	}
+	// -v always runs the pipeline, so it builds the factory again.
+	factoryBuilds.Store(0)
+	if err := run(append(args, "-v"), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if n := factoryBuilds.Load(); n != 1 {
+		t.Fatalf("-v run built %d factories, want 1", n)
+	}
+}
+
+// TestUnknownAlgorithmFails pins that an algorithm no one registered is
+// an error on both paths, with nothing printed.
+func TestUnknownAlgorithmFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-algo", "no-such-lock", "-n", "3"},
+		{"-algo", "no-such-lock", "-n", "3", "-cache", t.TempDir()},
+		{"-algo", "no-such-lock", "-n", "3", "-all"},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), `unknown algorithm "no-such-lock"`) {
+			t.Fatalf("%v: err = %v, want the unknown-algorithm error", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%v: printed %q before failing", args, buf.String())
 		}
 	}
 }

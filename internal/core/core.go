@@ -42,8 +42,12 @@ type Pipeline struct {
 	// Decoded is α_π = Decode(E_π): a linearization of (M, ≼).
 	Decoded model.Execution
 	// Cost is C(α_π), the state change cost of the decoded execution —
-	// equal to the cost of every linearization by Lemma 6.1.
+	// equal to the cost of every linearization by Lemma 6.1. It is
+	// Report.SC.
 	Cost int
+	// Report is α_π's cost under every model, from the charges the
+	// decoder's System recorded.
+	Report cost.Report
 }
 
 // Run executes Construct → Encode → Decode for the permutation and verifies
@@ -93,6 +97,7 @@ func Run(f program.Factory, pi []int) (*Pipeline, error) {
 		Encoding: enc,
 		Decoded:  dec,
 		Cost:     rep.SC,
+		Report:   rep,
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/mutex"
 	"repro/internal/perm"
 )
@@ -33,6 +34,32 @@ func TestPipelineRoundTrip(t *testing.T) {
 					return true
 				})
 			})
+		}
+	}
+}
+
+// TestRunReportMatchesMeasure: the Report Run costs α_π with, from the
+// charges its decoder recorded, equals a fresh replay's cost.Measure of
+// α_π, over the permutations E10 samples at quick scale under the
+// experiments' default seed.
+func TestRunReportMatchesMeasure(t *testing.T) {
+	const seed = 20060723 // cmd/experiments -seed default
+	for _, name := range []string{mutex.NameYangAnderson, mutex.NameBakery} {
+		for _, n := range []int{2, 4, 8} {
+			f := mustAlgo(t, name, n)
+			for _, pi := range perm.Sample(n, 6, seed+int64(n)*31) {
+				p, err := core.Run(f, pi)
+				if err != nil {
+					t.Fatalf("%s n=%d pi=%v: %v", name, n, pi, err)
+				}
+				want, err := cost.Measure(f, p.Decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Report != want || p.Cost != want.SC {
+					t.Fatalf("%s n=%d pi=%v: Run reports %+v (Cost %d), Measure %+v", name, n, pi, p.Report, p.Cost, want)
+				}
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/encode"
 	"repro/internal/perm"
 	"repro/internal/runner"
@@ -71,11 +70,7 @@ func E10CCExtension(cfg Config) (*Table, error) {
 			if err != nil {
 				return permOut{}, fmt.Errorf("E10 %s n=%d: %w", j.algo, j.n, err)
 			}
-			rep, err := cost.Measure(f, p.Decoded)
-			if err != nil {
-				return permOut{}, err
-			}
-			return permOut{SC: rep.SC, CC: rep.CCRMR}, nil
+			return permOut{SC: p.Report.SC, CC: p.Report.CCRMR}, nil
 		}, func(_ int, po permOut) error {
 			if po.SC > o.maxSC {
 				o.maxSC = po.SC

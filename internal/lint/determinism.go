@@ -13,7 +13,7 @@ import (
 // Overridable via cmd/reprolint's -determinism.packages flag (and set
 // directly by tests).
 var DeterminismPackages = regexp.MustCompile(
-	`^repro($|/internal/(machine|runner|adversary|experiments|stats|store)(/|$)|/cmd/(experiments|tournament|lowerbound|mutexsim)$)`)
+	`^repro($|/internal/(machine|runner|adversary|experiments|stats|store|remote|mutex)(/|$)|/cmd/(experiments|tournament|lowerbound|mutexsim)$)`)
 
 // Determinism rejects the three classic sources of run-to-run
 // nondeterminism in output-producing code:

@@ -12,7 +12,7 @@ import (
 
 // benchNs are the process counts the simulator benchmarks sweep, mirroring
 // the experiment grid's small/medium/large cells. Tracked in BENCH_sim.json
-// via scripts/bench_sim.sh.
+// via scripts/bench.sh.
 var benchNs = []int{4, 16, 64}
 
 // churnFactory builds an n-process algorithm whose processes never halt:

@@ -18,6 +18,7 @@ package mutex
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/program"
@@ -144,11 +145,6 @@ func Names() []string {
 	for name := range registry {
 		out = append(out, name)
 	}
-	// Insertion sort: the list is tiny and this avoids an import.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

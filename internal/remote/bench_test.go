@@ -13,7 +13,7 @@ import (
 // loopback: one gzipped /v1/mget round trip fetching a whole sweep's worth
 // of keys per iteration. ns/op here is the latency a warm remote replay
 // pays per fan-out instead of per job. Tracked in BENCH_store.json via
-// scripts/bench_store.sh.
+// scripts/bench.sh.
 func BenchmarkRemoteMGet(b *testing.B) {
 	authoritative, err := store.Open(b.TempDir(), 0)
 	if err != nil {
@@ -51,7 +51,7 @@ func BenchmarkRemoteMGet(b *testing.B) {
 // BenchmarkRemotePut's per-point-put baseline. The batch re-puts identical
 // entries, which the server's idempotent-rewrite path drops without
 // growing its log, so the measure is steady-state. Tracked in
-// BENCH_store.json via scripts/bench_store.sh.
+// BENCH_store.json via scripts/bench.sh.
 func BenchmarkRemoteMPut(b *testing.B) {
 	authoritative, err := store.Open(b.TempDir(), 0)
 	if err != nil {

@@ -140,10 +140,17 @@ func newBinaryDecoder(r io.Reader, gz bool) (*binaryDecoder, error) {
 	return d, nil
 }
 
+// firstChunkBytes is the buffer readChunk starts a record in. A record
+// that claims more grows it, doubling, as its bytes arrive: a length
+// prefix alone can make the decoder allocate at most about twice what the
+// stream delivers, never the claimed length.
+const firstChunkBytes = 64 << 10
+
 // readChunk reads one uvarint-length-prefixed byte string into a fresh
 // slice (the caller retains it). A nil slice is returned for length zero.
 // io.EOF means the stream ended before the length prefix; a stream that
-// ends after it is cut, and reports io.ErrUnexpectedEOF.
+// ends after it is cut, and reports io.ErrUnexpectedEOF. A record that
+// fits firstChunkBytes costs one allocation.
 //
 //repro:hotpath
 func (d *binaryDecoder) readChunk() ([]byte, error) {
@@ -157,14 +164,23 @@ func (d *binaryDecoder) readChunk() ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.br, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	b := make([]byte, min(n, firstChunkBytes))
+	for read := 0; ; {
+		m, err := io.ReadFull(d.br, b[read:])
+		read += m
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, errTruncatedRecord(err)
 		}
-		return nil, errTruncatedRecord(err)
+		if uint64(read) == n {
+			return b, nil
+		}
+		grown := make([]byte, min(n, 2*uint64(read)))
+		copy(grown, b)
+		b = grown
 	}
-	return b, nil
 }
 
 // Cold error constructors for the decode path: formatting allocates, and

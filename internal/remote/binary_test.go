@@ -3,11 +3,13 @@ package remote
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -310,5 +312,85 @@ func TestRefusedBatchKeepsTheFraming(t *testing.T) {
 	defer mu.Unlock()
 	if otherBodies != 0 {
 		t.Fatalf("%d non-RSB1 batch bodies crossed the wire, want 0", otherBodies)
+	}
+}
+
+// claimedLengthBody is the 8-byte RSB1 body that claims a 2²⁶-byte key
+// (the record cap) and then ends: the magic and a 4-byte uvarint.
+func claimedLengthBody(t *testing.T, gz bool) []byte {
+	t.Helper()
+	body := binary.AppendUvarint([]byte("RSB1"), maxBinaryRecordBytes)
+	if len(body) != 8 {
+		t.Fatalf("claim body is %d bytes, want 8", len(body))
+	}
+	if !gz {
+		return body
+	}
+	var zbuf bytes.Buffer
+	zw := gzip.NewWriter(&zbuf)
+	if _, err := zw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return zbuf.Bytes()
+}
+
+// allocatedBy returns the bytes the process allocated while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBinaryDecoderBoundsClaimedLength: a record's length prefix alone
+// does not size its buffer. The 8-byte body that claims a 64 MiB key is a
+// cut stream, and reading it allocates under 1 MiB.
+func TestBinaryDecoderBoundsClaimedLength(t *testing.T) {
+	body := claimedLengthBody(t, false)
+	var err error
+	alloc := allocatedBy(func() {
+		var dec *binaryDecoder
+		if dec, err = newBinaryDecoder(bytes.NewReader(body), false); err == nil {
+			err = dec.each(func(string, []byte) error { return nil })
+			dec.Close()
+		}
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("decoding an 8-byte body allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestMPutBoundsClaimedLength: a gzipped /v1/mput body making the same
+// claim gets 400, and serving it allocates under 1 MiB.
+func TestMPutBoundsClaimedLength(t *testing.T) {
+	ts, _ := openBinaryTestServer(t)
+	body := claimedLengthBody(t, true)
+	status := 0
+	alloc := allocatedBy(func() {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/mput", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", binaryContentType)
+		req.Header.Set("Content-Encoding", "gzip")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		status = resp.StatusCode
+	})
+	if status != http.StatusBadRequest {
+		t.Fatalf("mput of a 64 MiB claim: got %d, want 400", status)
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("serving the mput allocated %d bytes, want under 1 MiB", alloc)
 	}
 }

@@ -19,7 +19,6 @@ import (
 // a miss, 501 when the server mounts no blob tier (so a mixed fleet reads
 // as absent rather than erroring).
 func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
-	s.req.blobGet.Add(1)
 	k, ok := keyParam(w, r)
 	if !ok {
 		return
@@ -42,7 +41,6 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 // The write is verified present before acknowledging — a pusher must not
 // believe a capture is durable when the tier degraded it away.
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
-	s.req.blobPut.Add(1)
 	if s.st.Blobs() == nil {
 		replyError(w, http.StatusNotImplemented, "no blob tier mounted")
 		return
@@ -73,7 +71,6 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 // handleBlobHas serves GET /v1/blob/has?k=KEY: 204 present, 404 absent (a
 // blob-less tier is absent for every key, like every presence failure).
 func (s *Server) handleBlobHas(w http.ResponseWriter, r *http.Request) {
-	s.req.blobHas.Add(1)
 	k, ok := keyParam(w, r)
 	if !ok {
 		return

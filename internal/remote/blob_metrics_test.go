@@ -2,10 +2,12 @@ package remote
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -270,7 +272,120 @@ func TestMetricEndpointIndexCoversAllPaths(t *testing.T) {
 	if got := metricEndpointIndex("/v1/nonsense"); metricEndpoints[got] != "other" {
 		t.Errorf("unknown path classified as %q", metricEndpoints[got])
 	}
-	if len(metricEndpoints) != numMetricEndpoints {
-		t.Fatalf("numMetricEndpoints = %d, names = %d", numMetricEndpoints, len(metricEndpoints))
+}
+
+// TestStatsRequestsMatchMetrics pins the server's one request count: after
+// traffic on every endpoint, a wrong-method request and an unknown path
+// included, each /v1/stats requests field equals the matching
+// stored_requests_total line of /v1/metrics.
+func TestStatsRequestsMatchMetrics(t *testing.T) {
+	ts, _ := newBlobServer(t, true)
+	c := newBlobClient(t, ts.URL)
+
+	key := store.Key("count", 1)
+	if err := c.Put(key, []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get(key); !ok || err != nil {
+		t.Fatalf("get: ok=%v err=%v", ok, err)
+	}
+	c.Has(key)
+	if _, err := c.PutBatch([]store.Entry{{Key: store.Key("count", 2), Val: []byte(`{"v":2}`)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetBatch([]string{key}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.HasBatch([]string{key}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BlobPut(key, []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.BlobGet(key); !ok || err != nil {
+		t.Fatalf("blob get: ok=%v err=%v", ok, err)
+	}
+	c.BlobHas(key)
+	if _, err := c.FetchRing(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InstallRing(store.FlagRing(ts.URL)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Drain(); err == nil {
+		t.Fatal("drain of an unnamed server succeeded")
+	}
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/compact"},
+		{http.MethodGet, "/v1/metrics"},
+		{http.MethodGet, "/v1/nonsense"},
+		{http.MethodPost, "/v1/get"}, // wrong method: counts under get, as /v1/metrics always has
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+	}
+
+	sr, err := c.Ping()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := map[string]int64{}
+	for _, m := range regexp.MustCompile(`(?m)^stored_requests_total\{endpoint="([a-z_]+)"\} ([0-9]+)$`).FindAllStringSubmatch(string(body), -1) {
+		n, err := strconv.ParseInt(m[2], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals[m[1]] = n
+	}
+	if totals["other"] < 1 {
+		t.Fatalf("unknown path not counted: %v", totals)
+	}
+
+	fieldJSON, err := json.Marshal(sr.Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]int64
+	if err := json.Unmarshal(fieldJSON, &fields); err != nil {
+		t.Fatal(err)
+	}
+	endpointOf := map[string]string{
+		"get": "get", "has": "has", "put": "put", "mget": "mget", "mhas": "mhas", "mput": "mput",
+		"compact": "compact", "ring": "ring", "drain": "drain",
+		"blobGet": "blob_get", "blobPut": "blob_put", "blobHas": "blob_has", "metrics": "metrics",
+	}
+	if len(fields) != len(endpointOf) {
+		t.Fatalf("/v1/stats requests has %d fields, the test maps %d: %s", len(fields), len(endpointOf), fieldJSON)
+	}
+	for field, n := range fields {
+		ep, ok := endpointOf[field]
+		if !ok {
+			t.Fatalf("/v1/stats requests field %q has no endpoint mapping", field)
+		}
+		if n < 1 {
+			t.Errorf("requests.%s = %d, want the traffic above counted", field, n)
+		}
+		if got, ok := totals[ep]; !ok || got != n {
+			t.Errorf("requests.%s = %d, but stored_requests_total{endpoint=%q} = %d (present %v)", field, n, ep, got, ok)
+		}
+	}
+	if fields["get"] != 2 {
+		t.Errorf("requests.get = %d, want 2 (the point get and the wrong-method request)", fields["get"])
 	}
 }

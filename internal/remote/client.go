@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +44,6 @@ type Options struct {
 //
 // Hot-path behaviour:
 //
-//   - Concurrent Gets of one key coalesce into a single in-flight request
-//     whose result every caller shares — a sweep fanning out over workers
-//     that all want the same entry costs one round trip.
 //   - GetBatch / PutBatch move whole sweeps in single gzipped RSB1 batch
 //     bodies (store.Store.Prefetch and Merge use them; see binary.go).
 //   - Every request has a bounded retry budget; after it is spent the
@@ -58,23 +54,12 @@ type Client struct {
 	base string
 	hc   *http.Client
 
-	mu       sync.Mutex
-	inflight map[string]*inflightGet
-
 	// seenEpoch is the maximum ring epoch any response from this server
 	// has carried — the staleness signal: a client that mounted under
 	// epoch E and later sees E' > E is routing by an outdated ring.
 	seenEpoch atomic.Uint64
 
-	gets, puts, coalesced, retried, netErrors atomic.Int64
-}
-
-// inflightGet is one coalesced in-flight point lookup.
-type inflightGet struct {
-	done chan struct{}
-	val  []byte
-	ok   bool
-	err  error
+	gets, puts, retried, netErrors atomic.Int64
 }
 
 // NewClient validates baseURL (e.g. "http://127.0.0.1:9200") and returns a
@@ -92,11 +77,7 @@ func NewClient(baseURL string, opt *Options) (*Client, error) {
 	if opt != nil && opt.HTTPClient != nil {
 		hc = opt.HTTPClient
 	}
-	return &Client{
-		base:     strings.TrimRight(u.String(), "/"),
-		hc:       hc,
-		inflight: make(map[string]*inflightGet),
-	}, nil
+	return &Client{base: strings.TrimRight(u.String(), "/"), hc: hc}, nil
 }
 
 // URL returns the base URL the client was mounted with (diagnostics: the
@@ -105,7 +86,7 @@ func (c *Client) URL() string { return c.base }
 
 // ClientStats counts a client's traffic for diagnostics and tests.
 type ClientStats struct {
-	Gets, Puts, Coalesced, Retried, NetErrors int64
+	Gets, Puts, Retried, NetErrors int64
 }
 
 // Stats returns a snapshot of the client's counters.
@@ -113,7 +94,6 @@ func (c *Client) Stats() ClientStats {
 	return ClientStats{
 		Gets:      c.gets.Load(),
 		Puts:      c.puts.Load(),
-		Coalesced: c.coalesced.Load(),
 		Retried:   c.retried.Load(),
 		NetErrors: c.netErrors.Load(),
 	}
@@ -139,7 +119,7 @@ func (c *Client) do(method, path string, body []byte, hdr map[string]string) (*h
 		if err != nil {
 			return nil, fmt.Errorf("remote: %w", err)
 		}
-		for k, v := range hdr {
+		for k, v := range hdr { //repro:unordered each header is set once, under its own name
 			req.Header.Set(k, v)
 		}
 		resp, err := c.hc.Do(req)
@@ -173,29 +153,6 @@ func (c *Client) do(method, path string, body []byte, hdr map[string]string) (*h
 	return nil, lastErr
 }
 
-// Get implements store.Backend with request coalescing: concurrent callers
-// of one key share a single in-flight request and its result.
-func (c *Client) Get(key string) ([]byte, bool, error) {
-	c.mu.Lock()
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		c.coalesced.Add(1)
-		<-f.done
-		return f.val, f.ok, f.err
-	}
-	f := &inflightGet{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
-
-	f.val, f.ok, f.err = c.getOnce(key)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(f.done)
-	return f.val, f.ok, f.err
-}
-
 // drainClose reads a response body to EOF and closes it. Leaving unread
 // bytes behind makes net/http tear down the TCP connection instead of
 // returning it to the keep-alive pool, so every point op would pay a fresh
@@ -206,8 +163,8 @@ func drainClose(resp *http.Response) {
 	resp.Body.Close()              //repro:degrade nothing to do about a close error on a spent response
 }
 
-// getOnce is the uncoalesced point lookup.
-func (c *Client) getOnce(key string) ([]byte, bool, error) {
+// Get implements store.Backend: one /v1/get round trip.
+func (c *Client) Get(key string) ([]byte, bool, error) {
 	c.gets.Add(1)
 	resp, err := c.do(http.MethodGet, "/v1/get?k="+url.QueryEscape(key), nil, nil)
 	if err != nil {

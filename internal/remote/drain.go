@@ -35,7 +35,7 @@ func DrainStore(st *store.Store, ring *store.Ring, self string) (DrainReply, err
 		return dr, fmt.Errorf("remote: drain needs an enumerable backend")
 	}
 	selfIdx := ring.Index(self)
-	byOwner := make(map[int][]string)
+	byOwner := make([][]string, len(ring.Members)) // ring order, so errors list owners in it
 	for _, k := range keys {
 		if owner := ring.Owner(k); owner != selfIdx {
 			byOwner[owner] = append(byOwner[owner], k)
@@ -45,6 +45,9 @@ func DrainStore(st *store.Store, ring *store.Ring, self string) (DrainReply, err
 	}
 	var errs []error
 	for owner, foreign := range byOwner {
+		if len(foreign) == 0 {
+			continue
+		}
 		m := ring.Members[owner]
 		if m.URL == "" {
 			errs = append(errs, fmt.Errorf("remote: ring member %q has no URL to drain to", m.Name))

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"net/http"
+	"slices"
 )
 
 // Metrics surface: GET /v1/metrics renders the server's counters through
@@ -16,48 +17,23 @@ var metricEndpoints = [...]string{
 	"ring", "drain", "blob_get", "blob_put", "blob_has", "metrics", "other",
 }
 
-// numMetricEndpoints sizes the server's histogram set.
-const numMetricEndpoints = 15
+// metricPaths are the /v1 paths of metricEndpoints, index for index; any
+// other path counts under the trailing catch-all.
+var metricPaths = [...]string{
+	"/v1/get", "/v1/has", "/v1/put", "/v1/mget", "/v1/mhas", "/v1/mput", "/v1/stats", "/v1/compact",
+	"/v1/ring", "/v1/drain", "/v1/blob/get", "/v1/blob/put", "/v1/blob/has", "/v1/metrics",
+}
 
 // metricEndpointIndex classifies a request path into metricEndpoints.
 func metricEndpointIndex(path string) int {
-	switch path {
-	case "/v1/get":
-		return 0
-	case "/v1/has":
-		return 1
-	case "/v1/put":
-		return 2
-	case "/v1/mget":
-		return 3
-	case "/v1/mhas":
-		return 4
-	case "/v1/mput":
-		return 5
-	case "/v1/stats":
-		return 6
-	case "/v1/compact":
-		return 7
-	case "/v1/ring":
-		return 8
-	case "/v1/drain":
-		return 9
-	case "/v1/blob/get":
-		return 10
-	case "/v1/blob/put":
-		return 11
-	case "/v1/blob/has":
-		return 12
-	case "/v1/metrics":
-		return 13
-	default:
-		return 14
+	if i := slices.Index(metricPaths[:], path); i >= 0 {
+		return i
 	}
+	return len(metricPaths)
 }
 
 // handleMetrics serves GET /v1/metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.req.metrics.Add(1)
 	e := StartExposition(w)
 	defer e.Flush() //repro:degrade a response-write failure means the scraper hung up
 

@@ -173,9 +173,11 @@ func ringClients(ring *store.Ring, flagClients []*Client) ([]*Client, error) {
 		}
 		cls[i] = cl
 	}
-	for u := range byURL {
-		return nil, fmt.Errorf("remote: store %s is not a member of the fleet's ring (epoch %d, members %s)",
-			u, ring.Epoch, strings.Join(ring.Names(), ","))
+	for _, cl := range flagClients { // flag order, so the error names the first stray URL
+		if _, stray := byURL[cl.URL()]; stray {
+			return nil, fmt.Errorf("remote: store %s is not a member of the fleet's ring (epoch %d, members %s)",
+				cl.URL(), ring.Epoch, strings.Join(ring.Names(), ","))
+		}
 	}
 	return cls, nil
 }
@@ -277,8 +279,8 @@ func (cs *CLIStore) PrintStats(diag io.Writer, prog string) {
 			label = fmt.Sprintf("remote[%d %s]", i, cl.URL())
 		}
 		s := cl.Stats()
-		fmt.Fprintf(diag, "%s: %s keys=%d gets=%d puts=%d coalesced=%d retried=%d netErrors=%d\n", //repro:degrade diagnostic line on stderr
-			prog, label, cl.Len(), s.Gets, s.Puts, s.Coalesced, s.Retried, s.NetErrors)
+		fmt.Fprintf(diag, "%s: %s keys=%d gets=%d puts=%d retried=%d netErrors=%d\n", //repro:degrade diagnostic line on stderr
+			prog, label, cl.Len(), s.Gets, s.Puts, s.Retried, s.NetErrors)
 		if e := cl.SeenEpoch(); e > newest {
 			newest = e
 		}

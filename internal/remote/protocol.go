@@ -39,7 +39,9 @@
 // or an upload is self-describing and the server can refuse a key
 // mismatch. /v1/metrics is the scrape surface: every request counter,
 // per-endpoint latency histograms, store and blob-tier gauges, rendered in
-// the Prometheus text exposition format with no dependency.
+// the Prometheus text exposition format with no dependency. The request
+// counts /v1/stats reports are the dispatch counts of those same
+// histograms, so the two surfaces always agree.
 //
 // Placement travels with the traffic: every response carries the server's
 // installed ring epoch in the X-Result-Store-Epoch header (0 when no ring
@@ -122,7 +124,10 @@ type StoreStats struct {
 	BlobBytes   int64 `json:"blobBytes,omitempty"`
 }
 
-// RequestStats counts requests served per endpoint.
+// RequestStats counts requests served per endpoint: the dispatch counts of
+// the latency histograms /v1/metrics renders as stored_requests_total. A
+// request counts once its dispatch ends, under the endpoint its path
+// names, whatever its method; GET and POST /v1/ring share Ring.
 type RequestStats struct {
 	Get     int64 `json:"get"`
 	Has     int64 `json:"has"`

@@ -10,10 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/remote"
 	"repro/internal/store"
@@ -335,66 +333,6 @@ func TestMGetWireShapeIsGzippedRSB1(t *testing.T) {
 	}
 	if want := "RSB1" + record(k, v); string(got) != want {
 		t.Fatalf("reply body %q, want %q", got, want)
-	}
-}
-
-// TestGetCoalescing pins the hot-path promise: concurrent Gets of one key
-// share a single in-flight request.
-func TestGetCoalescing(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	srv := remote.NewServer(st)
-	k := store.Key("v1", "hot")
-	st.Put(k, []byte(`{"sc":9}`))
-
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/get" {
-			entered <- struct{}{}
-			<-release
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-	c := newClient(t, ts.URL)
-
-	const waiters = 7
-	results := make(chan string, waiters+1)
-	go func() {
-		v, _, _ := c.Get(k)
-		results <- string(v)
-	}()
-	<-entered // the leader's request is on the wire; its inflight slot is registered
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, _, _ := c.Get(k)
-			results <- string(v)
-		}()
-	}
-	// Every waiter must attach to the leader's in-flight call before it is
-	// released, so the count below is deterministic.
-	for c.Stats().Coalesced < waiters {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-	for i := 0; i < waiters+1; i++ {
-		if got := <-results; got != `{"sc":9}` {
-			t.Fatalf("caller %d got %q", i, got)
-		}
-	}
-	if r := srv.Requests(); r.Get != 1 {
-		t.Fatalf("server saw %d gets, want 1 (coalesced)", r.Get)
-	}
-	if cs := c.Stats(); cs.Gets != 1 || cs.Coalesced != waiters {
-		t.Fatalf("client stats %+v, want gets=1 coalesced=%d", cs, waiters)
 	}
 }
 

@@ -26,13 +26,10 @@ type Server struct {
 
 	putMu     sync.Mutex // serializes conflict-check + write per put
 	conflicts atomic.Int64
-	req       struct {
-		get, has, put, mget, mhas, mput, compact, ring, drain atomic.Int64
-		blobGet, blobPut, blobHas, metrics                    atomic.Int64
-	}
 
 	// lat holds one latency histogram per metric endpoint (see metrics.go),
-	// observed around every dispatch.
+	// observed around every dispatch. Its counts are the server's one
+	// request count: /v1/stats and /v1/metrics both read them.
 	lat *LatencySet
 
 	ringMu sync.RWMutex
@@ -158,22 +155,26 @@ func sameRing(a, b *store.Ring) bool {
 // every count is evidence of version skew or a bug in some writer.
 func (s *Server) Conflicts() int64 { return s.conflicts.Load() }
 
-// Requests returns per-endpoint request counts.
+// Requests returns per-endpoint request counts: the dispatch counts of
+// the latency histograms /v1/metrics renders as stored_requests_total, so
+// the two surfaces agree. A request counts once its dispatch ends, under
+// the endpoint its path names whatever its method.
 func (s *Server) Requests() RequestStats {
+	n := func(path string) int64 { return s.lat.Count(metricEndpointIndex(path)) }
 	return RequestStats{
-		Get:     s.req.get.Load(),
-		Has:     s.req.has.Load(),
-		Put:     s.req.put.Load(),
-		MGet:    s.req.mget.Load(),
-		MHas:    s.req.mhas.Load(),
-		MPut:    s.req.mput.Load(),
-		Compact: s.req.compact.Load(),
-		Ring:    s.req.ring.Load(),
-		Drain:   s.req.drain.Load(),
-		BlobGet: s.req.blobGet.Load(),
-		BlobPut: s.req.blobPut.Load(),
-		BlobHas: s.req.blobHas.Load(),
-		Metrics: s.req.metrics.Load(),
+		Get:     n("/v1/get"),
+		Has:     n("/v1/has"),
+		Put:     n("/v1/put"),
+		MGet:    n("/v1/mget"),
+		MHas:    n("/v1/mhas"),
+		MPut:    n("/v1/mput"),
+		Compact: n("/v1/compact"),
+		Ring:    n("/v1/ring"),
+		Drain:   n("/v1/drain"),
+		BlobGet: n("/v1/blob/get"),
+		BlobPut: n("/v1/blob/put"),
+		BlobHas: n("/v1/blob/has"),
+		Metrics: n("/v1/metrics"),
 	}
 }
 
@@ -200,7 +201,6 @@ func keyParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.req.get.Add(1)
 	k, ok := keyParam(w, r)
 	if !ok {
 		return
@@ -214,7 +214,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHas(w http.ResponseWriter, r *http.Request) {
-	s.req.has.Add(1)
 	k, ok := keyParam(w, r)
 	if !ok {
 		return
@@ -251,7 +250,6 @@ func (s *Server) storeOne(k string, v []byte) (added, conflicts int) {
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	s.req.put.Add(1)
 	// Closing the body here, not after the handler, spares the server's
 	// post-handler drain an allocation per request.
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -330,7 +328,6 @@ func answerKeys(w http.ResponseWriter, r *http.Request, lookup func(key string) 
 }
 
 func (s *Server) handleMGet(w http.ResponseWriter, r *http.Request) {
-	s.req.mget.Add(1)
 	answerKeys(w, r, s.st.Get)
 }
 
@@ -338,12 +335,10 @@ func (s *Server) handleMGet(w http.ResponseWriter, r *http.Request) {
 // "which of these exist?" for whole fan-outs, and values would be wasted
 // bytes — the reply carries keys alone.
 func (s *Server) handleMHas(w http.ResponseWriter, r *http.Request) {
-	s.req.mhas.Add(1)
 	answerKeys(w, r, func(k string) ([]byte, bool) { return nil, s.st.Has(k) })
 }
 
 func (s *Server) handleMPut(w http.ResponseWriter, r *http.Request) {
-	s.req.mput.Add(1)
 	var total PutReply
 	if !readRecords(w, r, func(k string, v []byte) error {
 		if k == "" || len(v) == 0 {
@@ -377,7 +372,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	s.req.compact.Add(1)
 	kept, dropped, err := s.CompactStore()
 	if err != nil {
 		replyError(w, http.StatusInternalServerError, "compact: %v", err)
@@ -399,7 +393,6 @@ func (s *Server) CompactStore() (kept, dropped int, err error) {
 }
 
 func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
-	s.req.ring.Add(1)
 	ring := s.Ring()
 	if ring == nil {
 		replyError(w, http.StatusNotFound, "no ring installed")
@@ -409,7 +402,6 @@ func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRingPost(w http.ResponseWriter, r *http.Request) {
-	s.req.ring.Add(1)
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close() //repro:degrade request body teardown; the decode below surfaces any read failure
 	var ring store.Ring
@@ -432,7 +424,6 @@ func (s *Server) handleRingPost(w http.ResponseWriter, r *http.Request) {
 // or is absent from it (a decommission drains everything); an unnamed
 // server cannot know which keys are its own.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	s.req.drain.Add(1)
 	ring, self := s.Ring(), s.Self()
 	if ring == nil {
 		replyError(w, http.StatusConflict, "no ring installed; nothing to drain against")

@@ -142,7 +142,7 @@ func TestCaptureThroughRoutedFleet(t *testing.T) {
 		return cl
 	}
 	stA, stB := newStored(), newStored()
-	rtr := store.NewRouter(newFleetClient(stA), newFleetClient(stB))
+	rtr := store.NewRingRouter(store.UniformRing(2), newFleetClient(stA), newFleetClient(stB))
 	st := store.New(0, rtr)
 	st.SetBlobs(rtr)
 

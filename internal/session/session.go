@@ -16,8 +16,8 @@
 // work through Session.RunUnit, which is safe for any number of concurrent
 // callers: the store is goroutine-safe, the engine's configuration is
 // immutable, and identical in-flight units are coalesced so N simultaneous
-// requests for one unit cost exactly one simulation — the same discipline
-// remote.Client applies to point gets, lifted to whole units.
+// requests for one unit cost exactly one simulation. Coalescing here, above
+// the store, is what spares the store layers below any of their own.
 package session
 
 import (

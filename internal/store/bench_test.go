@@ -10,7 +10,7 @@ import (
 // BenchmarkStoreGetPut is the local store's hot-path baseline: one Put and
 // one Get per iteration through the full LRU+NDJSON stack, over a key
 // space larger than the LRU tier so both tiers stay in play. Tracked in
-// BENCH_store.json via scripts/bench_store.sh.
+// BENCH_store.json via scripts/bench.sh.
 func BenchmarkStoreGetPut(b *testing.B) {
 	st, err := store.Open(b.TempDir(), 256)
 	if err != nil {

@@ -202,7 +202,7 @@ func TestStoreBlobCountersAndStatsLine(t *testing.T) {
 
 func TestRouterBlobPlacementAndFailover(t *testing.T) {
 	a, b := newBlobMapBackend(), newBlobMapBackend()
-	r := store.NewRouter(a, b)
+	r := store.NewRingRouter(store.UniformRing(2), a, b)
 	var _ store.BlobBackend = r
 
 	// Realistic keys: content addresses, like every key the engine routes.

@@ -299,8 +299,7 @@ func (b *NDJSON) Len() int {
 }
 
 // Keys returns the live key set from the in-memory index, sorted — no
-// values are read. Tiered.Len uses it to count the exact union of a near
-// NDJSON tier and a far tier it cannot enumerate.
+// values are read. Store.Keys serves it to the migrator (DrainStore).
 func (b *NDJSON) Keys() []string {
 	b.mu.Lock()
 	keys := make([]string, 0, len(b.idx))

@@ -139,7 +139,8 @@ func TestRouterFailoverReadsRunnerUp(t *testing.T) {
 					backends[i] = b
 				}
 			}
-			r := store.NewRouter(backends...)
+			ring := store.UniformRing(len(backends))
+			r := store.NewRingRouter(ring, backends...)
 			defer r.Close()
 			plant := func(i int, k string, v []byte) { replicas[i].m[k] = v }
 			get, has := r.Get, r.Has
@@ -155,7 +156,7 @@ func TestRouterFailoverReadsRunnerUp(t *testing.T) {
 				keys = append(keys, k)
 				// Plant the value on the runner-up only: the "old owner still
 				// holds it, new owner not yet drained to" state.
-				plant(r.Ring().Rank(k)[1], k, []byte(fmt.Sprintf(`{"i":%d}`, i)))
+				plant(ring.Rank(k)[1], k, []byte(fmt.Sprintf(`{"i":%d}`, i)))
 			}
 			for i, k := range keys {
 				if v, ok, err := get(k); !ok || err != nil || string(v) != fmt.Sprintf(`{"i":%d}`, i) {
@@ -179,7 +180,7 @@ func TestRouterFailoverReadsRunnerUp(t *testing.T) {
 			// of a 3-ring and it must read as a miss (bounded failover, not
 			// a broadcast).
 			k := store.Key("v1", "deep")
-			plant(r.Ring().Rank(k)[2], k, []byte(`{"deep":true}`))
+			plant(ring.Rank(k)[2], k, []byte(`{"deep":true}`))
 			if _, ok, _ := get(k); ok {
 				t.Fatal("rank-3 replica served a read; failover must stop at the runner-up")
 			}
@@ -195,11 +196,12 @@ func TestRouterFailoverReadsRunnerUp(t *testing.T) {
 // that the owner's error surfaces once no rank can serve the key.
 func TestRouterFailoverDownOwner(t *testing.T) {
 	replicas := []*mapBackend{newMapBackend(), newMapBackend(), newMapBackend()}
-	r := store.NewRouter(replicas[0], replicas[1], replicas[2])
+	ring := store.UniformRing(3)
+	r := store.NewRingRouter(ring, replicas[0], replicas[1], replicas[2])
 	defer r.Close()
 
 	k := store.Key("v1", "x")
-	rank := r.Ring().Rank(k)
+	rank := ring.Rank(k)
 	val := []byte(`{"x":1}`)
 	replicas[rank[0]].m[k] = val
 	replicas[rank[1]].m[k] = val

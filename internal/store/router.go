@@ -41,22 +41,6 @@ type Router struct {
 // up; probing them on every miss would tax true misses instead.
 const readRanks = 2
 
-// NewRouter routes the key space across the given backends under a
-// uniform anonymous ring (epoch 0, members "s1"…"sm" — the same logical
-// ring shard passes use). The replica order is part of the partition:
-// every process of a fleet must list the same backends in the same order,
-// or they will disagree about which replica owns a key (safe — content
-// addressing makes double writes idempotent — but it wastes space and
-// round trips). Fleets that can change shape mount NewRingRouter with an
-// authoritative named ring instead. At least one backend is required; a
-// single backend routes everything to it.
-func NewRouter(replicas ...Backend) *Router {
-	if len(replicas) == 0 {
-		panic("store: NewRouter needs at least one backend")
-	}
-	return NewRingRouter(UniformRing(len(replicas)), replicas...)
-}
-
 // NewRingRouter routes the key space across the backends by the given
 // ring: replicas[i] serves ring.Members[i]. The ring decides placement;
 // the backend list just supplies the transport.
@@ -66,9 +50,6 @@ func NewRingRouter(ring *Ring, replicas ...Backend) *Router {
 	}
 	return &Router{ring: ring, replicas: replicas}
 }
-
-// Ring returns the placement ring the router routes by.
-func (r *Router) Ring() *Ring { return r.ring }
 
 // GroupOf implements grouper: the index of the replica owning key, so a
 // routed Merge can push each entry straight to its owner in full

@@ -143,7 +143,8 @@ func TestRouterImplementsBatchInterfaces(t *testing.T) {
 // on placement and replica key spaces stay disjoint.
 func TestRouterPartitionsKeySpace(t *testing.T) {
 	replicas := []*mapBackend{newMapBackend(), newMapBackend(), newMapBackend()}
-	r := store.NewRouter(replicas[0], replicas[1], replicas[2])
+	ring := store.UniformRing(3)
+	r := store.NewRingRouter(ring, replicas[0], replicas[1], replicas[2])
 	defer r.Close()
 
 	const n = 120
@@ -155,7 +156,7 @@ func TestRouterPartitionsKeySpace(t *testing.T) {
 		}
 	}
 	for i, k := range keys {
-		owner := r.Ring().Owner(k)
+		owner := ring.Owner(k)
 		for ri, be := range replicas {
 			if got := be.Has(k); got != (ri == owner) {
 				t.Fatalf("key %d: replica %d has=%v, owner is %d", i, ri, got, owner)
@@ -185,7 +186,8 @@ func TestRouterPartitionsKeySpace(t *testing.T) {
 // path.
 func TestRouterBatchesSplitPerReplica(t *testing.T) {
 	replicas := []*batchMapBackend{newBatchMapBackend(), newBatchMapBackend(), newBatchMapBackend()}
-	r := store.NewRouter(replicas[0], replicas[1], replicas[2])
+	ring := store.UniformRing(3)
+	r := store.NewRingRouter(ring, replicas[0], replicas[1], replicas[2])
 	defer r.Close()
 
 	entries := make([]store.Entry, 60)
@@ -223,7 +225,8 @@ func TestRouterBatchesSplitPerReplica(t *testing.T) {
 // simulation, never lost hits on the healthy replicas.
 func TestRouterDownReplicaDegradesToMiss(t *testing.T) {
 	replicas := []*mapBackend{newMapBackend(), newMapBackend(), newMapBackend()}
-	r := store.NewRouter(replicas[0], replicas[1], replicas[2])
+	ring := store.UniformRing(3)
+	r := store.NewRingRouter(ring, replicas[0], replicas[1], replicas[2])
 	st := store.New(0, r)
 	defer st.Close()
 
@@ -251,7 +254,7 @@ func TestRouterDownReplicaDegradesToMiss(t *testing.T) {
 	}
 	sickKeys := 0
 	for _, k := range keys {
-		if r.Ring().Owner(k) == sick {
+		if ring.Owner(k) == sick {
 			sickKeys++
 		}
 	}
@@ -292,7 +295,7 @@ func TestRouterDownReplicaDegradesToMiss(t *testing.T) {
 	// re-readable; nothing about the healthy replicas changed.
 	replicas[sick].down = false
 	for _, k := range keys {
-		if r.Ring().Owner(k) == sick {
+		if ring.Owner(k) == sick {
 			if err := r.Put(k, []byte(`{"back":true}`)); err != nil {
 				t.Fatalf("recovered replica rejected a write: %v", err)
 			}
@@ -309,7 +312,8 @@ func TestRouterDownReplicaDegradesToMiss(t *testing.T) {
 func TestRouterPutBatchReportsPartialPlacement(t *testing.T) {
 	healthy, sick := newMapBackend(), newMapBackend()
 	sick.failPuts = true
-	r := store.NewRouter(healthy, sick)
+	ring := store.UniformRing(2)
+	r := store.NewRingRouter(ring, healthy, sick)
 	defer r.Close()
 
 	entries := make([]store.Entry, 40)
@@ -317,7 +321,7 @@ func TestRouterPutBatchReportsPartialPlacement(t *testing.T) {
 	for i := range entries {
 		k := store.Key("v1", i)
 		entries[i] = store.Entry{Key: k, Val: []byte(`{"v":1}`)}
-		if r.Ring().Owner(k) == 1 {
+		if ring.Owner(k) == 1 {
 			sickCount++
 		}
 	}
@@ -356,7 +360,8 @@ func TestRouterPutBatchReportsPartialPlacement(t *testing.T) {
 func TestTieredOverRouterCountsLossesOnce(t *testing.T) {
 	healthy, down := newBatchMapBackend(), newMapBackend()
 	down.down = true
-	router := store.NewRouter(healthy, down)
+	ring := store.UniformRing(2)
+	router := store.NewRingRouter(ring, healthy, down)
 	nearDir := t.TempDir()
 	near, err := store.OpenNDJSON(nearDir)
 	if err != nil {
@@ -370,7 +375,7 @@ func TestTieredOverRouterCountsLossesOnce(t *testing.T) {
 	downCount := 0
 	for i := 0; i < n; i++ {
 		k := store.Key("v1", i)
-		if router.Ring().Owner(k) == 1 {
+		if ring.Owner(k) == 1 {
 			downCount++
 		}
 		wb.Put(k, []byte(fmt.Sprintf(`{"i":%d}`, i)))

@@ -164,9 +164,8 @@ type placer interface {
 }
 
 // keyLister is optionally implemented by backends whose key set is cheap
-// to enumerate without touching values (the NDJSON index). Tiered.Len uses
-// it to count the exact union of disjoint tiers, and the migrator
-// enumerates a draining replica's keys through it.
+// to enumerate without touching values (the NDJSON index). The migrator
+// enumerates a draining replica's keys through it (Store.Keys).
 type keyLister interface {
 	Keys() []string
 }
@@ -465,6 +464,8 @@ func (s *Store) Compact() (kept, dropped int, err error) {
 }
 
 // Len returns the number of durable entries (LRU-only for memory stores).
+// Over a composite backend it is the backend's own count, a lower bound
+// for Tiered and Router.
 func (s *Store) Len() int {
 	if s == nil {
 		return 0

@@ -87,43 +87,12 @@ func (t *Tiered) ForEach(fn func(key string, val []byte) error) error {
 	})
 }
 
-// Len implements Backend, counting the union of the tiers: the far count
-// plus every near key the far tier does not hold. The tiers can be
-// disjoint — a near tier primed while the fleet store was down, a far tier
-// shared with other workers — so neither count alone (nor their max) is
-// the union. Near keys are enumerated from the local index (cheap, no
-// values move) and probed against the far tier in batches; when the near
-// tier cannot list its keys, or the far probe fails, max(near, far) bounds
-// the union from below as before.
+// Len implements Backend as max(near, far): a lower bound on the union,
+// like Router.Len. The tiers can be disjoint (a near tier primed while
+// the fleet store was down, a far tier shared with other workers), and
+// counting the union exactly would probe the far tier for every near key.
 func (t *Tiered) Len() int {
-	n, f := t.near.Len(), t.far.Len()
-	lower := n
-	if f > lower {
-		lower = f
-	}
-	kl, ok := t.near.(keyLister)
-	if !ok {
-		return lower
-	}
-	keys := kl.Keys()
-	onlyNear := 0
-	for len(keys) > 0 {
-		chunk := keys
-		if len(chunk) > prefetchChunk {
-			chunk = chunk[:prefetchChunk]
-		}
-		keys = keys[len(chunk):]
-		present, err := hasBatch(t.far, chunk)
-		if err != nil {
-			return lower // far probe failed; fall back to the old bound
-		}
-		for _, k := range chunk {
-			if !present[k] {
-				onlyNear++
-			}
-		}
-	}
-	return f + onlyNear
+	return max(t.near.Len(), t.far.Len())
 }
 
 // GetBatch implements BatchBackend: near hits are served locally, the rest

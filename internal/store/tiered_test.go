@@ -89,17 +89,17 @@ func TestPutBatchFallbackNoPhantomAdds(t *testing.T) {
 	}
 }
 
-// TestTieredLenCountsUnion is the regression for Len contradicting its own
-// doc: with disjoint tiers (a near tier primed while the fleet store was
-// down, a far tier fed by other workers) max(near, far) undercounts — the
-// store holds the union.
-func TestTieredLenCountsUnion(t *testing.T) {
-	dir := t.TempDir()
-	near, err := store.OpenNDJSON(dir)
+// TestTieredLenIsLowerBoundWithoutProbe pins Len as max(near, far), a
+// lower bound on the union of disjoint tiers (a near tier primed while the
+// fleet store was down, a far tier fed by other workers), read from the
+// tiers' own counts: it sends the far tier no presence probe for the near
+// keys, however many the near tier holds.
+func TestTieredLenIsLowerBoundWithoutProbe(t *testing.T) {
+	near, err := store.OpenNDJSON(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	far := newMapBackend()
+	far := newBatchMapBackend()
 	tiered := store.NewTiered(near, far)
 	defer tiered.Close()
 
@@ -112,15 +112,18 @@ func TestTieredLenCountsUnion(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		far.Put(store.Key("v1", fmt.Sprintf("far-%d", i)), []byte(`{"v":2}`))
 	}
-	// near = 4 (3 + shared), far = 6 (5 + shared), union = 9; the old
-	// max(near, far) reported 6.
-	if got := tiered.Len(); got != 9 {
-		t.Fatalf("Len=%d, want 9 (union of disjoint tiers)", got)
+	// near = 4, far = 6, union = 9.
+	if got := tiered.Len(); got != 6 {
+		t.Fatalf("Len=%d, want max(near, far) = 6", got)
 	}
-
-	// A near tier that cannot list its keys falls back to the lower bound.
-	blind := store.NewTiered(newMapBackend(), far)
-	if got := blind.Len(); got != 6 {
-		t.Fatalf("blind near tier: Len=%d, want max fallback 6", got)
+	for i := 3; i < 7; i++ {
+		near.Put(store.Key("v1", fmt.Sprintf("near-%d", i)), []byte(`{"v":1}`))
+	}
+	// near = 8, far = 6, union = 13.
+	if got := tiered.Len(); got != 8 {
+		t.Fatalf("Len=%d, want max(near, far) = 8", got)
+	}
+	if far.hasBatches != 0 || far.getBatches != 0 {
+		t.Fatalf("Len probed the far tier: %d HasBatch and %d GetBatch calls, want none", far.hasBatches, far.getBatches)
 	}
 }

@@ -22,7 +22,7 @@ type Putter interface {
 // gzipped mput per fan-out instead of one synchronous round trip per
 // executed unit. This is the write-side mirror of Store.Prefetch.
 //
-// The caller owns the flush barrier: Flush (or Close) must run before the
+// The caller owns the flush barrier: Flush must run before the
 // process needs the writes durable or visible to other processes — the
 // cached engine flushes at the end of every fan-out, so a fan-out's folds
 // and any following fan-out observe exactly what synchronous writes would
@@ -80,13 +80,6 @@ func (w *WriteBuffer) Flush() {
 	w.pending = nil
 	w.mu.Unlock()
 	w.st.flushEntries(chunk)
-}
-
-// Close flushes the buffer. The underlying store stays open — the buffer
-// borrows it for one fan-out, it does not own it.
-func (w *WriteBuffer) Close() error {
-	w.Flush()
-	return nil
 }
 
 // flushEntries pushes a buffered chunk to the backend through its batch

@@ -41,11 +41,9 @@ func TestWriteBufferBatchesAndFlushes(t *testing.T) {
 	if s := st.Stats(); s.Puts != int64(len(keys)) || s.PutErrors != 0 {
 		t.Fatalf("stats %+v, want puts=%d putErrors=0", s, len(keys))
 	}
-	// An empty flush (and Close) is a no-op, not an empty request.
+	// An empty flush is a no-op, not an empty request.
 	wb.Flush()
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wb.Flush()
 	if len(be.putBatches) != 1 {
 		t.Fatalf("empty flushes issued batches: %v", be.putBatches)
 	}

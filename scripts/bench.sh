@@ -1,0 +1,74 @@
+#!/bin/sh
+# bench.sh — run the micro-benchmarks and write the two ledgers:
+#
+#   BENCH_sim.json    the simulator and the proof pipeline: System.Step
+#                     across step kinds, the greedy adversary's
+#                     per-decision lookahead, a whole canonical run, the
+#                     adversary's full quick-config schedule search cold
+#                     and through a warm result store, the trace-capture
+#                     tax on one executed job (off vs on), building one
+#                     algorithm factory, and the proof pipeline on
+#                     yang-anderson: Construct, Decode, an Encode+Decode
+#                     round trip, and the full verified Prove
+#   BENCH_store.json  the result store: the local LRU+NDJSON hot path, and
+#                     the remote batch and point paths over loopback
+#
+# Usage: scripts/bench.sh [sim.json [store.json]]
+#
+# Every row has one shape, one object per benchmark:
+#   {"name":..., "pkg":..., "iterations":N, "ns_per_op":X,
+#    "bytes_per_op":B, "allocs_per_op":A}
+# wrapped in {"go":version, "benchmarks":[...]}. BENCH_sim.json also keeps
+# a "baseline" block, the measurement from before the step loop was
+# flattened, kept for comparison: when an output file already has one, it
+# is carried over verbatim, so regenerating refreshes only the current
+# rows. No timestamps are embedded, so reruns on the same box and code
+# are stable modulo noise.
+set -eu
+cd "$(dirname "$0")/.."
+
+sim_out="${1:-BENCH_sim.json}"
+store_out="${2:-BENCH_store.json}"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+go test -run '^$' -bench 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$|BenchmarkGreedyNext$|BenchmarkCanonicalRun$|BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$|BenchmarkCaptureOverhead$|BenchmarkNewFactory$|BenchmarkConstruct$|BenchmarkDecode$|BenchmarkEncodeDecode$|BenchmarkFullPipeline$' -benchmem ./internal/machine ./internal/adversary ./internal/runner . >"$tmp/sim"
+go test -run '^$' -bench 'BenchmarkStoreGetPut$|BenchmarkRemoteMGet$|BenchmarkRemoteGet$|BenchmarkRemoteMPut$|BenchmarkRemotePut$' -benchmem ./internal/store ./internal/remote >"$tmp/store"
+
+go_version="$(go env GOVERSION)"
+
+# ledger OUT IN writes the benchmark lines of go test output IN as the
+# rows of ledger OUT, keeping OUT's baseline block when it has one.
+ledger() {
+  baseline=""
+  if [ -f "$1" ]; then
+    baseline="$(awk '/^"baseline":\[/{f=1;next} /^\],/{f=0} f' "$1")"
+  fi
+  awk -v go_version="$go_version" -v baseline="$baseline" '
+    /^pkg:/ { pkg = $2 }
+    /^Benchmark/ {
+      name = $1
+      sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
+      ns = ""; bytes = ""; allocs = ""
+      for (i = 2; i <= NF; i++) {
+        if ($i == "ns/op")     ns = $(i-1)
+        if ($i == "B/op")      bytes = $(i-1)
+        if ($i == "allocs/op") allocs = $(i-1)
+      }
+      row = sprintf("  {\"name\":\"%s\",\"pkg\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}",
+                    name, pkg, $2, ns, bytes, allocs)
+      rows = rows (rows == "" ? "" : ",\n") row
+    }
+    END {
+      printf "{\"go\":\"%s\",", go_version
+      if (baseline != "")
+        printf "\n\"baseline\":[\n%s\n],\n", baseline
+      printf "\"benchmarks\":[\n%s\n]}\n", rows
+    }
+  ' "$2" >"$1"
+  echo "wrote $1:" >&2
+  cat "$1" >&2
+}
+
+ledger "$sim_out" "$tmp/sim"
+ledger "$store_out" "$tmp/store"
