@@ -150,7 +150,9 @@ func TestReplayRejectsForeignExecution(t *testing.T) {
 // registered algorithm under every scheduler family, run to completion and
 // cut short at half its length, ReplayExecution must recover exactly the
 // steps and changed flags the run's System recorded, and Of over those
-// flags must equal Measure's replay. SC must count exactly the shared
+// flags must equal Measure's replay. The Report an Acc streams as the
+// steps execute must equal Of over the recorded run, whether the System
+// records beside it or streams alone. SC must count exactly the shared
 // steps whose flag is set: a critical step's flag is set on every run, so
 // charging it would break Definition 3.1 in Of and Measure alike.
 func TestRunAndReplayAgree(t *testing.T) {
@@ -168,9 +170,9 @@ func TestRunAndReplayAgree(t *testing.T) {
 				machine.HoldCSSpec(n), machine.GreedyCostSpec(),
 			} {
 				full := runFor(t, f, spec, machine.DefaultHorizon(n))
-				half := runFor(t, f, spec, len(full.Trace())/2)
-				for _, s := range []*machine.System{full, half} {
-					exec, changed := s.Trace(), s.Changed()
+				half := runFor(t, f, spec, len(full.sys.Trace())/2)
+				for _, r := range []run{full, half} {
+					exec, changed := r.sys.Trace(), r.sys.Changed()
 					at := func(format string, args ...any) {
 						t.Helper()
 						t.Fatalf("%s n=%d %s (%d steps): "+format, append([]any{name, n, spec, len(exec)}, args...)...)
@@ -185,6 +187,12 @@ func TestRunAndReplayAgree(t *testing.T) {
 					rep := cost.Of(f, exec, changed)
 					if want, err := cost.Measure(f, exec); err != nil || rep != want {
 						at("Of = %v, Measure = %v (err %v)", rep, want, err)
+					}
+					if r.recorded != rep {
+						at("Acc beside the recording = %v, Of over the recorded run = %v", r.recorded, rep)
+					}
+					if r.streamed != rep {
+						at("Acc streaming alone = %v, Of over the recorded run = %v", r.streamed, rep)
 					}
 					sc := 0
 					for i, st := range exec {
@@ -204,23 +212,42 @@ func TestRunAndReplayAgree(t *testing.T) {
 	}
 }
 
-// runFor drives a fresh System under spec for at most horizon steps; a
-// run cut short by the horizon or a stalled scheduler still recorded a
-// valid prefix.
-func runFor(t *testing.T, f program.Factory, spec machine.Spec, horizon int) *machine.System {
+// run is one execution driven on two Systems: sys records its steps
+// beside the Acc that reported recorded, and a second System streamed the
+// same steps into an Acc alone, which reported streamed.
+type run struct {
+	sys                *machine.System
+	recorded, streamed cost.Report
+}
+
+// runFor drives f under spec for at most horizon steps, on a recording
+// System and on one that streams alone; a run cut short by the horizon or
+// a stalled scheduler still recorded a valid prefix. The streaming System
+// must record nothing.
+func runFor(t *testing.T, f program.Factory, spec machine.Spec, horizon int) run {
 	t.Helper()
-	sched, err := spec.New()
-	if err != nil {
-		t.Fatal(err)
+	drive := func(record bool) (*machine.System, cost.Report) {
+		t.Helper()
+		sched, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, acc := machine.NewSystem(f), cost.NewAcc(f)
+		s.Stream(acc, record)
+		_, err = machine.Run(s, sched, horizon)
+		var h machine.ErrHorizon
+		var st machine.ErrStalled
+		if err != nil && !errors.As(err, &h) && !errors.As(err, &st) {
+			t.Fatalf("%s %s: %v", f.Name(), spec, err)
+		}
+		return s, acc.Report()
 	}
-	s := machine.NewSystem(f)
-	_, err = machine.Run(s, sched, horizon)
-	var h machine.ErrHorizon
-	var st machine.ErrStalled
-	if err != nil && !errors.As(err, &h) && !errors.As(err, &st) {
-		t.Fatalf("%s %s: %v", f.Name(), spec, err)
+	sys, recorded := drive(true)
+	quiet, streamed := drive(false)
+	if len(quiet.Trace()) != 0 || len(quiet.Changed()) != 0 {
+		t.Fatalf("%s %s: a System streaming alone recorded %d steps", f.Name(), spec, len(quiet.Trace()))
 	}
-	return s
+	return run{sys: sys, recorded: recorded, streamed: streamed}
 }
 
 func TestReportString(t *testing.T) {

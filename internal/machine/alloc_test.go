@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mutex"
@@ -45,11 +46,17 @@ func rmwChurnFactory(tb testing.TB, n int) program.Factory {
 }
 
 // stepAllocs measures steady-state allocations per System.Step over a
-// never-halting workload with a pre-reserved trace arena.
-func stepAllocs(t *testing.T, f program.Factory, runs int) float64 {
+// never-halting workload. A recording System gets a pre-reserved trace
+// arena; a streaming one hands each step to a cost.Acc, records nothing,
+// and is reserved nothing, as Run leaves it.
+func stepAllocs(t *testing.T, f program.Factory, runs int, stream bool) float64 {
 	t.Helper()
 	s := machine.NewSystem(f)
-	s.Reserve(runs + 8*f.N() + 2)
+	if stream {
+		s.Stream(cost.NewAcc(f), false)
+	} else {
+		s.Reserve(runs + 8*f.N() + 2)
+	}
 	for w := 0; w < 4*f.N(); w++ { // warm-up: every process past its first lap
 		if _, err := s.Step(w % f.N()); err != nil {
 			t.Fatal(err)
@@ -66,8 +73,9 @@ func stepAllocs(t *testing.T, f program.Factory, runs int) float64 {
 
 // TestStepZeroAlloc is the regression guard for the flattened hot loop: a
 // steady-state System.Step — across read, write, RMW and critical step
-// kinds, with the trace arena reserved — must not allocate. The per-step
-// map literal the old applyCrit built and the two StateKey strings the old
+// kinds, on a recording System with its trace arena reserved and on one
+// streaming into a cost.Acc alone — must not allocate. The per-step map
+// literal the old applyCrit built and the two StateKey strings the old
 // Step built would each trip this.
 func TestStepZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
@@ -77,8 +85,10 @@ func TestStepZeroAlloc(t *testing.T) {
 		{"read-write-crit", churnFactory(t, 4)},
 		{"rmw", rmwChurnFactory(t, 4)},
 	} {
-		if got := stepAllocs(t, tc.f, 200); got != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state Step, want 0", tc.name, got)
+		for _, stream := range []bool{false, true} {
+			if got := stepAllocs(t, tc.f, 200, stream); got != 0 {
+				t.Errorf("%s (streaming %v): %.1f allocs per steady-state Step, want 0", tc.name, stream, got)
+			}
 		}
 	}
 }

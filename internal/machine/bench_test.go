@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mutex"
@@ -170,7 +171,9 @@ func BenchmarkGreedyNext(b *testing.B) {
 
 // BenchmarkCanonicalRun is the end-to-end unit the fleet executes billions
 // of times: a full canonical run (every process completes one critical
-// section) of the paper's O(n lg n) algorithm under round-robin.
+// section) of the paper's O(n lg n) algorithm under round-robin, costed
+// the way an executed unit nothing captures costs it: the System streams
+// each step into a cost.Acc and records no step log.
 func BenchmarkCanonicalRun(b *testing.B) {
 	for _, n := range benchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -181,7 +184,12 @@ func BenchmarkCanonicalRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for t := 0; t < b.N; t++ {
-				if _, err := machine.RunCanonical(f, machine.NewRoundRobin(), 0); err != nil {
+				s := machine.NewSystem(f)
+				s.Stream(cost.NewAcc(f), false)
+				if _, err := machine.Run(s, machine.NewRoundRobin(), machine.DefaultHorizon(n)); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.CheckCanonical(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -226,24 +226,26 @@ func (e ErrStalled) Error() string {
 	return fmt.Sprintf("machine: scheduler stalled after %d steps with %d un-halted processes", e.Steps, e.Live)
 }
 
-// runReserve sizes the trace arena Run preallocates. Horizons are
-// deliberately generous (DefaultHorizon(64) is ~2.5M steps) while real
-// canonical runs complete orders of magnitude sooner, so Run eagerly
-// reserves only a typical short run's worth — scaled with n, since run
-// length grows with contention — and lets append's geometric growth cover
-// longer runs. Steady-state stepping is allocation-free either way; the cap
-// just keeps a short run from paying to zero a worst-case arena.
+// runReserve sizes the trace arena Run preallocates for a recording
+// System; one that streams alone (System.Stream) keeps no arena, and Run
+// reserves nothing for it. Horizons are deliberately generous
+// (DefaultHorizon(64) is ~2.5M steps) while real canonical runs complete
+// orders of magnitude sooner, so Run eagerly reserves only a typical short
+// run's worth — scaled with n, since run length grows with contention —
+// and lets append's geometric growth cover longer runs. Steady-state
+// stepping is allocation-free either way; the cap just keeps a short run
+// from paying to zero a worst-case arena.
 func runReserve(n, maxSteps int) int {
 	return min(maxSteps, 512+64*n)
 }
 
 // Run drives the system under the scheduler until every process halts or
-// maxSteps steps have executed. It returns the trace. A horizon exhaustion
-// returns the partial trace and ErrHorizon; a scheduler that returns -1
-// while un-halted processes remain returns the partial trace and
-// ErrStalled.
+// maxSteps steps have executed. It returns the trace, which is empty for a
+// System that streams alone. A horizon exhaustion returns the partial
+// trace and ErrHorizon; a scheduler that returns -1 while un-halted
+// processes remain returns the partial trace and ErrStalled.
 func Run(s *System, sched Scheduler, maxSteps int) (model.Execution, error) {
-	if reserve := runReserve(s.N(), maxSteps); reserve > 0 {
+	if reserve := runReserve(s.N(), maxSteps); s.record && reserve > 0 {
 		s.Reserve(reserve)
 	}
 	for t := 0; t < maxSteps; t++ {

@@ -9,8 +9,10 @@
 // simulator instead executes one step at a time and records exactly the
 // quantities the models charge for.
 //
-// A System records each step's changed flag as it executes it, so the
-// cost models read a run's charges from its own Trace and Changed.
+// A System decides each step's changed flag as it executes it. It hands
+// the step and its flag to its Sink, if one is set (a cost.Acc charges the
+// run as it executes), and records both in Trace and Changed unless it was
+// told not to: a run nothing replays or renders afterwards keeps no log.
 // System.Replay re-executes recorded steps through the same step function;
 // ReplayExecution uses it to check an execution that arrives from outside
 // its System (decoded, linearized or stored) against the simulator's own
@@ -60,19 +62,31 @@ func (s Section) String() string {
 }
 
 // System is a running n-process shared-memory system. It executes steps
-// chosen by a scheduler, records the execution trace, and tracks per-step
-// state changes (the raw material of the state change cost model) and each
-// process's protocol section.
+// chosen by a scheduler, decides for each whether it changed its process's
+// state (the raw material of the state change cost model), streams both
+// to its Sink, records them in the execution trace unless streaming
+// alone, and tracks each process's protocol section.
 type System struct {
 	factory  program.Factory
 	n        int // factory.N(), cached: N() sits on the hot path and must not make an interface call
 	automata []*program.Automaton
 	regs     *model.Registers
 
+	sink    Sink // nil: nothing streams
+	record  bool // append each step to trace and changed
 	trace   model.Execution
 	changed []bool // changed[t]: did step t change its process's state?
 
 	procs []procState
+}
+
+// Sink receives each step a System executes, as Step executes it.
+type Sink interface {
+	// Add takes one executed step, with read results filled in, and
+	// whether it changed the acting process's state.
+	//
+	//repro:hotpath
+	Add(step model.Step, changed bool)
 }
 
 // procState is one process's protocol bookkeeping.
@@ -91,8 +105,18 @@ func NewSystem(f program.Factory) *System {
 		automata: program.NewAutomata(f),
 		regs:     program.NewRegisters(f),
 		procs:    make([]procState, n),
+		record:   true,
 	}
 	return s
+}
+
+// Stream hands every step Step executes from now on, with its changed
+// flag, to sink (nil streams nothing), and records them in Trace and
+// Changed only when record is set. A System starts recording, with no
+// sink; one that streams alone has an empty Trace, and Run reserves no
+// trace arena for it. Set it before the run.
+func (s *System) Stream(sink Sink, record bool) {
+	s.sink, s.record = sink, record
 }
 
 // N returns the number of processes.
@@ -134,8 +158,9 @@ func (s *System) CSEntries(i int) int { return s.procs[i].csEntries }
 // try-enter-exit-rem cycle.
 func (s *System) CSCompleted(i int) int { return s.procs[i].csDone }
 
-// Trace returns the execution so far. The returned slice is owned by the
-// system; callers must not modify it.
+// Trace returns the execution so far, which is empty for a System that
+// streams alone (Stream). The returned slice is owned by the system;
+// callers must not modify it.
 func (s *System) Trace() model.Execution { return s.trace }
 
 // Changed returns the per-step state-change flags, aligned with Trace.
@@ -164,9 +189,9 @@ func (s *System) WouldChangeState(i int) bool {
 }
 
 // Reserve grows the trace and changed arenas to hold at least steps entries
-// without reallocating, so a run whose length is bounded (every run: the
-// driver always has a horizon) appends into preallocated storage and the
-// steady-state Step path allocates nothing. Reserving less than the
+// without reallocating, so a recording run whose length is bounded (every
+// run: the driver always has a horizon) appends into preallocated storage
+// and the steady-state Step path allocates nothing. Reserving less than the
 // eventual length is safe — append falls back to its usual geometric
 // growth — so callers cap the reservation rather than pre-paying a worst
 // case horizon that canonical runs never reach.
@@ -184,7 +209,8 @@ func (s *System) Reserve(steps int) {
 	s.changed = changed
 }
 
-// Step executes process i's pending step, appends it to the trace, and
+// Step executes process i's pending step, hands it and its changed flag
+// to the Sink, appends both to the trace when the System records, and
 // returns the executed step (with read results filled in). It returns an
 // error if the process is halted or violates well-formedness.
 //
@@ -194,17 +220,23 @@ func (s *System) Step(i int) (model.Step, error) {
 	if err != nil {
 		return model.Step{}, err
 	}
-	s.trace = append(s.trace, step)
-	s.changed = append(s.changed, changed)
+	if s.sink != nil {
+		s.sink.Add(step, changed)
+	}
+	if s.record {
+		s.trace = append(s.trace, step)
+		s.changed = append(s.changed, changed)
+	}
 	return step, nil
 }
 
-// Replay executes a recorded step as Step would, without appending it to
-// the trace. A step that is not the acting process's pending step (the
-// same operation on the same register) is refused: the recorded sequence
-// is not an execution of this algorithm. Replay returns the executed step,
-// with read results filled in, and the changed flag Step would record for
-// it (the SC model charges the shared steps among them, Definition 3.1).
+// Replay executes a recorded step as Step would, without streaming it to
+// the Sink or appending it to the trace. A step that is not the acting
+// process's pending step (the same operation on the same register) is
+// refused: the recorded sequence is not an execution of this algorithm.
+// Replay returns the executed step, with read results filled in, and the
+// changed flag Step would record for it (the SC model charges the shared
+// steps among them, Definition 3.1).
 //
 //repro:hotpath
 func (s *System) Replay(step model.Step) (model.Step, bool, error) {

@@ -75,11 +75,13 @@ func (c *CachedEngine) WithShard(i, m int) *CachedEngine {
 // WithCapture returns a copy of the engine that persists every executed
 // unit's step log — the full model.Execution plus the machine's per-step
 // changed flags, encoded by internal/trace — into the store's blob tier
-// under the unit's own cache key. Cached hits capture nothing (their trace
-// was captured when they were executed, or never will be); encoding runs
-// on the worker after its simulation completes, never inside the stepping
-// hot path. Without a store capture has nothing to write to, so the engine
-// is returned unchanged.
+// under the unit's own cache key. Only a capturing engine's units record
+// their step log at all; every executed unit streams its steps into its
+// cost as they execute. Cached hits capture nothing (their trace was
+// captured when they were executed, or never will be); encoding runs on
+// the worker after its simulation completes, never inside the stepping hot
+// path. Without a store capture has nothing to write to, so the engine is
+// returned unchanged.
 func (c *CachedEngine) WithCapture(on bool) *CachedEngine {
 	if c.cache == nil || c.capture == on {
 		return c
@@ -322,7 +324,7 @@ func (c *CachedEngine) Run(jobs []Job, fold func(Result) error) error {
 			if err != nil {
 				return jobPayload{}, err
 			}
-			r, exec, changed := ExecuteTracedOn(f, j)
+			r, exec, changed := executeOn(f, j, c.capture)
 			c.captureTrace(k, trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
 			return jobPayload{Report: r.Report}, r.Err
 		},
@@ -381,7 +383,7 @@ func (c *CachedEngine) RunSchedules(jobs []ScheduleJob, fold func(ScheduleResult
 			if err != nil {
 				return schedulePayload{}, err
 			}
-			r, exec, changed := ExecuteScheduleTraced(f, j)
+			r, exec, changed := executeSchedule(f, j, c.capture)
 			c.captureTrace(k, trace.Record{Algo: j.Algo, N: j.N, Horizon: j.Horizon, Exec: exec, Changed: changed})
 			return schedulePayload{Report: r.Report, Canonical: r.Canonical, Decisions: r.Decisions}, r.Err
 		},

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/machine"
 	"repro/internal/remote"
 	"repro/internal/runner"
@@ -202,17 +203,19 @@ func TestScheduleCaptureRoundTrip(t *testing.T) {
 }
 
 // TestCaptureDisabledStepZeroAlloc pins the hot-path contract the capture
-// feature must not break: with capture off (the default), a steady-state
-// System.Step allocates nothing. Capture encodes strictly after
-// machine.Run returns, so this holds with capture on too — but the off
-// path is the one every sweep pays, so it is the one guarded.
+// feature must not break: with capture off (the default), an executed
+// unit's System streams each step into the unit's cost.Acc and records
+// none, so Run reserves it no trace arena, and a steady-state step on it
+// allocates nothing. Capture encodes strictly after machine.Run returns,
+// and a capturing unit's recording step is guarded in internal/machine
+// (TestStepZeroAlloc); the off path is the one every sweep pays.
 func TestCaptureDisabledStepZeroAlloc(t *testing.T) {
 	f, err := runner.NewFactory("tas", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := machine.NewSystem(f)
-	s.Reserve(2048)
+	s.Stream(cost.NewAcc(f), false)
 	// Let process 0 take the lock; 1..2 then spin on TAS failing.
 	for _, i := range []int{0, 0, 0} {
 		if _, err := s.Step(i); err != nil {
@@ -231,17 +234,51 @@ func TestCaptureDisabledStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestUncapturedUnitAllocsFlatInRunLength: an executed unit nothing
+// captures costs its steps as they execute and keeps none of them, so a
+// run twice as long allocates no more. A recording unit grows its trace
+// arena past Run's reservation, a few allocations per doubling.
+func TestUncapturedUnitAllocsFlatInRunLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over a factory build vary under the race detector")
+	}
+	eng := runner.NewCached(runner.New(1), nil)
+	unit := func(delay int) (allocs float64, steps int) {
+		j := runner.Job{Algo: "yang-anderson", N: 4, Sched: machine.HoldCSSpec(delay)}
+		allocs = testing.AllocsPerRun(10, func() {
+			if err := eng.Run([]runner.Job{j}, func(r runner.Result) error {
+				steps = r.Report.Steps
+				return r.Err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, steps
+	}
+	short, shortSteps := unit(400)
+	long, longSteps := unit(800)
+	if longSteps < 2*shortSteps-200 {
+		t.Fatalf("hold-cs(800) ran %d steps, hold-cs(400) %d: not about twice as long", longSteps, shortSteps)
+	}
+	if long > short {
+		t.Errorf("uncaptured unit: %.0f allocs at %d steps, %.0f at %d", long, longSteps, short, shortSteps)
+	}
+}
+
 // BenchmarkCaptureOverhead quantifies what turning capture on costs one
-// executed job: off = the plain execution, on = execution + trace encode +
-// blob store. The delta is the capture tax; the stepping itself is
-// identical in both.
+// executed job: off = the path an uncaptured unit takes (an uncached
+// engine's RunOne, which streams the run into its cost and records no
+// step log), on = a recorded execution + trace encode + blob store. Both
+// build the job's factory. The delta is the capture tax: the step log,
+// its encoding and its store.
 func BenchmarkCaptureOverhead(b *testing.B) {
 	j := runner.Job{Algo: "yang-anderson", N: 8, Sched: machine.RoundRobinSpec()}
 	b.Run("off", func(b *testing.B) {
+		eng := runner.NewCached(runner.New(1), nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if r, _, _ := runner.ExecuteTraced(j); r.Err != nil {
-				b.Fatal(r.Err)
+			if _, err := eng.RunOne(j); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -162,9 +162,10 @@ func (fs *factories[J]) countOff(c cell) {
 
 // run drives f under a fresh scheduler built from spec on a fresh System
 // for at most horizon steps (0 means machine.DefaultHorizon(f.N())). The
-// System is nil when the spec did not resolve; otherwise the error is
-// machine.Run's.
-func run(f program.Factory, spec machine.Spec, horizon int) (*machine.System, error) {
+// System streams each step to sink as it executes it, and records its
+// trace only when record is set. The System is nil when the spec did not
+// resolve; otherwise the error is machine.Run's.
+func run(f program.Factory, spec machine.Spec, horizon int, sink machine.Sink, record bool) (*machine.System, error) {
 	sched, err := spec.New()
 	if err != nil {
 		return nil, err
@@ -173,22 +174,31 @@ func run(f program.Factory, spec machine.Spec, horizon int) (*machine.System, er
 		horizon = machine.DefaultHorizon(f.N())
 	}
 	s := machine.NewSystem(f)
+	s.Stream(sink, record)
 	_, err = machine.Run(s, sched, horizon)
 	return s, err
 }
 
 // ExecuteTracedOn runs one job on its resolved factory f: build the
-// scheduler from its spec, drive a canonical execution, and read its cost
-// from the charges the System recorded. It never shares mutable state with
-// other invocations; f is only read. Errors are returned unwrapped — the
-// Result already carries the job's coordinates, and folds add their own
-// context. Beside the Result it returns the raw material trace capture
-// persists: the execution's step log and the machine's per-step changed
-// flags. On error the trace and flags are nil: a failed job has no
-// execution worth replaying.
+// scheduler from its spec, drive a canonical execution, and cost it
+// through a cost.Acc as the System executes it. It never shares mutable
+// state with other invocations; f is only read. Errors are returned
+// unwrapped — the Result already carries the job's coordinates, and folds
+// add their own context. Beside the Result it returns the raw material
+// trace capture persists: the execution's step log and the machine's
+// per-step changed flags. On error the trace and flags are nil: a failed
+// job has no execution worth replaying.
 func ExecuteTracedOn(f program.Factory, j Job) (Result, model.Execution, []bool) {
+	return executeOn(f, j, true)
+}
+
+// executeOn is ExecuteTracedOn that records the step log only when record
+// is set: an executed unit nothing captures costs its steps as they
+// execute and keeps none of them, and its trace and flags are nil.
+func executeOn(f program.Factory, j Job, record bool) (Result, model.Execution, []bool) {
 	res := Result{Job: j}
-	s, err := run(f, j.Sched, j.Horizon)
+	acc := cost.NewAcc(f)
+	s, err := run(f, j.Sched, j.Horizon, acc, record)
 	if err == nil {
 		err = s.CheckCanonical()
 	}
@@ -196,7 +206,7 @@ func ExecuteTracedOn(f program.Factory, j Job) (Result, model.Execution, []bool)
 		res.Err = err
 		return res, nil, nil
 	}
-	res.Report = cost.Of(f, s.Trace(), s.Changed())
+	res.Report = acc.Report()
 	return res, s.Trace(), s.Changed()
 }
 

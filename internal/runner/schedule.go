@@ -66,8 +66,20 @@ type ScheduleResult struct {
 // trace and flags; a discarded candidate (non-canonical) still returns
 // whatever execution it produced — a truncated run replays like any other.
 func ExecuteScheduleTraced(f program.Factory, j ScheduleJob) (ScheduleResult, model.Execution, []bool) {
+	return executeSchedule(f, j, true)
+}
+
+// executeSchedule is ExecuteScheduleTraced that records the step log only
+// when record is set; the trace and flags are nil otherwise. The result
+// is the same either way: a candidate is costed, and its decisions kept,
+// as its steps execute.
+func executeSchedule(f program.Factory, j ScheduleJob, record bool) (ScheduleResult, model.Execution, []bool) {
 	res := ScheduleResult{Job: j}
-	s, err := run(f, j.Sched, j.Horizon)
+	k := &candidateSink{acc: cost.NewAcc(f)}
+	if j.KeepDecisions > 0 {
+		k.decisions = make([]int, 0, j.KeepDecisions)
+	}
+	s, err := run(f, j.Sched, j.Horizon, k, record)
 	var h machine.ErrHorizon
 	var st machine.ErrStalled
 	if err != nil && !errors.As(err, &h) && !errors.As(err, &st) {
@@ -75,13 +87,27 @@ func ExecuteScheduleTraced(f program.Factory, j ScheduleJob) (ScheduleResult, mo
 		return res, nil, nil
 	}
 	res.Canonical = err == nil && s.CheckCanonical() == nil
-	exec := s.Trace()
-	if k := min(j.KeepDecisions, len(exec)); k > 0 {
-		res.Decisions = make([]int, k)
-		for i := range res.Decisions {
-			res.Decisions[i] = exec[i].Proc
-		}
+	if d := len(k.decisions); d > 0 {
+		res.Decisions = k.decisions[:d:d]
 	}
-	res.Report = cost.Of(f, exec, s.Changed())
-	return res, exec, s.Changed()
+	res.Report = k.acc.Report()
+	return res, s.Trace(), s.Changed()
+}
+
+// candidateSink costs a candidate's steps as they execute, and keeps the
+// acting process of the first cap(decisions) of them: the genome a
+// mutation-based search edits.
+type candidateSink struct {
+	acc       *cost.Acc
+	decisions []int
+}
+
+// Add implements machine.Sink.
+//
+//repro:hotpath
+func (k *candidateSink) Add(step model.Step, changed bool) {
+	k.acc.Add(step, changed)
+	if len(k.decisions) < cap(k.decisions) {
+		k.decisions = append(k.decisions, step.Proc)
+	}
 }

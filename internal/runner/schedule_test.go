@@ -1,6 +1,7 @@
 package runner_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
@@ -92,5 +93,60 @@ func TestRunSchedulesFoldsInOrder(t *testing.T) {
 		if got != i {
 			t.Fatalf("fold order %v not submission order", order)
 		}
+	}
+}
+
+// TestStreamedScheduleResultMatchesRecorded: an uncaptured RunSchedules
+// unit streams its candidate's steps into its cost and decisions and
+// records none. Its result must be the one ExecuteScheduleTraced derives
+// beside the recorded trace: the same Report, Canonical and Decisions,
+// nil where that one is nil, for KeepDecisions of 0, 1, the run's length
+// and beyond it, on a complete candidate, one the horizon cuts short and
+// two whose schedulers stall, one of them before its first step.
+func TestStreamedScheduleResultMatchesRecorded(t *testing.T) {
+	const algo, n = "yang-anderson", 3
+	f := mustFactory(t, algo, n)
+	var jobs []runner.ScheduleJob
+	for _, c := range []struct {
+		j         runner.ScheduleJob
+		canonical bool
+	}{
+		{runner.ScheduleJob{Algo: algo, N: n, Sched: machine.RoundRobinSpec()}, true},
+		{runner.ScheduleJob{Algo: algo, N: n, Sched: machine.RandomSpec(5), Horizon: 9}, false},
+		{runner.ScheduleJob{Algo: algo, N: n, Sched: machine.SoloSpec([]int{1})}, false},
+		{runner.ScheduleJob{Algo: algo, N: n, Sched: machine.SoloSpec(nil)}, false}, // stalls before its first step
+	} {
+		r, exec, _ := runner.ExecuteScheduleTraced(f, c.j)
+		if r.Err != nil || r.Canonical != c.canonical {
+			t.Fatalf("%s: err %v, canonical %v after %d steps; want canonical %v", c.j.Sched, r.Err, r.Canonical, len(exec), c.canonical)
+		}
+		for _, keep := range []int{0, 1, len(exec), len(exec) + 5} {
+			c.j.KeepDecisions = keep
+			jobs = append(jobs, c.j)
+		}
+	}
+	err := runner.NewCached(runner.New(2), nil).RunSchedules(jobs, func(got runner.ScheduleResult) error {
+		j := got.Job
+		want, exec, _ := runner.ExecuteScheduleTraced(f, j)
+		if got.Err != nil || want.Err != nil {
+			t.Fatalf("%s keep=%d: streamed err %v, recorded err %v", j.Sched, j.KeepDecisions, got.Err, want.Err)
+		}
+		if got.Report != want.Report || got.Canonical != want.Canonical || !reflect.DeepEqual(got.Decisions, want.Decisions) {
+			t.Errorf("%s keep=%d: streamed %+v %v %v, recorded %+v %v %v", j.Sched, j.KeepDecisions,
+				got.Report, got.Canonical, got.Decisions, want.Report, want.Canonical, want.Decisions)
+		}
+		if k := min(j.KeepDecisions, len(exec)); len(got.Decisions) != k || k == 0 && got.Decisions != nil {
+			// No decision is a nil genome: it is stored as null, not [].
+			t.Errorf("%s keep=%d: decisions %#v, want %d of them", j.Sched, j.KeepDecisions, got.Decisions, k)
+		}
+		for i, p := range got.Decisions {
+			if p != exec[i].Proc {
+				t.Errorf("%s keep=%d: decision %d is process %d, step %d was process %d's", j.Sched, j.KeepDecisions, i, p, i, exec[i].Proc)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,6 +40,16 @@ const recordMagic = "RTB1"
 // (machine.DefaultHorizon) is far below it.
 const maxRecordSteps = 1 << 26
 
+// maxRecordN bounds a record's process count. Replay builds the record's
+// factory at that n before it reads a step (runner.NewFactory in
+// cmd/observe), and a factory holds at least one program per process, so
+// an unchecked header could make replay build one of any size. The
+// largest n a capturing binary admits by default is cmd/experimentd's
+// -max-n of 256; the bound is four times that, so a capture made at a
+// larger -n still replays. EncodeRecord refuses what DecodeRecord would,
+// so capture never stores a record replay refuses.
+const maxRecordN = 1 << 10
+
 // Record is one captured execution: everything replay needs, keyed in the
 // blob store by the executed unit's result cache key.
 type Record struct {
@@ -61,8 +71,11 @@ func EncodeRecord(rec Record) ([]byte, error) {
 	if len(rec.Changed) != len(rec.Exec) {
 		return nil, fmt.Errorf("trace: encode: %d steps but %d changed flags", len(rec.Exec), len(rec.Changed))
 	}
-	if rec.N <= 0 {
+	if rec.N <= 0 || rec.N > maxRecordN {
 		return nil, fmt.Errorf("trace: encode: bad process count %d", rec.N)
+	}
+	if len(rec.Exec) == 0 {
+		return nil, errors.New("trace: encode: no steps")
 	}
 	// ~6 bytes per step is the steady-state size; a short header on top.
 	buf := make([]byte, 0, len(recordMagic)+len(rec.Algo)+16+6*len(rec.Exec))
@@ -150,7 +163,9 @@ func (r *recordReader) bytes(n uint64) []byte {
 // DecodeRecord parses an encoded record. Any framing damage — wrong magic,
 // truncation, out-of-range counts, trailing garbage — is an error: a blob
 // that does not decode exactly is corrupt, and replay must refuse it
-// rather than replay something else.
+// rather than replay something else. So is a header no capture writes: a
+// process count outside [1, maxRecordN], or no steps. Both are refused
+// before anything is sized from them.
 func DecodeRecord(b []byte) (Record, error) {
 	var rec Record
 	if len(b) < len(recordMagic) || string(b[:len(recordMagic)]) != recordMagic {
@@ -158,15 +173,16 @@ func DecodeRecord(b []byte) (Record, error) {
 	}
 	r := &recordReader{buf: b[len(recordMagic):]}
 	rec.Algo = string(r.bytes(r.uvarint()))
-	rec.N = int(r.uvarint())
+	n := r.uvarint()
 	rec.Horizon = int(r.uvarint())
 	steps := r.uvarint()
 	if r.err != nil {
 		return rec, r.err
 	}
-	if rec.N <= 0 || steps > maxRecordSteps {
-		return rec, fmt.Errorf("trace: implausible record header (n=%d, steps=%d)", rec.N, steps)
+	if n == 0 || n > maxRecordN || steps == 0 || steps > maxRecordSteps {
+		return rec, fmt.Errorf("trace: implausible record header (n=%d, steps=%d)", n, steps)
 	}
+	rec.N = int(n)
 	// Preallocate no more than the remaining bytes can hold, at two bytes
 	// (a process and a flag byte) per step: the header's count is not yet
 	// checked against the record.
@@ -180,6 +196,9 @@ func DecodeRecord(b []byte) (Record, error) {
 			return rec, r.err
 		}
 		flags := fb[0]
+		if proc >= n {
+			return rec, fmt.Errorf("trace: step %d: process %d out of range [0,%d)", t, proc, n)
+		}
 		s := model.Step{
 			Proc: int(proc),
 			Kind: model.Kind(flags & 0b11),
@@ -201,9 +220,6 @@ func DecodeRecord(b []byte) (Record, error) {
 		}
 		if r.err != nil {
 			return rec, r.err
-		}
-		if s.Proc >= rec.N {
-			return rec, fmt.Errorf("trace: step %d: process %d out of range [0,%d)", t, s.Proc, rec.N)
 		}
 		rec.Exec = append(rec.Exec, s)
 		rec.Changed = append(rec.Changed, flags&(1<<2) != 0)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/mutex"
+	_ "repro/internal/rmw" // registers tas and mcs, so records naming them verify
 	"repro/internal/trace"
 )
 
@@ -94,6 +95,48 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 	for name, rec := range cases {
 		if _, err := trace.EncodeRecord(rec); err == nil {
 			t.Errorf("%s: encode accepted", name)
+		}
+	}
+}
+
+// TestDecodeRefusesImpossibleHeader: a header no capture writes is
+// refused before anything is built from it. The 13-byte blob claims
+// n = 2⁴⁰ processes and no steps; replay would build its factory at that
+// n. A record with no steps, and a step whose process number does not
+// fit an int, are refused too.
+func TestDecodeRefusesImpossibleHeader(t *testing.T) {
+	header := func(n, steps uint64) []byte {
+		blob := []byte("RTB1")
+		blob = binary.AppendUvarint(blob, 0) // empty algorithm name
+		blob = binary.AppendUvarint(blob, n)
+		blob = binary.AppendUvarint(blob, 0) // horizon
+		return binary.AppendUvarint(blob, steps)
+	}
+	huge := header(1<<40, 0)
+	if len(huge) != 13 {
+		t.Fatalf("test blob is %d bytes, want 13", len(huge))
+	}
+	farProc := binary.AppendUvarint(header(3, 1), 1<<63)
+	farProc = append(farProc, byte(model.KindCrit))
+	for name, blob := range map[string][]byte{
+		"n=2^40, no steps":      huge,
+		"n=2^40, one step":      append(header(1<<40, 1), 0, byte(model.KindCrit)),
+		"n=3, no steps":         header(3, 0),
+		"process 2^63 of three": farProc,
+	} {
+		if rec, err := trace.DecodeRecord(blob); err == nil {
+			t.Errorf("%s: decoded as n=%d with %d steps", name, rec.N, len(rec.Exec))
+		}
+	}
+	if _, err := trace.DecodeRecord(append(header(3, 1), 0, byte(model.KindCrit))); err != nil {
+		t.Fatalf("a one-step record at n=3 refused: %v", err)
+	}
+	for name, rec := range map[string]trace.Record{
+		"n=2^40":   {Algo: "x", N: 1 << 40, Exec: model.Execution{{Kind: model.KindCrit}}, Changed: []bool{true}},
+		"no steps": {Algo: "x", N: 3},
+	} {
+		if _, err := trace.EncodeRecord(rec); err == nil {
+			t.Errorf("%s: encoded a record DecodeRecord refuses", name)
 		}
 	}
 }
@@ -225,4 +268,53 @@ func TestDecodeRecordAllocationBoundedByInput(t *testing.T) {
 			t.Fatalf("%s: record does not round-trip byte for byte", name)
 		}
 	}
+}
+
+// FuzzDecodeRecord feeds the record decoder arbitrary bytes. The seed
+// corpus in testdata/fuzz/FuzzDecodeRecord holds real captures:
+// yang-anderson and peterson at n = 3 under round-robin, and a bakery
+// schedule candidate the horizon cut short. Whatever the input,
+// DecodeRecord returns without panicking; a record it accepts re-encodes
+// and decodes back to itself; and VerifyRecord, given the factory the
+// record names, refuses it or accepts it and charges exactly its changed
+// shared steps. The factory is built only at n ≤ 8, so no input makes the
+// fuzzer build a large one.
+func FuzzDecodeRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		rec, err := trace.DecodeRecord(blob)
+		if err != nil {
+			return
+		}
+		enc, err := trace.EncodeRecord(rec)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		again, err := trace.DecodeRecord(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, rec) {
+			t.Fatalf("record does not round-trip:\n got %+v\nwant %+v", again, rec)
+		}
+		if rec.N > 8 {
+			return
+		}
+		fac, err := mutex.New(rec.Algo, rec.N)
+		if err != nil {
+			return
+		}
+		sc, err := trace.VerifyRecord(fac, rec)
+		if err != nil {
+			return
+		}
+		want := 0
+		for i, s := range rec.Exec {
+			if s.IsShared() && rec.Changed[i] {
+				want++
+			}
+		}
+		if sc != want {
+			t.Fatalf("verified record charged %d, want its %d changed shared steps", sc, want)
+		}
+	})
 }
