@@ -16,17 +16,22 @@
 //	                                               # re-place a live fleet:
 //	                                               # install the ring on every
 //	                                               # member, then drain each
-//	stored -drain DIR -name a -ring SPEC -epoch N  # offline: push DIR's keys
-//	                                               # that a no longer owns to
-//	                                               # their owners, then exit
+//	stored -drain DIR -name a -ring SPEC -epoch N  # offline: push DIR's results
+//	                                               # and traces that a no longer
+//	                                               # owns to their owners, then
+//	                                               # exit
 //	stored -compact DIR                            # maintenance: rewrite the
-//	                                               # NDJSON log dropping dead
-//	                                               # records, then exit
+//	                                               # result and blob logs
+//	                                               # dropping dead records,
+//	                                               # then exit
 //
-// Lifecycle: -max-bytes and -max-age bound the store (oldest results are
-// evicted first; an evicted result only ever costs its re-execution), and
-// the log auto-compacts whenever superseded+dead bytes cross -compact-frac
-// of the file. Both run on the -maintain cadence while serving.
+// A store directory holds two logs, the results and, under blobs/, the
+// captured traces; every mode opens both. Lifecycle: -max-bytes and
+// -max-age bound each log separately (oldest records are evicted first;
+// an evicted result or trace only ever costs its re-execution), and both
+// logs are compacted whenever either's superseded+dead bytes cross
+// -compact-frac of that log. Both run on the -maintain cadence while
+// serving.
 //
 // The first stdout line is "stored: listening on http://ADDR" (with the
 // resolved port when -addr ends in :0), so scripts can scrape the address.
@@ -70,18 +75,18 @@ func run(args []string, w io.Writer) error {
 		addr       = fs.String("addr", "127.0.0.1:9200", "listen address")
 		dir        = fs.String("dir", "", "store directory (created if missing)")
 		lruEntries = fs.Int("lru", 0, "LRU tier capacity in entries; 0 = default")
-		compactDir = fs.String("compact", "", "maintenance mode: compact the store in DIR and exit")
+		compactDir = fs.String("compact", "", "maintenance mode: compact the result and blob logs in DIR and exit")
 
 		name     = fs.String("name", "", "this replica's ring member name (hashing identity; required for -drain and to serve drains)")
 		ringSpec = fs.String("ring", "", "placement ring spec: name=url[*weight],… (see store.ParseRingSpec)")
 		epoch    = fs.Uint64("epoch", 0, "ring epoch for -ring (a resize must use a larger epoch than the fleet's current one)")
 
-		drainDir  = fs.String("drain", "", "offline migration: push every key in DIR that -name no longer owns under -ring to its owner, then exit")
+		drainDir  = fs.String("drain", "", "offline migration: push every result and trace in DIR that -name no longer owns under -ring to its owner, then exit")
 		rebalance = fs.Bool("rebalance", false, "live migration: install -ring on every member, drain each, then exit")
 
-		maxBytes    = fs.Int64("max-bytes", 0, "evict oldest results when the live log exceeds this many bytes; 0 = unbounded")
-		maxAge      = fs.Duration("max-age", 0, "evict results older than this; 0 = keep forever")
-		compactFrac = fs.Float64("compact-frac", 0.5, "auto-compact when reclaimable bytes exceed this fraction of the log")
+		maxBytes    = fs.Int64("max-bytes", 0, "evict oldest records when a log's live bytes exceed this many; the result log and the blob log are each bounded by it separately; 0 = unbounded")
+		maxAge      = fs.Duration("max-age", 0, "evict results and traces older than this; 0 = keep forever")
+		compactFrac = fs.Float64("compact-frac", 0.5, "auto-compact both logs when either's reclaimable bytes exceed this fraction of that log")
 		maintain    = fs.Duration("maintain", time.Minute, "lifecycle cadence: how often eviction and auto-compaction run while serving")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -124,7 +129,7 @@ func run(args []string, w io.Writer) error {
 		if *dir != "" {
 			return fmt.Errorf("-drain is a maintenance mode; it does not combine with -dir")
 		}
-		st, err := store.Open(*drainDir, *lruEntries)
+		st, _, _, err := openStore(*drainDir, *lruEntries)
 		if err != nil {
 			return err
 		}
@@ -142,12 +147,13 @@ func run(args []string, w io.Writer) error {
 		if *dir != "" {
 			return fmt.Errorf("-compact is a maintenance mode; it does not combine with -dir")
 		}
-		st, err := store.Open(*compactDir, *lruEntries)
+		st, _, _, err := openStore(*compactDir, *lruEntries)
 		if err != nil {
 			return err
 		}
 		defer st.Close()
-		kept, dropped, err := st.Compact()
+		// The server's compaction, as /v1/compact runs it: both logs.
+		kept, dropped, err := remote.NewServer(st).CompactStore()
 		if err != nil {
 			return err
 		}
@@ -159,19 +165,10 @@ func run(args []string, w io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-dir is required (or -compact/-drain DIR, or -rebalance, for maintenance)")
 	}
-	// Open the backend directly (not store.Open) to keep the NDJSON handle:
-	// the lifecycle loop drives eviction and byte accounting through it.
-	be, err := store.OpenNDJSON(*dir)
+	st, results, blobs, err := openStore(*dir, *lruEntries)
 	if err != nil {
 		return err
 	}
-	st := store.New(*lruEntries, be)
-	blobs, err := store.OpenFileBlobs(*dir)
-	if err != nil {
-		st.Close() //repro:degrade error-path teardown; the open failure below is the one to surface
-		return err
-	}
-	st.SetBlobs(blobs)
 	defer st.Close()
 
 	ln, err := net.Listen("tcp", *addr)
@@ -198,11 +195,15 @@ func run(args []string, w io.Writer) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	// Lifecycle loop: age/size eviction and auto-compaction on a cadence.
-	// Eviction only de-indexes (an evicted result costs its re-execution,
-	// nothing more); compaction reclaims the dead bytes eviction and
-	// overwrites leave behind, through the server's locked compact so it
-	// cannot race a put's check-then-write.
+	// Lifecycle loop: age/size eviction and auto-compaction of both logs on
+	// a cadence. Eviction only de-indexes (an evicted record costs its
+	// re-execution, nothing more); compaction reclaims the dead bytes
+	// eviction and overwrites leave behind, through the server's locked
+	// compact so it cannot race a put's check-then-write.
+	logs := []struct {
+		name string
+		log  *store.NDJSON
+	}{{"results", results}, {"traces", blobs.Log()}}
 	maintainDone := make(chan struct{})
 	go func() {
 		defer close(maintainDone)
@@ -216,25 +217,32 @@ func run(args []string, w io.Writer) error {
 				return
 			case <-ticker.C:
 			}
-			if *maxAge > 0 {
-				if n := be.EvictOlderThan(time.Now().Add(-*maxAge)); n > 0 {
-					fmt.Fprintf(w, "stored: evicted %d entries older than %s\n", n, *maxAge)
-				}
-			}
-			if *maxBytes > 0 {
-				if n := be.EvictToSize(*maxBytes); n > 0 {
-					fmt.Fprintf(w, "stored: evicted %d entries to fit %d bytes\n", n, *maxBytes)
-				}
-			}
-			if size := be.SizeBytes(); size > 0 && *compactFrac > 0 {
-				if frac := float64(be.DeadBytes()) / float64(size); frac > *compactFrac {
-					kept, dropped, err := handler.CompactStore()
-					if err != nil {
-						fmt.Fprintf(w, "stored: auto-compact failed: %v\n", err)
-						continue
+			compact := false
+			for _, l := range logs {
+				if *maxAge > 0 {
+					if n := l.log.EvictOlderThan(time.Now().Add(-*maxAge)); n > 0 {
+						fmt.Fprintf(w, "stored: evicted %d %s older than %s\n", n, l.name, *maxAge)
 					}
-					fmt.Fprintf(w, "stored: auto-compacted (%.0f%% dead): kept=%d dropped=%d\n", frac*100, kept, dropped)
 				}
+				if *maxBytes > 0 {
+					if n := l.log.EvictToSize(*maxBytes); n > 0 {
+						fmt.Fprintf(w, "stored: evicted %d %s to fit %d bytes\n", n, l.name, *maxBytes)
+					}
+				}
+				if size := l.log.SizeBytes(); size > 0 && *compactFrac > 0 {
+					if frac := float64(l.log.DeadBytes()) / float64(size); frac > *compactFrac {
+						fmt.Fprintf(w, "stored: %s log %.0f%% dead\n", l.name, frac*100)
+						compact = true
+					}
+				}
+			}
+			if compact {
+				kept, dropped, err := handler.CompactStore()
+				if err != nil {
+					fmt.Fprintf(w, "stored: auto-compact failed: %v\n", err)
+					continue
+				}
+				fmt.Fprintf(w, "stored: auto-compacted: kept=%d dropped=%d\n", kept, dropped)
 			}
 		}
 	}()
@@ -253,4 +261,21 @@ func run(args []string, w io.Writer) error {
 	<-maintainDone
 	fmt.Fprintf(w, "stored: drained, %d entries stored\n", st.Len())
 	return nil
+}
+
+// openStore opens the store in dir with both of its logs, the results and
+// the blob tier beside them, and returns the two for the lifecycle loop.
+func openStore(dir string, lruEntries int) (*store.Store, *store.NDJSON, *store.FileBlobs, error) {
+	results, err := store.OpenNDJSON(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	st := store.New(lruEntries, results)
+	blobs, err := store.OpenFileBlobs(dir)
+	if err != nil {
+		st.Close() //repro:degrade error-path teardown; the open failure is the one to surface
+		return nil, nil, nil, err
+	}
+	st.SetBlobs(blobs)
+	return st, results, blobs, nil
 }

@@ -9,10 +9,11 @@ import (
 	"io"
 )
 
-// RSB1 is the body framing of every batch and blob endpoint. A request
-// declares it in Content-Type (any other type is refused with 415 before
-// the body is read) and every record-list reply carries it; gzip, when
-// declared through Content-Encoding, wraps the framing in both directions.
+// RSB1 is the one framing of every key/value body: point, batch and blob
+// requests and replies alike. A put or batch request declares it in
+// Content-Type (any other type is refused with 415 before the body is
+// read) and every record reply carries it; gzip, when declared through
+// Content-Encoding, wraps the framing in either direction.
 //
 // The framing, inside the optional gzip layer:
 //
@@ -20,10 +21,11 @@ import (
 //	  uvarint(len(key))   key bytes
 //	  uvarint(len(value)) value bytes
 //
-// Key-only batches (mget/mhas requests, mhas replies) are the same framing
-// with zero-length values. Values are the store's canonical JSON payloads
-// or opaque trace blobs, carried verbatim — no quoting, escaping, or
-// per-record JSON parse — so a 256-key mget reply is one sequential scan.
+// A point get reply or put is the same framing holding one record, and
+// key-only batches (mget/mhas requests, mhas replies) hold zero-length
+// values. Values are the store's canonical JSON payloads or opaque trace
+// blobs, carried verbatim — no quoting, escaping, or per-record JSON
+// parse — so a 256-key mget reply is one sequential scan.
 const binaryContentType = "application/x-rsbin"
 
 // binaryMagic starts every binary batch body; a framing mismatch fails on

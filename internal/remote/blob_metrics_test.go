@@ -3,12 +3,14 @@ package remote
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/store"
@@ -118,9 +120,10 @@ func TestBlobKeyMismatchRefused(t *testing.T) {
 }
 
 // TestBlobPutRejectsMalformedBodies exercises the server-side framing
-// checks: no body, a trailing second record, and an empty key all 400.
+// checks of a blob put: no body and an empty key get 400, while a body of
+// two records stores both, as /v1/put and /v1/mput do.
 func TestBlobPutRejectsMalformedBodies(t *testing.T) {
-	ts, _ := newBlobServer(t, true)
+	ts, st := newBlobServer(t, true)
 
 	post := func(body []byte) int {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/blob/put", bytes.NewReader(body))
@@ -152,14 +155,161 @@ func TestBlobPutRejectsMalformedBodies(t *testing.T) {
 	if code := post(nil); code != http.StatusBadRequest {
 		t.Fatalf("empty body: %d", code)
 	}
-	if code := post(frame([2]string{"k1", "v1"}, [2]string{"k2", "v2"})); code != http.StatusBadRequest {
-		t.Fatalf("two records: %d", code)
-	}
 	if code := post(frame([2]string{"", "v"})); code != http.StatusBadRequest {
 		t.Fatalf("empty key: %d", code)
 	}
-	if code := post(frame([2]string{"k", "v"})); code != http.StatusNoContent {
+	if code := post(frame([2]string{"k1", "v1"}, [2]string{"k2", "v2"})); code != http.StatusOK {
+		t.Fatalf("two records: %d", code)
+	}
+	for _, kv := range [][2]string{{"k1", "v1"}, {"k2", "v2"}} {
+		if v, ok := st.BlobGet(kv[0]); !ok || string(v) != kv[1] {
+			t.Fatalf("two-record put stored %s as %q (ok=%v), want %q", kv[0], v, ok, kv[1])
+		}
+	}
+	if code := post(frame([2]string{"k", "v"})); code != http.StatusOK {
 		t.Fatalf("well-formed: %d", code)
+	}
+}
+
+// TestBlobRePutSemantics pins the result store's write semantics on the
+// blob tier: an identical re-put is dropped, so the blob log does not
+// grow, and a re-put with different bytes counts one conflict and wins.
+func TestBlobRePutSemantics(t *testing.T) {
+	ts, st := newBlobServer(t, true)
+	c := newBlobClient(t, ts.URL)
+	log := st.Blobs().(*store.FileBlobs).Log()
+
+	key := store.Key("re-put", 1)
+	if err := c.BlobPut(key, []byte("trace v1")); err != nil {
+		t.Fatal(err)
+	}
+	size := log.SizeBytes()
+	if err := c.BlobPut(key, []byte("trace v1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.SizeBytes(); got != size {
+		t.Fatalf("identical re-put grew the blob log from %d to %d bytes", size, got)
+	}
+	if sr, err := c.Ping(); err != nil || sr.Conflicts != 0 {
+		t.Fatalf("identical re-put: conflicts=%d err=%v, want 0", sr.Conflicts, err)
+	}
+
+	if err := c.BlobPut(key, []byte("trace v2")); err != nil {
+		t.Fatal(err)
+	}
+	if sr, err := c.Ping(); err != nil || sr.Conflicts != 1 {
+		t.Fatalf("differing re-put: conflicts=%d err=%v, want 1", sr.Conflicts, err)
+	}
+	if v, ok, err := c.BlobGet(key); err != nil || !ok || string(v) != "trace v2" {
+		t.Fatalf("last write must win: %q ok=%v err=%v", v, ok, err)
+	}
+	if s := st.Stats(); s.BlobStored != 2 || s.BlobFetched != 1 {
+		t.Fatalf("the conflict check counted blob traffic: %+v", s)
+	}
+}
+
+// TestRacingPutsCountEachKeyOnce races writers of the same keys into both
+// keyspaces while compactions run: each keyspace's write lock makes every
+// key count as added exactly once, and a final compaction finds no
+// identical rewrite appended to either log.
+func TestRacingPutsCountEachKeyOnce(t *testing.T) {
+	ts, st := newBlobServer(t, true)
+	c := newBlobClient(t, ts.URL)
+	const writers, keys = 4, 40
+	var mu sync.Mutex
+	added := map[string]int{}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < keys; i++ {
+				k := store.Key("race", i)
+				for _, put := range []struct {
+					path string
+					enc  encoding
+				}{{"/v1/put", plain}, {"/v1/blob/put", gzipped}} {
+					pr, err := c.put(put.path, []store.Entry{{Key: k, Val: []byte(fmt.Sprintf(`{"i":%d}`, i))}}, put.enc)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					added[put.path] += pr.Added
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			resp, err := http.Post(ts.URL+"/v1/compact", "", nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	wg.Wait()
+
+	if added["/v1/put"] != keys || added["/v1/blob/put"] != keys {
+		t.Fatalf("added %d results and %d blobs, want %d of each", added["/v1/put"], added["/v1/blob/put"], keys)
+	}
+	if st.Len() != keys || st.BlobLen() != keys {
+		t.Fatalf("store holds %d results and %d blobs, want %d of each", st.Len(), st.BlobLen(), keys)
+	}
+	if sr, err := c.Ping(); err != nil || sr.Conflicts != 0 {
+		t.Fatalf("conflicts=%d err=%v, want 0", sr.Conflicts, err)
+	}
+	if kept, dropped, err := NewServer(st).CompactStore(); err != nil || kept != 2*keys || dropped != 0 {
+		t.Fatalf("final compaction kept %d and dropped %d (err %v); want %d kept and no identical rewrite appended", kept, dropped, err, 2*keys)
+	}
+}
+
+// droppingBlobs is a blob tier that acknowledges every write and keeps
+// none of them.
+type droppingBlobs struct{}
+
+func (droppingBlobs) BlobGet(string) ([]byte, bool, error) { return nil, false, nil }
+func (droppingBlobs) BlobPut(string, []byte) error         { return nil }
+func (droppingBlobs) BlobHas(string) bool                  { return false }
+func (droppingBlobs) BlobLen() int                         { return 0 }
+
+// TestBlobPutDroppedWriteIs500 pins the put's durability check: a record
+// the blob tier did not keep fails the request with 500, so a pusher never
+// believes a lost capture is stored.
+func TestBlobPutDroppedWriteIs500(t *testing.T) {
+	st := store.NewMemory(0)
+	st.SetBlobs(droppingBlobs{})
+	ts := httptest.NewServer(NewServer(st))
+	defer ts.Close()
+
+	var body bytes.Buffer
+	enc := newBinaryEncoder(&body, false)
+	enc.Record("k", []byte("trace"))
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/blob/put", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", binaryContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("a dropped blob write answered %d, want 500", resp.StatusCode)
+	}
+	if err := newBlobClient(t, ts.URL).BlobPut("k", []byte("trace")); err == nil {
+		t.Fatal("client reported a dropped blob write as stored")
 	}
 }
 

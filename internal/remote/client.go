@@ -163,54 +163,67 @@ func drainClose(resp *http.Response) {
 	resp.Body.Close()              //repro:degrade nothing to do about a close error on a spent response
 }
 
-// Get implements store.Backend: one /v1/get round trip.
-func (c *Client) Get(key string) ([]byte, bool, error) {
+// encoding is how an RSB1 body crosses the wire: batch and blob bodies
+// are gzipped both ways, while result point bodies travel plain, because
+// gzip would only slow one small record.
+type encoding int
+
+const (
+	plain encoding = iota
+	gzipped
+)
+
+// Read-only header sets of an RSB1 exchange, indexed by encoding: the
+// reply encoding a request accepts — naming identity keeps net/http from
+// asking for gzip behind the client's back — and, for a request with a
+// body, that body's type and encoding too.
+var (
+	acceptHeaders = [2]map[string]string{{"Accept-Encoding": "identity"}, {"Accept-Encoding": "gzip"}}
+	bodyHeaders   = [2]map[string]string{
+		{"Content-Type": binaryContentType, "Accept-Encoding": "identity"},
+		{"Content-Type": binaryContentType, "Content-Encoding": "gzip", "Accept-Encoding": "gzip"},
+	}
+)
+
+// getOne is the point get of both keyspaces: one round trip to path
+// (/v1/get or /v1/blob/get) answered by one RSB1 record, whose key must be
+// the one asked for. A miss (404), and a server without a blob tier (501),
+// read as absent.
+func (c *Client) getOne(path, key string, e encoding) ([]byte, bool, error) {
 	c.gets.Add(1)
-	resp, err := c.do(http.MethodGet, "/v1/get?k="+url.QueryEscape(key), nil, nil)
+	resp, err := c.do(http.MethodGet, path+"?k="+url.QueryEscape(key), nil, acceptHeaders[e])
 	if err != nil {
 		return nil, false, err
 	}
 	defer drainClose(resp)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var rec wireRecord
-		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-			return nil, false, fmt.Errorf("remote: get %s: %w", key, err)
+		var val []byte
+		err := scanRecords(path, resp, func(k string, v []byte) error {
+			if k != key {
+				return fmt.Errorf("asked for key %s, server answered for key %s", key, k)
+			}
+			val = v
+			return nil
+		})
+		if err == nil && val == nil {
+			err = fmt.Errorf("remote: %s %s: empty reply", path, key)
 		}
-		if rec.K != key {
-			return nil, false, fmt.Errorf("remote: get %s: server answered for key %s", key, rec.K)
+		if err != nil {
+			return nil, false, err
 		}
-		return rec.V, true, nil
-	case http.StatusNotFound:
+		return val, true, nil
+	case http.StatusNotFound, http.StatusNotImplemented:
 		return nil, false, nil
 	default:
-		return nil, false, fmt.Errorf("remote: get %s: unexpected %s", key, resp.Status)
+		return nil, false, fmt.Errorf("remote: %s %s: unexpected %s", path, key, resp.Status)
 	}
 }
 
-// Put implements store.Backend (last-write-wins on the server).
-func (c *Client) Put(key string, val []byte) error {
-	c.puts.Add(1)
-	body, err := json.Marshal(wireRecord{K: key, V: json.RawMessage(val)})
-	if err != nil {
-		return fmt.Errorf("remote: put %s: %w", key, err)
-	}
-	resp, err := c.do(http.MethodPost, "/v1/put", body, map[string]string{"Content-Type": "application/json"})
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("remote: put %s: unexpected %s", key, resp.Status)
-	}
-	return nil
-}
-
-// Has implements store.Backend. Any failure reads as absent — the probe's
-// only job is to decide whether a prime pass must execute the unit, and
-// executing is always safe.
-func (c *Client) Has(key string) bool {
-	resp, err := c.do(http.MethodGet, "/v1/has?k="+url.QueryEscape(key), nil, nil)
+// hasOne is the point presence probe of both keyspaces. Any failure reads
+// as absent.
+func (c *Client) hasOne(path, key string) bool {
+	resp, err := c.do(http.MethodGet, path+"?k="+url.QueryEscape(key), nil, nil)
 	if err != nil {
 		return false
 	}
@@ -218,37 +231,87 @@ func (c *Client) Has(key string) bool {
 	return resp.StatusCode == http.StatusNoContent
 }
 
-// batchHeaders are the headers of every batch and blob-put request: a
-// gzipped RSB1 body, with gzip accepted back. Read-only.
-var batchHeaders = map[string]string{
-	"Content-Type":     binaryContentType,
-	"Content-Encoding": "gzip",
-	"Accept-Encoding":  "gzip",
+// put is the put of both keyspaces: one round trip posting entries as
+// RSB1 records to path (/v1/put, /v1/mput or /v1/blob/put), answered by
+// the server's PutReply.
+func (c *Client) put(path string, entries []store.Entry, e encoding) (PutReply, error) {
+	c.puts.Add(int64(len(entries)))
+	var pr PutReply
+	err := c.postRecords(path, e, func(enc *binaryEncoder) {
+		for _, e := range entries {
+			enc.Record(e.Key, e.Val)
+		}
+	}, func(resp *http.Response) error {
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			return fmt.Errorf("remote: %s: %w", path, err)
+		}
+		return nil
+	})
+	return pr, err
 }
 
-// postRecords posts one gzipped RSB1 body holding the records encode
-// writes and, when the server answers with status want, hands the
-// response to read (nil reads nothing). The body is staged in a pooled
-// buffer the retry loop replays; records stream straight into the pooled
-// compressor, so the compressed body is the only whole-batch buffer.
-func (c *Client) postRecords(path string, want int, encode func(*binaryEncoder), read func(*http.Response) error) error {
+// Get implements store.Backend: one plain /v1/get round trip.
+func (c *Client) Get(key string) ([]byte, bool, error) { return c.getOne("/v1/get", key, plain) }
+
+// Has implements store.Backend. Any failure reads as absent — the probe's
+// only job is to decide whether a prime pass must execute the unit, and
+// executing is always safe.
+func (c *Client) Has(key string) bool { return c.hasOne("/v1/has", key) }
+
+// Put implements store.Backend (last-write-wins on the server): one plain
+// /v1/put round trip.
+func (c *Client) Put(key string, val []byte) error {
+	_, err := c.put("/v1/put", []store.Entry{{Key: key, Val: val}}, plain)
+	return err
+}
+
+// BlobGet implements store.BlobBackend: one gzipped /v1/blob/get round
+// trip. A server without a blob tier reads as absent, like every miss.
+func (c *Client) BlobGet(key string) ([]byte, bool, error) {
+	return c.getOne("/v1/blob/get", key, gzipped)
+}
+
+// BlobHas implements store.BlobBackend; any failure reads as absent.
+func (c *Client) BlobHas(key string) bool { return c.hasOne("/v1/blob/has", key) }
+
+// BlobPut implements store.BlobBackend: one gzipped /v1/blob/put round
+// trip. Failures surface as errors the wrapping Store counts and drops —
+// a lost capture only costs a future replay a re-simulation.
+func (c *Client) BlobPut(key string, val []byte) error {
+	_, err := c.put("/v1/blob/put", []store.Entry{{Key: key, Val: val}}, gzipped)
+	return err
+}
+
+// BlobLen implements store.BlobBackend with the server's authoritative
+// count; an unreachable server reads as empty.
+func (c *Client) BlobLen() int {
+	sr, err := c.Ping()
+	if err != nil {
+		return 0
+	}
+	return sr.Blobs
+}
+
+// postRecords posts one RSB1 body in encoding e, holding the records
+// encode writes, and hands a 200 response to read. The body is staged in
+// a pooled buffer the retry loop replays; records stream straight into
+// the encoder (through the pooled compressor when gzipped), so the staged
+// body is the only whole-batch buffer.
+func (c *Client) postRecords(path string, e encoding, encode func(*binaryEncoder), read func(*http.Response) error) error {
 	buf := getBuf()
 	defer putBuf(buf)
-	enc := newBinaryEncoder(buf, true)
+	enc := newBinaryEncoder(buf, e == gzipped)
 	encode(enc)
 	if err := enc.Flush(); err != nil {
 		return fmt.Errorf("remote: %s: %w", path, err)
 	}
-	resp, err := c.do(http.MethodPost, path, buf.Bytes(), batchHeaders)
+	resp, err := c.do(http.MethodPost, path, buf.Bytes(), bodyHeaders[e])
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp)
-	if resp.StatusCode != want {
+	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("remote: %s: unexpected %s", path, resp.Status)
-	}
-	if read == nil {
-		return nil
 	}
 	return read(resp)
 }
@@ -270,7 +333,7 @@ func scanRecords(path string, resp *http.Response, fn func(key string, val []byt
 // postKeys is the round trip of mget and mhas: one key-only record per
 // key out, one record per found key back to fn.
 func (c *Client) postKeys(path string, keys []string, fn func(key string, val []byte) error) error {
-	return c.postRecords(path, http.StatusOK, func(enc *binaryEncoder) {
+	return c.postRecords(path, gzipped, func(enc *binaryEncoder) {
 		for _, k := range keys {
 			enc.Record(k, nil)
 		}
@@ -310,18 +373,7 @@ func (c *Client) HasBatch(keys []string) (map[string]bool, error) {
 // PutBatch implements store.BatchBackend: one gzipped /v1/mput round trip
 // for the whole entry set, reporting how many keys were new to the server.
 func (c *Client) PutBatch(entries []store.Entry) (int, error) {
-	c.puts.Add(int64(len(entries)))
-	var pr PutReply
-	err := c.postRecords("/v1/mput", http.StatusOK, func(enc *binaryEncoder) {
-		for _, e := range entries {
-			enc.Record(e.Key, e.Val)
-		}
-	}, func(resp *http.Response) error {
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			return fmt.Errorf("remote: mput: %w", err)
-		}
-		return nil
-	})
+	pr, err := c.put("/v1/mput", entries, gzipped)
 	if err != nil {
 		return 0, err
 	}

@@ -8,15 +8,21 @@ import (
 	"repro/internal/store"
 )
 
-// drainChunk bounds the entries per mput push while draining, matching
-// the store's batch chunking: a drain of any size streams in bounded
-// request bodies.
-const drainChunk = 512
+// A drain pushes a keyspace's foreign records in chunks of at most
+// drainChunk records, matching the store's batch chunking, and closes a
+// chunk early once its values reach drainChunkBytes: results fill a chunk
+// by count, while blobs, which reach megabytes, fill one by bytes. Either
+// way a drain of any size streams in bounded request bodies.
+const (
+	drainChunk      = 512
+	drainChunkBytes = 16 << 20
+)
 
-// DrainStore is the migrator: it enumerates st's keys, keeps the ones the
-// ring assigns to self, and pushes every other key to its owning member
-// via batched mput — deleting the local copy only after the owner
-// acknowledged the write, so at every instant the key is durable
+// DrainStore is the migrator: for the result store and the blob tier
+// alike, it enumerates st's keys, keeps the ones the ring assigns to self,
+// and pushes every other record to its owning member in batched puts
+// (/v1/mput, /v1/blob/put) — deleting the local copy only after the owner
+// acknowledged the write, so at every instant the record is durable
 // somewhere and a crash mid-drain can at worst leave an extra copy of a
 // content-addressed value, never lose one. Draining is idempotent:
 // re-running after a partial failure pushes only what is still foreign.
@@ -30,67 +36,72 @@ func DrainStore(st *store.Store, ring *store.Ring, self string) (DrainReply, err
 	if ring == nil {
 		return dr, fmt.Errorf("remote: drain needs a ring")
 	}
-	keys := st.Keys()
-	if keys == nil && st.Len() > 0 {
-		return dr, fmt.Errorf("remote: drain needs an enumerable backend")
-	}
 	selfIdx := ring.Index(self)
-	byOwner := make([][]string, len(ring.Members)) // ring order, so errors list owners in it
-	for _, k := range keys {
-		if owner := ring.Owner(k); owner != selfIdx {
-			byOwner[owner] = append(byOwner[owner], k)
-		} else {
-			dr.Kept++
-		}
-	}
 	var errs []error
-	for owner, foreign := range byOwner {
-		if len(foreign) == 0 {
-			continue
+	for _, ks := range keyspaces(st) {
+		keys := ks.keys()
+		if keys == nil && ks.length() > 0 {
+			return dr, fmt.Errorf("remote: drain needs an enumerable backend")
 		}
-		m := ring.Members[owner]
-		if m.URL == "" {
-			errs = append(errs, fmt.Errorf("remote: ring member %q has no URL to drain to", m.Name))
-			continue
-		}
-		cl, err := NewClient(m.URL, nil)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for len(foreign) > 0 {
-			chunk := foreign
-			if len(chunk) > drainChunk {
-				chunk = chunk[:drainChunk]
+		byOwner := make([][]string, len(ring.Members)) // ring order, so errors list owners in it
+		for _, k := range keys {
+			if owner := ring.Owner(k); owner != selfIdx {
+				byOwner[owner] = append(byOwner[owner], k)
+			} else {
+				dr.Kept++
 			}
-			foreign = foreign[len(chunk):]
-			entries := make([]store.Entry, 0, len(chunk))
-			for _, k := range chunk {
+		}
+		for owner, foreign := range byOwner {
+			if len(foreign) == 0 {
+				continue
+			}
+			m := ring.Members[owner]
+			if m.URL == "" {
+				errs = append(errs, fmt.Errorf("remote: ring member %q has no URL to drain to", m.Name))
+				continue
+			}
+			cl, err := NewClient(m.URL, nil)
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			var entries []store.Entry
+			size := 0
+			push := func() {
+				if len(entries) == 0 {
+					return
+				}
+				if _, err := cl.put(ks.pushPath, entries, gzipped); err != nil {
+					// This chunk's records stay local — still readable here,
+					// still foreign, so the next drain retries them.
+					errs = append(errs, fmt.Errorf("remote: drain to %s: %w", m.Name, err))
+				} else {
+					dr.Moved += len(entries)
+					for _, e := range entries {
+						if existed, err := ks.del(e.Key); err == nil && existed {
+							dr.Deleted++
+						}
+					}
+				}
+				entries, size = entries[:0], 0
+			}
+			for _, k := range foreign {
 				// Peek, not Get: migration traffic must not masquerade as
 				// cache hits. A key that vanished since enumeration (a
 				// concurrent eviction) has nothing left to move.
-				if v, ok := st.Peek(k); ok {
-					entries = append(entries, store.Entry{Key: k, Val: v})
+				v, ok := ks.peek(k)
+				if !ok {
+					continue
+				}
+				entries = append(entries, store.Entry{Key: k, Val: v})
+				if size += len(v); len(entries) == drainChunk || size >= drainChunkBytes {
+					push()
 				}
 			}
-			if len(entries) == 0 {
-				continue
+			push()
+			if cerr := cl.Close(); cerr != nil {
+				errs = append(errs, fmt.Errorf("remote: drain close %s: %w", m.Name, cerr))
 			}
-			if _, err := cl.PutBatch(entries); err != nil {
-				// This chunk's keys stay local — still readable here, still
-				// foreign, so the next drain retries them.
-				errs = append(errs, fmt.Errorf("remote: drain to %s: %w", m.Name, err))
-				continue
-			}
-			dr.Moved += len(entries)
-			for _, e := range entries {
-				if existed, err := st.Delete(e.Key); err == nil && existed {
-					dr.Deleted++
-				}
-			}
-		}
-		if cerr := cl.Close(); cerr != nil {
-			errs = append(errs, fmt.Errorf("remote: drain close %s: %w", m.Name, cerr))
 		}
 	}
 	return dr, errors.Join(errs...)

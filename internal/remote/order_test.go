@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/store"
@@ -69,5 +70,57 @@ func TestDrainStoreErrorsInRingOrder(t *testing.T) {
 		if dr.Moved != 0 || dr.Deleted != 0 {
 			t.Fatalf("call %d: moved %d and deleted %d keys with no owner reachable", i, dr.Moved, dr.Deleted)
 		}
+	}
+}
+
+// TestDrainChunksBlobsByBytes pins the drain's byte bound: blobs, which
+// reach megabytes, close a push chunk once its values reach
+// drainChunkBytes, long before drainChunk records, and the owner receives
+// every one of them.
+func TestDrainChunksBlobsByBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves 24 MiB of blobs")
+	}
+	target, owner := newBlobServer(t, true)
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fb, err := store.OpenFileBlobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetBlobs(fb)
+	ring, err := store.NewRing(1, store.Member{Name: "self"}, store.Member{Name: "t", URL: target.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three blobs owned by t, each over half the byte bound: the first
+	// two close one chunk, the third travels alone.
+	payload := bytes.Repeat([]byte("step;"), (drainChunkBytes/2+1)/5+1)
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		if k := store.Key("big", i); ring.Owner(k) == 1 {
+			keys = append(keys, k)
+			st.BlobPut(k, payload)
+		}
+	}
+	dr, err := DrainStore(st, ring, "self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr.Moved != 3 || dr.Deleted != 3 || st.BlobLen() != 0 {
+		t.Fatalf("drain moved %d and deleted %d blobs, %d left; want 3, 3 and 0", dr.Moved, dr.Deleted, st.BlobLen())
+	}
+	for _, k := range keys {
+		if v, ok := owner.BlobGet(k); !ok || !bytes.Equal(v, payload) {
+			t.Fatalf("blob %s did not land on its owner", k)
+		}
+	}
+	sr, err := newBlobClient(t, target.URL).Ping()
+	if err != nil || sr.Requests.BlobPut != 2 {
+		t.Fatalf("owner received %d blob puts (err %v), want 2 byte-bounded chunks", sr.Requests.BlobPut, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -170,9 +171,10 @@ func TestPointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPointBodiesArePlainJSON pins that /v1/put and /v1/ring bodies are
-// plain JSON: a gzipped body is not decoded, so it is refused with 400 and
-// nothing is stored or installed.
+// TestPointBodiesArePlainJSON pins the edges of the one value framing: a
+// /v1/ring body is plain JSON, so a gzipped one is not decoded and gets
+// 400, and /v1/put takes RSB1 records only, so a JSON body, plain or
+// gzipped, gets 415 before it is read. Nothing is stored or installed.
 func TestPointBodiesArePlainJSON(t *testing.T) {
 	ts, srv, st := newServer(t)
 	gz := func(plain string) []byte {
@@ -183,28 +185,37 @@ func TestPointBodiesArePlainJSON(t *testing.T) {
 		return buf.Bytes()
 	}
 	k := store.Key("v1", "gzipped")
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/put", `{"k":"` + k + `","v":{"sc":1}}`},
-		{"/v1/ring", `{"epoch":1,"members":[{"name":"a","url":"http://a:1","weight":1}]}`},
+	put := `{"k":"` + k + `","v":{"sc":1}}`
+	for _, tc := range []struct {
+		path string
+		body []byte
+		gz   bool
+		want int
+	}{
+		{"/v1/put", []byte(put), false, http.StatusUnsupportedMediaType},
+		{"/v1/put", gz(put), true, http.StatusUnsupportedMediaType},
+		{"/v1/ring", gz(`{"epoch":1,"members":[{"name":"a","url":"http://a:1","weight":1}]}`), true, http.StatusBadRequest},
 	} {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader(gz(tc.body)))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+tc.path, bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Content-Encoding", "gzip")
+		if tc.gz {
+			req.Header.Set("Content-Encoding", "gzip")
+		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("gzipped %s body: got %d, want 400", tc.path, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s body (gzip %v): got %d, want %d", tc.path, tc.gz, resp.StatusCode, tc.want)
 		}
 	}
 	if st.Has(k) || st.Len() != 0 {
-		t.Fatalf("a gzipped put was stored: %d entries", st.Len())
+		t.Fatalf("a JSON put was stored: %d entries", st.Len())
 	}
 	if srv.Ring() != nil {
 		t.Fatalf("a gzipped ring was installed: %s", srv.Ring())
@@ -279,6 +290,67 @@ func TestBatchRoundTripGzip(t *testing.T) {
 	}
 	if r := srv.Requests(); r.MGet != 1 || r.MPut != 2 || r.Get != 0 || r.Put != 0 {
 		t.Fatalf("batch calls must be single requests: %+v", r)
+	}
+}
+
+// TestClientEncodingPerEndpoint pins which bodies the client gzips: the
+// result point get and put travel plain, both ways, and batch and blob
+// bodies are gzipped both ways. The server gzips a reply exactly when the
+// request accepts gzip, so the request headers decide both directions.
+func TestClientEncodingPerEndpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := store.OpenFileBlobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetBlobs(fb)
+	defer st.Close()
+	srv := remote.NewServer(st)
+	var mu sync.Mutex
+	seen := map[string]string{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path] = "body=" + r.Header.Get("Content-Encoding") + " accept=" + r.Header.Get("Accept-Encoding")
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := newClient(t, ts.URL)
+
+	k, v := store.Key("v1", "enc"), []byte(`{"sc":1}`)
+	if err := c.Put(k, v); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(k); !ok || err != nil || !bytes.Equal(got, v) {
+		t.Fatalf("point round trip: %q ok=%v err=%v", got, ok, err)
+	}
+	if _, err := c.PutBatch([]store.Entry{{Key: k, Val: v}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetBatch([]string{k}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BlobPut(k, []byte("trace")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.BlobGet(k); !ok || err != nil || string(got) != "trace" {
+		t.Fatalf("blob round trip: %q ok=%v err=%v", got, ok, err)
+	}
+	for path, want := range map[string]string{
+		"/v1/put":      "body= accept=identity",
+		"/v1/get":      "body= accept=identity",
+		"/v1/mput":     "body=gzip accept=gzip",
+		"/v1/mget":     "body=gzip accept=gzip",
+		"/v1/blob/put": "body=gzip accept=gzip",
+		"/v1/blob/get": "body= accept=gzip",
+	} {
+		if seen[path] != want {
+			t.Errorf("%s: %q, want %q", path, seen[path], want)
+		}
 	}
 }
 

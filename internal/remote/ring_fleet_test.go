@@ -1,6 +1,7 @@
 package remote_test
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -343,5 +344,99 @@ func TestMountRingDiscoveryEdges(t *testing.T) {
 	defer st.Close()
 	if m == nil || m.Epoch != 1 || len(cls) != 2 {
 		t.Fatalf("discovery through the healthy member found ring %v with %d clients", m, len(cls))
+	}
+}
+
+// newBlobMember is newMember over a store that mounts a blob tier beside
+// its results, as stored does.
+func newBlobMember(t *testing.T, name string) (*httptest.Server, *store.Store) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := store.OpenFileBlobs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetBlobs(fb)
+	srv := remote.NewServer(st)
+	srv.SetSelf(name)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		st.Close()
+	})
+	return ts, st
+}
+
+// TestRebalanceMovesTraces pins that a drain moves the blob tier with the
+// results: traces captured through a two-member ring, rebalanced twice
+// (a third member joins, then the weights change), each sit on exactly
+// their ring owner afterwards, beside their results, and read back
+// through a fresh fleet mount.
+func TestRebalanceMovesTraces(t *testing.T) {
+	tsA, authA := newBlobMember(t, "a")
+	tsB, authB := newBlobMember(t, "b")
+	tsC, authC := newBlobMember(t, "c")
+	auths := []*store.Store{authA, authB, authC}
+	urls := []string{tsA.URL, tsB.URL, tsC.URL}
+
+	ring1 := ringOf(t, 1, []string{"a", "b"}, urls[:2])
+	if err := remote.Rebalance(ring1, nil); err != nil {
+		t.Fatal(err)
+	}
+	st, _, _, err := remote.MountFleet("", tsA.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	keys := make([]string, n)
+	trace := func(i int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("step %d;", i)), 100+i) }
+	for i := range keys {
+		keys[i] = store.Key("captured", i)
+		st.Put(keys[i], []byte(fmt.Sprintf(`{"i":%d}`, i)))
+		st.BlobPut(keys[i], trace(i))
+	}
+	st.Close()
+	if s := st.Stats(); s.BlobStored != n || s.PutErrors != 0 {
+		t.Fatalf("capture through the ring: %+v", s)
+	}
+
+	ring2 := ringOf(t, 2, []string{"a", "b", "c"}, urls)
+	ring3 := ringOf(t, 3, []string{"a", "b", "c"}, urls)
+	ring3.Members[0].Weight = 4
+	for _, ring := range []*store.Ring{ring2, ring3} {
+		if err := remote.Rebalance(ring, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			owner := ring.Owner(k)
+			for m, auth := range auths {
+				if got := auth.BlobHas(k); got != (m == owner) {
+					t.Fatalf("epoch %d: trace %d on %s is %v; it belongs on %s alone",
+						ring.Epoch, i, ring.Members[m].Name, got, ring.Members[owner].Name)
+				}
+				if got := auth.Has(k); got != (m == owner) {
+					t.Fatalf("epoch %d: result %d on %s is %v; it belongs on %s alone",
+						ring.Epoch, i, ring.Members[m].Name, got, ring.Members[owner].Name)
+				}
+			}
+		}
+	}
+
+	fresh, _, mounted, err := remote.MountFleet("", tsB.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if mounted == nil || mounted.Epoch != 3 {
+		t.Fatalf("fresh mount found ring %v, want epoch 3", mounted)
+	}
+	for i, k := range keys {
+		if v, ok := fresh.BlobGet(k); !ok || !bytes.Equal(v, trace(i)) {
+			t.Fatalf("trace %d through the fleet after two rebalances: ok=%v", i, ok)
+		}
 	}
 }

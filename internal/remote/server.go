@@ -18,13 +18,14 @@ import (
 // cmd/stored runs. It is an http.Handler; mount it at the root of a
 // listener (it owns the whole /v1/ path space). Safe for concurrent use:
 // the store is already goroutine-safe, and the conflict check + write of
-// each put is serialized so the added/conflict counters stay exact under
-// racing writers.
+// each put is serialized per keyspace so the added/conflict counters stay
+// exact under racing writers.
 type Server struct {
 	st  *store.Store
 	mux *http.ServeMux
 
-	putMu     sync.Mutex // serializes conflict-check + write per put
+	// spaces are the result store and the blob tier, in that order.
+	spaces    [2]*keyspace
 	conflicts atomic.Int64
 
 	// lat holds one latency histogram per metric endpoint (see metrics.go),
@@ -45,23 +46,85 @@ type Server struct {
 // store's write path but not its lifecycle — the caller still closes st
 // after the listener drains.
 func NewServer(st *store.Store) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), lat: NewLatencySet("stored", metricEndpoints[:])}
-	s.mux.HandleFunc("GET /v1/get", s.handleGet)
-	s.mux.HandleFunc("GET /v1/has", s.handleHas)
-	s.mux.HandleFunc("POST /v1/put", s.handlePut)
+	s := &Server{st: st, mux: http.NewServeMux(), spaces: keyspaces(st), lat: NewLatencySet("stored", metricEndpoints[:])}
+	for _, ks := range s.spaces {
+		s.mux.HandleFunc("GET "+ks.prefix+"get", handleGet(ks))
+		s.mux.HandleFunc("GET "+ks.prefix+"has", handleHas(ks))
+		s.mux.HandleFunc("POST "+ks.prefix+"put", s.handlePut(ks))
+	}
 	s.mux.HandleFunc("POST /v1/mget", s.handleMGet)
 	s.mux.HandleFunc("POST /v1/mhas", s.handleMHas)
-	s.mux.HandleFunc("POST /v1/mput", s.handleMPut)
+	s.mux.HandleFunc("POST /v1/mput", s.handlePut(s.spaces[0]))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/compact", s.handleCompact)
 	s.mux.HandleFunc("GET /v1/ring", s.handleRingGet)
 	s.mux.HandleFunc("POST /v1/ring", s.handleRingPost)
 	s.mux.HandleFunc("POST /v1/drain", s.handleDrain)
-	s.mux.HandleFunc("GET /v1/blob/get", s.handleBlobGet)
-	s.mux.HandleFunc("POST /v1/blob/put", s.handleBlobPut)
-	s.mux.HandleFunc("GET /v1/blob/has", s.handleBlobHas)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	return s
+}
+
+// keyspace is one of the two value maps behind a store, as the server's
+// get, has and put handlers, its compaction and the drain reach it: the
+// result store, or the blob tier of captured traces beside it. Both are
+// content-addressed and last-write-wins, so one request path serves both.
+type keyspace struct {
+	prefix   string // where get, has and put are served: "/v1/" or "/v1/blob/"
+	pushPath string // the put endpoint a drain pushes this keyspace's batches to
+
+	// mu serializes a put's check-then-write against the keyspace's other
+	// puts and its compaction (storeOne, CompactStore). Each keyspace has
+	// its own, so blob uploads never queue behind result writes.
+	mu sync.Mutex
+
+	mounted   func() bool                     // false: a blob tier the store does not mount (501)
+	get, peek func(key string) ([]byte, bool) // peek counts no traffic
+	has       func(key string) bool
+	put       func(key string, val []byte)
+	keys      func() []string // nil when the keyspace cannot be enumerated
+	length    func() int
+	del       func(key string) (bool, error)
+	compact   func() (kept, dropped int, err error)
+}
+
+// keyspaces returns st's result store and blob tier, in that order. The
+// blob tier's maintenance reaches its log through store.FileBlobs, the
+// tier cmd/stored mounts; any other tier is copied, not moved, by a
+// drain, and has nothing to compact.
+func keyspaces(st *store.Store) [2]*keyspace {
+	fileBlobs := func() *store.FileBlobs {
+		fb, _ := st.Blobs().(*store.FileBlobs)
+		return fb
+	}
+	results := &keyspace{
+		prefix: "/v1/", pushPath: "/v1/mput",
+		mounted: func() bool { return true },
+		get:     st.Get, peek: st.Peek, has: st.Has, put: st.Put,
+		keys: st.Keys, length: st.Len, del: st.Delete, compact: st.Compact,
+	}
+	blobs := &keyspace{
+		prefix: "/v1/blob/", pushPath: "/v1/blob/put",
+		mounted: func() bool { return st.Blobs() != nil },
+		get:     st.BlobGet,
+		peek: func(k string) ([]byte, bool) {
+			v, ok, _ := st.Blobs().BlobGet(k) //repro:degrade a failed infrastructure read is an absent key, and must not skew Stats
+			return v, ok
+		},
+		has: st.BlobHas, put: st.BlobPut, keys: st.BlobKeys, length: st.BlobLen,
+		del: func(k string) (bool, error) {
+			if fb := fileBlobs(); fb != nil {
+				return fb.Log().Delete(k)
+			}
+			return false, nil
+		},
+		compact: func() (int, int, error) {
+			if fb := fileBlobs(); fb != nil {
+				return fb.Log().Compact()
+			}
+			return st.BlobLen(), 0, nil
+		},
+	}
+	return [2]*keyspace{results, blobs}
 }
 
 // ServeHTTP implements http.Handler, stamping every response with the
@@ -190,81 +253,118 @@ func replyError(w http.ResponseWriter, status int, format string, args ...any) {
 	reply(w, status, errorReply{Error: fmt.Sprintf(format, args...)})
 }
 
-// keyParam extracts the non-empty ?k= parameter.
-func keyParam(w http.ResponseWriter, r *http.Request) (string, bool) {
+// keyParam extracts the non-empty ?k= parameter of a point request to ks:
+// 400 without one, 501 when ks is a blob tier the store does not mount.
+func keyParam(w http.ResponseWriter, r *http.Request, ks *keyspace) (string, bool) {
 	k := r.URL.Query().Get("k")
 	if k == "" {
 		replyError(w, http.StatusBadRequest, "missing key parameter k")
 		return "", false
 	}
-	return k, true
+	return k, mounted(w, ks)
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	k, ok := keyParam(w, r)
-	if !ok {
-		return
+// mounted answers 501 and reports false when ks is a blob tier the store
+// does not mount, so a mixed fleet reads as absent rather than erroring.
+func mounted(w http.ResponseWriter, ks *keyspace) bool {
+	if !ks.mounted() {
+		replyError(w, http.StatusNotImplemented, "no blob tier mounted")
+		return false
 	}
-	v, ok := s.st.Get(k)
-	if !ok {
-		replyError(w, http.StatusNotFound, "not found")
-		return
-	}
-	reply(w, http.StatusOK, wireRecord{K: k, V: v})
+	return true
 }
 
-func (s *Server) handleHas(w http.ResponseWriter, r *http.Request) {
-	k, ok := keyParam(w, r)
-	if !ok {
-		return
+// handleGet serves a point get of ks: the value as one RSB1 record that
+// carries its key, or 404.
+func handleGet(ks *keyspace) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		k, ok := keyParam(w, r, ks)
+		if !ok {
+			return
+		}
+		v, ok := ks.get(k)
+		if !ok {
+			replyError(w, http.StatusNotFound, "not found")
+			return
+		}
+		enc := replyRecords(w, r)
+		enc.Record(k, v)
+		enc.Flush() //repro:degrade a truncated response fails the client's decode, which counts a net error
 	}
-	if !s.st.Has(k) {
-		replyError(w, http.StatusNotFound, "not found")
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
-// storeOne applies one last-write-wins put, reporting whether the key was
-// new and whether it overwrote different bytes (a conflict, counted). The
-// check + write is serialized so two racing writers of one new key count
-// as exactly one added. The old value is read with Peek, so write traffic
-// never inflates the store's hit/miss books — and an identical rewrite
+// handleHas serves a point presence probe of ks: 204 present, 404 absent.
+func handleHas(ks *keyspace) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		k, ok := keyParam(w, r, ks)
+		if !ok {
+			return
+		}
+		if !ks.has(k) {
+			replyError(w, http.StatusNotFound, "not found")
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}
+}
+
+// handlePut serves a put of one or more RSB1 records into ks, answering
+// how many were added and how many conflicted. Every record is verified
+// present before acknowledging — a pusher must not believe a write is
+// durable when the tier degraded it away — and a record the keyspace did
+// not keep fails the request with 500.
+func (s *Server) handlePut(ks *keyspace) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !mounted(w, ks) {
+			return
+		}
+		var total PutReply
+		lost := 0
+		if !readRecords(w, r, func(k string, v []byte) error {
+			if k == "" || len(v) == 0 {
+				return errors.New("record needs a key and a value")
+			}
+			added, conflicts, kept := s.storeOne(ks, k, v)
+			total.Added += added
+			total.Conflicts += conflicts
+			if !kept {
+				lost++
+			}
+			return nil
+		}) {
+			return
+		}
+		if lost > 0 {
+			replyError(w, http.StatusInternalServerError, "%d records not kept: write degraded", lost)
+			return
+		}
+		reply(w, http.StatusOK, total)
+	}
+}
+
+// storeOne applies one last-write-wins put to ks, reporting whether the
+// key was new, whether it overwrote different bytes (a conflict, counted)
+// and whether the keyspace holds the key afterwards. The check + write is
+// serialized per keyspace so two racing writers of one new key count as
+// exactly one added. The old value is peeked, so write traffic never
+// inflates the store's hit/miss or blob books — and an identical rewrite
 // (the common fleet case: a retried push, two shards caching one adaptive
 // unit) is dropped outright, so repeated idempotent writes never grow the
-// server's append-only log.
-func (s *Server) storeOne(k string, v []byte) (added, conflicts int) {
-	s.putMu.Lock()
-	defer s.putMu.Unlock()
-	if old, ok := s.st.Peek(k); ok {
+// server's append-only logs.
+func (s *Server) storeOne(ks *keyspace, k string, v []byte) (added, conflicts int, kept bool) {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if old, ok := ks.peek(k); ok {
 		if bytes.Equal(old, v) {
-			return 0, 0 // byte-identical: the write is already durable
+			return 0, 0, true // byte-identical: the write is already durable
 		}
 		s.conflicts.Add(1)
 		conflicts = 1
 	} else {
 		added = 1
 	}
-	s.st.Put(k, v) // new key, or a conflicting rewrite: last write wins
-	return added, conflicts
-}
-
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	// Closing the body here, not after the handler, spares the server's
-	// post-handler drain an allocation per request.
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close() //repro:degrade request body teardown; the decode below surfaces any read failure
-	var rec wireRecord
-	if err := json.NewDecoder(body).Decode(&rec); err != nil {
-		replyError(w, http.StatusBadRequest, "bad record: %v", err)
-		return
-	}
-	if rec.K == "" || len(rec.V) == 0 {
-		replyError(w, http.StatusBadRequest, "record needs k and v")
-		return
-	}
-	added, conflicts := s.storeOne(rec.K, rec.V)
-	reply(w, http.StatusOK, PutReply{Added: added, Conflicts: conflicts})
+	ks.put(k, v) // new key, or a conflicting rewrite: last write wins
+	return added, conflicts, ks.has(k)
 }
 
 // readRecords streams an RSB1 request body to fn, one record at a time:
@@ -338,22 +438,6 @@ func (s *Server) handleMHas(w http.ResponseWriter, r *http.Request) {
 	answerKeys(w, r, func(k string) ([]byte, bool) { return nil, s.st.Has(k) })
 }
 
-func (s *Server) handleMPut(w http.ResponseWriter, r *http.Request) {
-	var total PutReply
-	if !readRecords(w, r, func(k string, v []byte) error {
-		if k == "" || len(v) == 0 {
-			return errors.New("record needs a key and a value")
-		}
-		added, conflicts := s.storeOne(k, v)
-		total.Added += added
-		total.Conflicts += conflicts
-		return nil
-	}) {
-		return
-	}
-	reply(w, http.StatusOK, total)
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.st.Stats()
 	reply(w, http.StatusOK, StatsReply{
@@ -380,16 +464,25 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusOK, CompactReply{Kept: kept, Dropped: dropped})
 }
 
-// CompactStore compacts the wrapped store under the write lock: a
-// storeOne racing the file swap could Peek an existing key as absent and
+// CompactStore compacts the result log and the blob log, each under its
+// keyspace's write lock, and sums what the two kept and dropped: a
+// storeOne racing a file swap could Peek an existing key as absent and
 // re-append it, inflating the added counter and regrowing the log
 // mid-compaction. Point reads may still race and degrade to counted
 // misses, as the store documents. Exported for cmd/stored's lifecycle
-// loop, which must take the same lock the HTTP path takes.
+// loop and its -compact mode, which must take the locks the HTTP path
+// takes.
 func (s *Server) CompactStore() (kept, dropped int, err error) {
-	s.putMu.Lock()
-	defer s.putMu.Unlock()
-	return s.st.Compact()
+	for _, ks := range s.spaces {
+		ks.mu.Lock()
+		k, d, err := ks.compact()
+		ks.mu.Unlock()
+		if err != nil {
+			return kept, dropped, err
+		}
+		kept, dropped = kept+k, dropped+d
+	}
+	return kept, dropped, nil
 }
 
 func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {

@@ -91,9 +91,6 @@ func (c *CachedEngine) WithCapture(on bool) *CachedEngine {
 	return &cp
 }
 
-// Capturing reports whether executed step logs are being persisted.
-func (c *CachedEngine) Capturing() bool { return c != nil && c.capture }
-
 // captureTrace encodes one executed unit's step log and stores it under
 // the unit's cache key when capture is on. Runs on the executing worker,
 // strictly after the simulation finished — the hot loop never sees it. A

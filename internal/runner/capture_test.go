@@ -73,12 +73,9 @@ func TestCaptureReplayTimelineByteIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			st := captureStore(t)
 			eng := runner.NewCached(runner.New(workers), st).WithCapture(true)
-			if !eng.Capturing() {
-				t.Fatal("WithCapture(true) not capturing")
-			}
 			collectRun(t, eng, jobs)
-			if got := st.Stats().BlobStored; got != int64(len(jobs)) {
-				t.Fatalf("captured %d blobs, want %d", got, len(jobs))
+			if got, held := st.Stats().BlobStored, st.BlobLen(); got != int64(len(jobs)) || held != len(jobs) {
+				t.Fatalf("captured %d blobs and the store holds %d, want %d", got, held, len(jobs))
 			}
 			blobs := make(map[string][]byte, len(jobs))
 			for i, j := range jobs {

@@ -106,6 +106,11 @@ func (fb *FileBlobs) BlobLen() int { return fb.log.Len() }
 // BlobKeys returns the stored blob keys, sorted.
 func (fb *FileBlobs) BlobKeys() []string { return fb.log.Keys() }
 
+// Log returns the NDJSON log the payloads live in, for the maintenance
+// stored runs on it as on its result log: eviction, compaction, and the
+// deletes of a drain.
+func (fb *FileBlobs) Log() *NDJSON { return fb.log }
+
 // Close closes the blob log.
 func (fb *FileBlobs) Close() error { return fb.log.Close() }
 

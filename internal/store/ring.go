@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Ring is the placement layer of the fleet store: a weighted rendezvous
@@ -43,7 +44,8 @@ type Ring struct {
 // it, not the URL, decides placement, so a replica can move hosts without
 // moving keys. URL is where the member is reachable (empty for purely
 // logical members, e.g. shard partitions). Weight scales the member's
-// share of the key space; NewRing normalizes non-positive weights to 1.
+// share of the key space; NewRing refuses a weight that is not finite and
+// normalizes a non-positive one to 1.
 type Member struct {
 	Name   string  `json:"name"`
 	URL    string  `json:"url,omitempty"`
@@ -51,8 +53,11 @@ type Member struct {
 }
 
 // NewRing validates and returns a ring over the given members: names must
-// be non-empty and unique, and at least one member is required.
-// Non-positive weights normalize to 1.
+// be non-empty and unique, names and URLs valid UTF-8 (JSON, which carries
+// a ring to /v1/ring, would rewrite other bytes, and a rewritten name
+// moves the member's keys), and at least one member is required. A weight must be finite: NaN would own
+// no key and +Inf every key, and neither survives JSON. A non-positive
+// weight normalizes to 1, which a ring posted without weights relies on.
 func NewRing(epoch uint64, members ...Member) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("store: ring needs at least one member")
@@ -63,10 +68,16 @@ func NewRing(epoch uint64, members ...Member) (*Ring, error) {
 		if m.Name == "" {
 			return nil, fmt.Errorf("store: ring member %d has no name", i)
 		}
+		if !utf8.ValidString(m.Name) || !utf8.ValidString(m.URL) {
+			return nil, fmt.Errorf("store: ring member %q is not valid UTF-8", m.Name)
+		}
 		if seen[m.Name] {
 			return nil, fmt.Errorf("store: duplicate ring member %q", m.Name)
 		}
 		seen[m.Name] = true
+		if math.IsNaN(m.Weight) || math.IsInf(m.Weight, 0) {
+			return nil, fmt.Errorf("store: ring member %q has weight %v; want a finite number", m.Name, m.Weight)
+		}
 		if m.Weight <= 0 {
 			m.Weight = 1
 		}
@@ -208,8 +219,8 @@ func ParseRingSpec(epoch uint64, spec string) (*Ring, error) {
 		url := rest
 		if u, w, ok := strings.Cut(rest, "*"); ok {
 			f, err := strconv.ParseFloat(w, 64)
-			if err != nil || f <= 0 {
-				return nil, fmt.Errorf("store: bad ring member %q: weight %q is not a positive number", part, w)
+			if err != nil || !(f > 0) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("store: bad ring member %q: weight %q is not a finite positive number", part, w)
 			}
 			url, weight = u, f
 		}

@@ -1,7 +1,10 @@
 package store_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/store"
@@ -94,6 +97,21 @@ func TestRingValidation(t *testing.T) {
 	if err != nil || r.Members[0].Weight != 1 {
 		t.Fatalf("non-positive weight must normalize to 1: %+v err=%v", r, err)
 	}
+	// NaN owns no key and +Inf every key, and JSON can carry neither, so a
+	// ring holding one would answer GET /v1/ring with an empty body.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := store.NewRing(1, store.Member{Name: "a", Weight: w}, store.Member{Name: "b"}); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+		bad := store.Ring{Epoch: 1, Members: []store.Member{{Name: "a", Weight: w}, {Name: "b", Weight: 1}}}
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("Validate accepted weight %v", w)
+		}
+	}
+	// JSON would rewrite these bytes, and with them the member's keys.
+	if _, err := store.NewRing(1, store.Member{Name: "a\xff"}); err == nil {
+		t.Fatal("member name that is not UTF-8 accepted")
+	}
 	if r.Index("a") != 0 || r.Index("ghost") != -1 {
 		t.Fatal("Index must find members by name and report absentees as -1")
 	}
@@ -111,7 +129,8 @@ func TestParseRingSpec(t *testing.T) {
 	if m := ring.Members[1]; m.Name != "b" || m.URL != "http://h2:9200" || m.Weight != 2 {
 		t.Fatalf("member b parsed as %+v", m)
 	}
-	for _, bad := range []string{"", ",", "nourl", "=http://h:1", "a=", "a=u*zero", "a=u*-1", "a=u,a=v"} {
+	for _, bad := range []string{"", ",", "nourl", "=http://h:1", "a=", "a=u*zero", "a=u*-1", "a=u,a=v",
+		"a=u*NaN,b=v", "a=u*nan", "a=u*Inf,b=v", "a=u*+Inf", "a=u*-Inf", "a=u*infinity", "a=u*1e400", "\xff=u"} {
 		if _, err := store.ParseRingSpec(1, bad); err == nil {
 			t.Fatalf("ring spec %q accepted", bad)
 		}
@@ -217,4 +236,44 @@ func TestRouterFailoverDownOwner(t *testing.T) {
 	if _, ok, err := r.Get(k); ok || err == nil {
 		t.Fatalf("down owner, cold runner-up: ok=%v err=%v, want a miss carrying the owner's error", ok, err)
 	}
+}
+
+// FuzzParseRingSpec feeds the CLI ring notation arbitrary specs. The seed
+// corpus in testdata/fuzz/FuzzParseRingSpec holds well-formed weighted
+// specs and the non-finite weights ParseRingSpec refuses. For every
+// input:
+//
+//   - the parser returns without panicking;
+//   - an accepted ring has finite positive weights and passes Validate;
+//   - it survives the JSON that carries it to /v1/ring: the decoded ring
+//     passes Validate and has the same epoch and members.
+func FuzzParseRingSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, epoch uint64, spec string) {
+		ring, err := store.ParseRingSpec(epoch, spec)
+		if err != nil {
+			return
+		}
+		for _, m := range ring.Members {
+			if !(m.Weight > 0) || math.IsInf(m.Weight, 0) {
+				t.Fatalf("spec %q: member %q has weight %v", spec, m.Name, m.Weight)
+			}
+		}
+		if err := ring.Validate(); err != nil {
+			t.Fatalf("spec %q: accepted ring fails Validate: %v", spec, err)
+		}
+		b, err := json.Marshal(ring)
+		if err != nil {
+			t.Fatalf("spec %q: %v", spec, err)
+		}
+		var back store.Ring
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("spec %q: %s does not decode: %v", spec, b, err)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("spec %q: ring fails Validate after JSON: %v", spec, err)
+		}
+		if !reflect.DeepEqual(&back, ring) {
+			t.Fatalf("spec %q: JSON turned %+v into %+v", spec, *ring, back)
+		}
+	})
 }
