@@ -106,8 +106,16 @@ func Encode(s *metastep.Set) (*Encoding, error) {
 			e.Columns[i] = append(e.Columns[i], cell)
 		}
 	}
+	e.Bits, e.BitLen = writeColumns(e.Columns)
+	return e, nil
+}
+
+// writeColumns serializes the table: each cell as its 3-bit tag, followed
+// for the winning write by its signature's three gamma codes, and each
+// column closed by tagEnd. ParseBits reads exactly this form back.
+func writeColumns(cols [][]Cell) (bits []byte, bitLen int) {
 	var w BitWriter
-	for _, col := range e.Columns {
+	for _, col := range cols {
 		for _, c := range col {
 			w.WriteBits(uint64(c.Tag), tagBits)
 			if c.Tag == TagWSig {
@@ -118,9 +126,7 @@ func Encode(s *metastep.Set) (*Encoding, error) {
 		}
 		w.WriteBits(uint64(tagEnd), tagBits)
 	}
-	e.Bits = w.Bytes()
-	e.BitLen = w.Len()
-	return e, nil
+	return w.Bytes(), w.Len()
 }
 
 // cellFor computes T(i, ·) for process i's step in metastep m
@@ -162,10 +168,15 @@ func cellFor(m *metastep.Meta, i int) (Cell, error) {
 // ParseBits reconstructs the table columns from the bitstring alone. The
 // decoder uses it as its getStep(E, i, j) primitive; nothing but the bits
 // and the process count crosses the boundary. A bitLen that is negative or
-// longer than bitstr is an error.
+// longer than bitstr is an error, and so is an n that is negative or
+// larger than bitLen/3 (every column ends in a 3-bit tag): both are
+// refused before the column table is sized.
 func ParseBits(bitstr []byte, bitLen, n int) ([][]Cell, error) {
 	if bitLen < 0 || bitLen > 8*len(bitstr) {
 		return nil, fmt.Errorf("encode: bit length %d outside [0,%d] for a %d-byte bitstring", bitLen, 8*len(bitstr), len(bitstr))
+	}
+	if n < 0 || n > bitLen/tagBits {
+		return nil, fmt.Errorf("encode: %d columns outside [0,%d] for %d bits (each column ends in a %d-bit tag)", n, bitLen/tagBits, bitLen, tagBits)
 	}
 	r := NewBitReader(bitstr, bitLen)
 	cols := make([][]Cell, n)

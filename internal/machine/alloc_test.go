@@ -118,9 +118,10 @@ func TestStepZeroAllocSpin(t *testing.T) {
 }
 
 // TestGreedyNextZeroAlloc guards the lookahead: after the first decision
-// (which allocates the age table), a full greedy decision — n candidate
-// lookaheads on the live System, each scored against the pending readers
-// of the register it changes — must not allocate.
+// (which allocates the per-process cache), a full greedy decision — no
+// step ran since the last one, so every live process is rescored, each
+// against the pending readers of the register it changes — must not
+// allocate.
 func TestGreedyNextZeroAlloc(t *testing.T) {
 	const runs = 50
 	s := machine.NewSystem(spinFactory(t, 4))

@@ -133,11 +133,13 @@ func BenchmarkSystemStepSpin(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedyNext is one full greedy-adversary decision: an n-way
-// lookahead, each candidate's charge read from a speculative feed of its
-// automaton on the live System and scored against the pending readers of
-// the register it changes. This is the per-decision cost of the
-// tournament's most expensive fixed policy and of every search
+// BenchmarkGreedyNext is one greedy-adversary decision and the step it
+// chooses, as a run takes them: the cache catches up with the last step,
+// the processes it could have moved are rescored (each candidate's charge
+// read from a speculative feed of its automaton on the live System and
+// scored against the pending readers of the register it changes), and the
+// argmax runs over every live process. This is the per-decision cost of
+// the tournament's most expensive fixed policy and of every search
 // candidate's completion tail.
 func BenchmarkGreedyNext(b *testing.B) {
 	for _, n := range benchNs {

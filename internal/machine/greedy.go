@@ -41,9 +41,50 @@ import (
 // while every deadlock-free algorithm completes its canonical run, so the
 // scheduler is usable both as a fixed tournament policy and as the
 // completion tail of search candidates.
+//
+// A score moves only when its inputs do, so GreedyCost keeps each live
+// process's score across decisions, with the kind and register of that
+// process's pending step, and before a decision rescores only the
+// processes the last step can have moved:
+//
+//   - the process that took it (its automaton, section and pending step
+//     moved);
+//   - every process pending on the step's register, when the step changed
+//     that register's value (a read's charge and a writer's lookahead both
+//     read the value);
+//   - every process with a pending write or RMW on a register whose
+//     pending readers include the actor before or after its step: a
+//     writer's induced term counts those readers, and no other reader
+//     moved.
+//
+// Every other process keeps its score, and the argmax over the scores,
+// its tie-break and its patience are those of a full rescoring. The cache
+// holds only when exactly one step ran on the same System since the last
+// decision, and that step was the chosen process's (System counts its
+// steps and remembers the last actor); otherwise Next rescores every live
+// process.
 type GreedyCost struct {
-	rr  int   // rotating tie-break cursor
-	age []int // decisions since each process was last scheduled
+	rr    int          // rotating tie-break cursor
+	t     int          // decisions taken
+	procs []greedyProc // per-process cache; nil until the first decision
+
+	// What the cache was last brought up to date with: the System, its
+	// step count then, the process chosen and, for a write or RMW, the
+	// value its register held before the step.
+	sys    *System
+	steps  int
+	chosen int
+	before model.Value
+}
+
+// greedyProc is GreedyCost's state for one process.
+type greedyProc struct {
+	sched  int         // GreedyCost.t when last scheduled: t - sched decisions unscheduled
+	score  int         // the process's score, unless stale
+	stale  bool        // score must be recomputed before it is read
+	halted bool        // the process has halted
+	kind   model.Kind  // pending step's kind; KindCrit once halted (pending on no register)
+	reg    model.RegID // pending step's register, for a read, write or RMW
 }
 
 // NewGreedyCost returns a greedy cost-maximizing scheduler.
@@ -53,36 +94,95 @@ func NewGreedyCost() *GreedyCost { return &GreedyCost{} }
 func (g *GreedyCost) Name() string { return "greedy-cost" }
 
 // Next implements Scheduler.
+//
+//repro:hotpath
 func (g *GreedyCost) Next(s *System) int {
 	n := s.N()
-	if g.age == nil {
-		g.age = make([]int, n)
+	if g.procs == nil {
+		g.procs = make([]greedyProc, n)
+	}
+	if g.sys == s && s.steps == g.steps+1 && s.lastProc == g.chosen {
+		g.invalidate(s)
+	} else {
+		for i := range g.procs {
+			g.refresh(s, i)
+		}
 	}
 	best, bestScore := -1, minScore
 	patience := 3 * n
-	for k := 0; k < n; k++ {
-		i := (g.rr + k) % n
-		if s.Halted(i) {
+	for k, i := 0, g.rr; k < n; k, i = k+1, i+1 {
+		if i == n {
+			i = 0
+		}
+		p := &g.procs[i]
+		if p.halted {
 			continue
 		}
-		if g.age[i] >= patience {
+		if g.t-p.sched >= patience {
 			// Starvation bound: the schedule charged everything it could
 			// out of delaying this process; let it take one step.
 			best = i
 			break
 		}
-		if sc := g.score(s, i); sc > bestScore {
-			best, bestScore = i, sc
+		if p.stale {
+			p.score, p.stale = g.score(s, i), false
+		}
+		if p.score > bestScore {
+			best, bestScore = i, p.score
 		}
 	}
+	g.sys, g.steps, g.chosen = s, s.steps, best
 	if best >= 0 {
 		g.rr = (best + 1) % n
-		for i := range g.age {
-			g.age[i]++
+		g.t++
+		p := &g.procs[best]
+		p.sched = g.t
+		if (p.kind == model.KindWrite || p.kind == model.KindRMW) && p.reg >= 0 && int(p.reg) < s.regs.Len() {
+			g.before = s.regs.Read(p.reg)
 		}
-		g.age[best] = 0
 	}
 	return best
+}
+
+// refresh marks process i's score stale and reads whether it halted and
+// its pending step's kind and register.
+//
+//repro:hotpath
+func (g *GreedyCost) refresh(s *System, i int) {
+	p := &g.procs[i]
+	p.stale, p.halted, p.kind, p.reg = true, s.Halted(i), model.KindCrit, 0
+	if !p.halted {
+		step := s.automata[i].PendingStep()
+		p.kind, p.reg = step.Kind, step.Reg
+	}
+}
+
+// invalidate brings the cache up to date with the one step the chosen
+// process took since the last decision: it refreshes that process and
+// marks stale the scores the step can have moved (the rule in GreedyCost's
+// comment).
+//
+//repro:hotpath
+func (g *GreedyCost) invalidate(s *System) {
+	a := &g.procs[g.chosen]
+	oldKind, oldReg := a.kind, a.reg
+	changed := (oldKind == model.KindWrite || oldKind == model.KindRMW) && s.regs.Read(oldReg) != g.before
+	g.refresh(s, g.chosen)
+	newKind, newReg := a.kind, a.reg
+	for j := range g.procs {
+		// A critical step's score, and a halted process's, reads its own
+		// process only.
+		switch p := &g.procs[j]; p.kind {
+		case model.KindRead: // its charge reads the register's value
+			if changed && p.reg == oldReg {
+				p.stale = true
+			}
+		case model.KindWrite, model.KindRMW: // its lookahead reads the value and the register's readers
+			if p.reg == oldReg && (changed || oldKind == model.KindRead) || p.reg == newReg && newKind == model.KindRead {
+				p.stale = true
+			}
+		}
+	}
 }
 
 // minScore is below any reachable score, so even a process whose pending

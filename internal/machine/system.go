@@ -78,6 +78,12 @@ type System struct {
 	changed []bool // changed[t]: did step t change its process's state?
 
 	procs []procState
+
+	// steps counts the steps executed and lastProc names the process that
+	// took the last one, so a scheduler that caches what it read from the
+	// System (GreedyCost) can tell whether exactly its own choice ran.
+	steps    int
+	lastProc int
 }
 
 // Sink receives each step a System executes, as Step executes it.
@@ -267,6 +273,8 @@ func (s *System) stepNoRecord(i int) (model.Step, bool, error) {
 	if err := s.checkStep(i, step); err != nil {
 		return model.Step{}, false, err
 	}
+	s.steps++
+	s.lastProc = i
 	var changed bool
 	switch step.Kind {
 	case model.KindRead:

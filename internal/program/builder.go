@@ -84,13 +84,16 @@ func (b *Builder) AutoLabel(prefix string) string {
 	return prefix + "$" + strconv.Itoa(b.autoLabel)
 }
 
-func (b *Builder) emit(in Instr) {
+// emit appends *in, labelled with the pending label. It takes the
+// instruction by pointer and labels the appended copy, so the 120-byte
+// Instr is copied once, into the buffer.
+func (b *Builder) emit(in *Instr) {
 	if b.err != nil {
 		return
 	}
-	in.Label = b.nextLabel
+	b.instrs = append(b.instrs, *in)
+	b.instrs[len(b.instrs)-1].Label = b.nextLabel
 	b.nextLabel = ""
-	b.instrs = append(b.instrs, in)
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -101,23 +104,23 @@ func (b *Builder) fail(format string, args ...any) {
 
 // Read emits a read of register reg into variable dst.
 func (b *Builder) Read(reg model.RegID, dst VarRef) {
-	b.emit(Instr{Op: OpCRead, Reg: reg, Dst: dst.Index})
+	b.emit(&Instr{Op: OpCRead, Reg: reg, Dst: dst.Index})
 }
 
 // Write emits a write of expression val to register reg.
 func (b *Builder) Write(reg model.RegID, val Expr) {
-	b.emit(Instr{Op: OpCWrite, Reg: reg, Val: val})
+	b.emit(&Instr{Op: OpCWrite, Reg: reg, Val: val})
 }
 
 // ReadX emits a read with an indirect register operand: the register index
 // is the value of regExpr at execution time.
 func (b *Builder) ReadX(regExpr Expr, dst VarRef) {
-	b.emit(Instr{Op: OpCRead, RegX: regExpr, Dst: dst.Index})
+	b.emit(&Instr{Op: OpCRead, RegX: regExpr, Dst: dst.Index})
 }
 
 // WriteX emits a write with an indirect register operand.
 func (b *Builder) WriteX(regExpr Expr, val Expr) {
-	b.emit(Instr{Op: OpCWrite, RegX: regExpr, Val: val})
+	b.emit(&Instr{Op: OpCWrite, RegX: regExpr, Val: val})
 }
 
 // RMW emits an atomic read-modify-write on reg, storing the value read into
@@ -130,17 +133,17 @@ func (b *Builder) RMW(kind model.RMWKind, reg model.RegID, arg1, arg2 Expr, dst 
 	if arg2 == nil {
 		arg2 = Const(0)
 	}
-	b.emit(Instr{Op: OpCRMW, RMW: kind, Reg: reg, Val: arg1, Val2: arg2, Dst: dst.Index})
+	b.emit(&Instr{Op: OpCRMW, RMW: kind, Reg: reg, Val: arg1, Val2: arg2, Dst: dst.Index})
 }
 
 // Let emits a local assignment dst = val.
 func (b *Builder) Let(dst VarRef, val Expr) {
-	b.emit(Instr{Op: OpCLet, Dst: dst.Index, Val: val})
+	b.emit(&Instr{Op: OpCLet, Dst: dst.Index, Val: val})
 }
 
 // If emits a conditional jump to label when cond is nonzero.
 func (b *Builder) If(cond Expr, label string) {
-	b.emit(Instr{Op: OpCIf, Cond: cond})
+	b.emit(&Instr{Op: OpCIf, Cond: cond})
 	if b.err == nil {
 		b.fixups = append(b.fixups, fixup{instr: len(b.instrs) - 1, label: label})
 	}
@@ -148,7 +151,7 @@ func (b *Builder) If(cond Expr, label string) {
 
 // Goto emits an unconditional jump to label.
 func (b *Builder) Goto(label string) {
-	b.emit(Instr{Op: OpCGoto})
+	b.emit(&Instr{Op: OpCGoto})
 	if b.err == nil {
 		b.fixups = append(b.fixups, fixup{instr: len(b.instrs) - 1, label: label})
 	}
@@ -156,7 +159,7 @@ func (b *Builder) Goto(label string) {
 
 // Crit emits a critical step.
 func (b *Builder) Crit(kind model.CritKind) {
-	b.emit(Instr{Op: OpCCrit, Crit: kind})
+	b.emit(&Instr{Op: OpCCrit, Crit: kind})
 }
 
 // Try emits try_i.
@@ -173,7 +176,7 @@ func (b *Builder) Rem() { b.Crit(model.CritRem) }
 
 // Halt emits a halt instruction.
 func (b *Builder) Halt() {
-	b.emit(Instr{Op: OpCHalt})
+	b.emit(&Instr{Op: OpCHalt})
 }
 
 // Spin emits a single-register busywait: repeatedly read reg into dst until

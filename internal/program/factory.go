@@ -43,8 +43,8 @@ func NewRegisters(f Factory) *model.Registers {
 // ProgramUsesRMW reports whether a program contains any RMW instruction;
 // factories can implement UsesRMW with it.
 func ProgramUsesRMW(p *Program) bool {
-	for _, in := range p.Instrs {
-		if in.Op == OpCRMW {
+	for i := range p.Instrs {
+		if p.Instrs[i].Op == OpCRMW {
 			return true
 		}
 	}

@@ -115,9 +115,10 @@ type Instr struct {
 }
 
 // regOf resolves the instruction's register operand in the environment.
+// It reads the instruction in place: an Instr is 120 bytes.
 //
 //repro:hotpath
-func (in Instr) regOf(env []model.Value) model.RegID {
+func (in *Instr) regOf(env []model.Value) model.RegID {
 	if in.RegX != nil {
 		return model.RegID(in.RegX.Eval(env))
 	}
@@ -193,7 +194,8 @@ func (p *Program) Validate() error {
 	if n == 0 {
 		return fmt.Errorf("program %q: empty", p.Name)
 	}
-	for i, in := range p.Instrs {
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		switch in.Op {
 		case OpCIf, OpCGoto:
 			if in.Target < 0 || in.Target >= n {
@@ -217,8 +219,8 @@ func (p *Program) Validate() error {
 	color := make([]byte, n)
 	type frame struct{ node, next int }
 	var stack []frame
-	for root, in := range p.Instrs {
-		if color[root] != white || !in.IsLocal() {
+	for root := range p.Instrs {
+		if color[root] != white || !p.Instrs[root].IsLocal() {
 			continue
 		}
 		color[root] = gray
@@ -249,7 +251,7 @@ func (p *Program) Validate() error {
 // i: i+1 after a Let, the target of a Goto, and i+1 then the target of an
 // If. ok is false past the last one.
 func (p *Program) localSucc(i, k int) (s int, ok bool) {
-	in := p.Instrs[i]
+	in := &p.Instrs[i]
 	switch {
 	case in.Op == OpCLet && k == 0, in.Op == OpCIf && k == 0:
 		return i + 1, true
@@ -329,7 +331,7 @@ func (a *Automaton) normalize() {
 			a.halted = true
 			return
 		}
-		in := a.prog.Instrs[a.pc]
+		in := &a.prog.Instrs[a.pc]
 		switch in.Op {
 		case OpCLet:
 			a.env[in.Dst] = in.Val.Eval(a.env)
@@ -362,7 +364,7 @@ func (a *Automaton) PendingStep() model.Step {
 	if a.halted {
 		panic(a.badState("PendingStep on halted automaton"))
 	}
-	in := a.prog.Instrs[a.pc]
+	in := &a.prog.Instrs[a.pc]
 	switch in.Op {
 	case OpCRead:
 		return model.Step{Proc: a.proc, Kind: model.KindRead, Reg: in.regOf(a.env)}
@@ -389,7 +391,7 @@ func (a *Automaton) Feed(v model.Value) {
 	if a.halted {
 		panic(a.badState("Feed on halted automaton"))
 	}
-	in := a.prog.Instrs[a.pc]
+	in := &a.prog.Instrs[a.pc]
 	switch in.Op {
 	case OpCRead, OpCRMW:
 		a.env[in.Dst] = v
@@ -496,9 +498,10 @@ func (a *Automaton) StateKey() string {
 //repro:hotpath
 func (a *Automaton) WouldChangeState(v model.Value) bool {
 	// Speculatively feed, compare, and roll back through the scratch
-	// snapshot — the schedulers that poll every pending step per decision
-	// (ProgressFirst, GreedyCost) ask this O(n) times per step, so it must
-	// not clone or build state strings. Feed panics before it mutates
+	// snapshot — ProgressFirst asks this of up to n processes per
+	// decision, and GreedyCost of each process it rescores plus the
+	// pending readers of the register that process would change, so it
+	// must not clone or build state strings. Feed panics before it mutates
 	// anything, so a refused step leaves the state intact too.
 	pc, halted := a.snapshot()
 	a.Feed(v)

@@ -22,8 +22,14 @@
 # a "baseline" block, the measurement from before the step loop was
 # flattened, kept for comparison: when an output file already has one, it
 # is carried over verbatim, so regenerating refreshes only the current
-# rows. No timestamps are embedded, so reruns on the same box and code
-# are stable modulo noise.
+# rows. No timestamps are embedded.
+#
+# Each group of benchmarks runs a fixed iteration count (-benchtime Nx,
+# the N in each bench line below, sized to about a second per row here),
+# not for a fixed time: a row with one-time set-up allocations spreads
+# them over the same N on every host and every run, so two regenerations
+# of unchanged code give the same allocs/op. Wall times still move with
+# the host.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -32,8 +38,23 @@ store_out="${2:-BENCH_store.json}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-go test -run '^$' -bench 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$|BenchmarkGreedyNext$|BenchmarkCanonicalRun$|BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$|BenchmarkCaptureOverhead$|BenchmarkNewFactory$|BenchmarkConstruct$|BenchmarkDecode$|BenchmarkEncodeDecode$|BenchmarkFullPipeline$' -benchmem ./internal/machine ./internal/adversary ./internal/runner . >"$tmp/sim"
-go test -run '^$' -bench 'BenchmarkStoreGetPut$|BenchmarkRemoteMGet$|BenchmarkRemoteGet$|BenchmarkRemoteMPut$|BenchmarkRemotePut$' -benchmem ./internal/store ./internal/remote >"$tmp/store"
+# bench OUT PATTERN N PKG runs the benchmarks PATTERN selects in PKG for
+# exactly N iterations each, appending go test's output to OUT.
+bench() {
+  go test -run '^$' -bench "$2" -benchtime "$3x" -benchmem "$4" >>"$1"
+}
+
+bench "$tmp/sim" 'BenchmarkSystemStep$|BenchmarkSystemStepSpin$' 2000000 ./internal/machine
+bench "$tmp/sim" 'BenchmarkGreedyNext$' 500000 ./internal/machine
+bench "$tmp/sim" 'BenchmarkCanonicalRun$' 500 ./internal/machine
+bench "$tmp/sim" 'BenchmarkSearchWorst$|BenchmarkSearchWorstWarm$' 500 ./internal/adversary
+bench "$tmp/sim" 'BenchmarkCaptureOverhead$' 2000 ./internal/runner
+bench "$tmp/sim" 'BenchmarkNewFactory$/^filter$' 20 ./internal/runner
+bench "$tmp/sim" 'BenchmarkNewFactory$/^(bakery|yang-anderson)$' 1000 ./internal/runner
+bench "$tmp/sim" 'BenchmarkConstruct$|BenchmarkDecode$|BenchmarkEncodeDecode$|BenchmarkFullPipeline$' 500 .
+bench "$tmp/store" 'BenchmarkStoreGetPut$' 300000 ./internal/store
+bench "$tmp/store" 'BenchmarkRemoteMGet$|BenchmarkRemoteMPut$' 400 ./internal/remote
+bench "$tmp/store" 'BenchmarkRemotePut$|BenchmarkRemoteGet$' 15000 ./internal/remote
 
 go_version="$(go env GOVERSION)"
 
