@@ -121,13 +121,14 @@ func TestStepZeroAllocSpin(t *testing.T) {
 // (which allocates the per-process cache), a full greedy decision — no
 // step ran since the last one, so every live process is rescored, each
 // against the pending readers of the register it changes — must not
-// allocate.
+// allocate, and neither may a cached decision that follows the chosen
+// process's step (with the step itself, into the reserved trace).
 func TestGreedyNextZeroAlloc(t *testing.T) {
 	const runs = 50
 	s := machine.NewSystem(spinFactory(t, 4))
 	s.Reserve(runs + 64)
 	g := machine.NewGreedyCost()
-	for w := 0; w < 16; w++ { // warm-up: the age table and automaton snapshot buffers exist
+	for w := 0; w < 16; w++ { // warm-up: the per-process cache and automaton snapshot buffers exist
 		i := g.Next(s)
 		if i < 0 {
 			t.Fatal("no live process")
@@ -143,6 +144,18 @@ func TestGreedyNextZeroAlloc(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("%.1f allocs per warm GreedyCost.Next, want 0", got)
+	}
+	got = testing.AllocsPerRun(runs, func() {
+		i := g.Next(s)
+		if i < 0 {
+			t.Fatal("no live process")
+		}
+		if _, err := s.Step(i); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("%.1f allocs per cached GreedyCost.Next and its Step, want 0", got)
 	}
 }
 

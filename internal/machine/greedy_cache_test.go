@@ -165,29 +165,3 @@ func TestGreedyCacheMatchesFullRescoring(t *testing.T) {
 	}
 	t.Logf("%d decisions agree", decisions)
 }
-
-// TestGreedyCachedNextZeroAlloc guards the cached path: a warm decision
-// after the chosen process's step, which brings the cache up to date
-// instead of rescoring everyone, must not allocate.
-func TestGreedyCachedNextZeroAlloc(t *testing.T) {
-	f, err := oracleFactory(mutex.NameBakery, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSystem(f)
-	s.Stream(nil, false)
-	g := NewGreedyCost()
-	step := func() {
-		i := g.Next(s)
-		if i < 0 {
-			t.Fatal("no live process")
-		}
-		if _, err := s.Step(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step() // the first decision allocates the per-process cache
-	if got := testing.AllocsPerRun(50, step); got != 0 {
-		t.Errorf("%.1f allocs per warm cached GreedyCost.Next and Step, want 0", got)
-	}
-}
