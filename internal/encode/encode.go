@@ -170,7 +170,8 @@ func cellFor(m *metastep.Meta, i int) (Cell, error) {
 // and the process count crosses the boundary. A bitLen that is negative or
 // longer than bitstr is an error, and so is an n that is negative or
 // larger than bitLen/3 (every column ends in a 3-bit tag): both are
-// refused before the column table is sized.
+// refused before the column table is sized. So is a signature count
+// above n.
 func ParseBits(bitstr []byte, bitLen, n int) ([][]Cell, error) {
 	if bitLen < 0 || bitLen > 8*len(bitstr) {
 		return nil, fmt.Errorf("encode: bit length %d outside [0,%d] for a %d-byte bitstring", bitLen, 8*len(bitstr), len(bitstr))
@@ -203,6 +204,10 @@ func ParseBits(bitstr []byte, bitLen, n int) ([][]Cell, error) {
 				wr, err := r.ReadGamma()
 				if err != nil {
 					return nil, fmt.Errorf("encode: column %d signature: %w", i, err)
+				}
+				// A metastep holds at most n processes, so no count exceeds n.
+				if pr-1 > uint64(n) || rd-1 > uint64(n) || wr > uint64(n) {
+					return nil, fmt.Errorf("encode: column %d: signature counts %d, %d, %d exceed %d processes", i, pr-1, rd-1, wr, n)
 				}
 				cell.Pr, cell.R, cell.W = int(pr-1), int(rd-1), int(wr)
 			}

@@ -196,6 +196,18 @@ func TestParseBitsRejectsGarbage(t *testing.T) {
 	if _, err := encode.ParseBits(enc.Bits, enc.BitLen, 1); err == nil {
 		t.Fatal("wrong column count accepted")
 	}
+	// A signature counting more processes than there are must be refused:
+	// W = 3 writes in a 2-process encoding.
+	var w encode.BitWriter
+	w.WriteBits(uint64(encode.TagWSig), 3)
+	w.WriteGamma(1)
+	w.WriteGamma(1)
+	w.WriteGamma(3)
+	w.WriteBits(6, 3) // end of column 0
+	w.WriteBits(6, 3) // end of column 1
+	if cols, err := encode.ParseBits(w.Bytes(), w.Len(), 2); err == nil {
+		t.Fatalf("signature W3 accepted for n = 2: %v", cols)
+	}
 }
 
 func TestHumanReadableForm(t *testing.T) {

@@ -147,7 +147,7 @@ func BenchmarkGreedyNext(b *testing.B) {
 			s := machine.NewSystem(spinFactory(b, n))
 			s.Reserve(b.N + 8*n)
 			g := machine.NewGreedyCost()
-			for t := 0; t < 4*n; t++ { // warm up: arms spinners and the age table
+			for t := 0; t < 4*n; t++ { // warm up: arms spinners and the per-process cache
 				i := g.Next(s)
 				if i < 0 {
 					b.Fatal("no live process")
