@@ -114,7 +114,7 @@ func (o *cacheOracle) Next(s *System) int {
 
 // TestGreedyCacheMatchesFullRescoring: at every decision the caching Next
 // picks the process a full rescoring of every live process picks, for
-// every registered algorithm at n = 2 to 32, under three drivers:
+// every registered algorithm at n = 2 to 32, in three kinds of run:
 // greedy-cost itself; PrefixGreedy after four seeded random prefixes
 // (the search candidates' shape); and a meddler that steps a process
 // other than the chosen one, or the chosen one twice, between two
