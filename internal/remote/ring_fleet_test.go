@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/remote"
 	"repro/internal/store"
@@ -437,6 +439,75 @@ func TestRebalanceMovesTraces(t *testing.T) {
 	for i, k := range keys {
 		if v, ok := fresh.BlobGet(k); !ok || !bytes.Equal(v, trace(i)) {
 			t.Fatalf("trace %d through the fleet after two rebalances: ok=%v", i, ok)
+		}
+	}
+}
+
+// TestDrainRunsOnePassAtATime pins that a member runs one drain pass at a
+// time. A client whose per-attempt timeout is shorter than the pass
+// re-sends POST /v1/drain after each timeout (Client.do's retries); each
+// re-send must wait for the pass already running and answer with its
+// reply, not start a second DrainStore beside it. The slow owner counts
+// the pushes it holds at once.
+func TestDrainRunsOnePassAtATime(t *testing.T) {
+	tsA, srvA, stA := newMember(t, "a")
+	_, _, stB := newServer(t)
+	var inFlight, peak, pushes atomic.Int32
+	slowB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "put") {
+			now := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			pushes.Add(1)
+			for {
+				p := peak.Load()
+				if now <= p || peak.CompareAndSwap(p, now) {
+					break
+				}
+			}
+			time.Sleep(400 * time.Millisecond)
+		}
+		remote.NewServer(stB).ServeHTTP(w, r)
+	}))
+	t.Cleanup(slowB.Close)
+
+	ring := ringOf(t, 1, []string{"a", "b"}, []string{tsA.URL, slowB.URL})
+	if err := srvA.InstallRing(ring); err != nil {
+		t.Fatal(err)
+	}
+	foreign := 0
+	for i := 0; i < 40; i++ {
+		k := store.Key("drain-once", i)
+		stA.Put(k, []byte(fmt.Sprintf(`{"i":%d}`, i)))
+		if ring.Owner(k) == 1 {
+			foreign++
+		}
+	}
+	if foreign == 0 {
+		t.Fatal("no key is owned by b; the drain has nothing to push")
+	}
+
+	impatient, err := remote.NewClient(tsA.URL, &remote.Options{HTTPClient: &http.Client{Timeout: 100 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := impatient.Drain(); err == nil {
+		t.Fatal("a 100 ms client read a drain that holds 400 ms per push as done")
+	}
+	if got := impatient.Stats().Retried; got != remote.DefaultRetries {
+		t.Fatalf("client retried the drain %d times, want %d", got, remote.DefaultRetries)
+	}
+	tsA.Close() // waits for every drain request a is still serving
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("b held %d drain pushes at once (%d in all); a ran concurrent drain passes", p, pushes.Load())
+	}
+
+	// The one pass moved every foreign key; nothing is left to push.
+	for i := 0; i < 40; i++ {
+		k := store.Key("drain-once", i)
+		_, onA := stA.Get(k)
+		_, onB := stB.Get(k)
+		if owned := ring.Owner(k) == 1; onA == owned || onB != owned {
+			t.Fatalf("key %d (owned by b: %v): on a %v, on b %v", i, owned, onA, onB)
 		}
 	}
 }

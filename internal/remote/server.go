@@ -40,6 +40,19 @@ type Server struct {
 	// self is this replica's member name in the ring ("" = unnamed).
 	//repro:guardedby ringMu
 	self string
+
+	drainMu sync.Mutex
+	// drain is the drain pass running now, nil between passes.
+	//repro:guardedby drainMu
+	drain *drainPass
+}
+
+// drainPass is one DrainStore run that every /v1/drain request arriving
+// while it runs waits for and answers with.
+type drainPass struct {
+	done  chan struct{} // closed once reply and err are set
+	reply DrainReply
+	err   error
 }
 
 // NewServer wraps st in the versioned HTTP protocol. The server owns the
@@ -516,6 +529,11 @@ func (s *Server) handleRingPost(w http.ResponseWriter, r *http.Request) {
 // they land. Requires an installed ring and a self name that maps into it
 // or is absent from it (a decommission drains everything); an unnamed
 // server cannot know which keys are its own.
+//
+// One pass runs at a time: a request that arrives while a pass runs (a
+// client's retry after its attempt timed out, say) waits for that pass
+// and answers with its reply, or gives up when its own client goes away.
+// The pass itself runs to the end whoever is still waiting for it.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	ring, self := s.Ring(), s.Self()
 	if ring == nil {
@@ -526,10 +544,26 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusConflict, "server has no member name (-name); cannot tell its keys from foreign ones")
 		return
 	}
-	dr, err := DrainStore(s.st, ring, self)
-	if err != nil {
-		replyError(w, http.StatusInternalServerError, "drain: %v", err)
+	s.drainMu.Lock()
+	pass := s.drain
+	if pass == nil {
+		pass = &drainPass{done: make(chan struct{})}
+		s.drain = pass
+		s.drainMu.Unlock()
+		pass.reply, pass.err = DrainStore(s.st, ring, self)
+		s.drainMu.Lock()
+		s.drain = nil
+		close(pass.done)
+	}
+	s.drainMu.Unlock()
+	select {
+	case <-pass.done:
+	case <-r.Context().Done():
+		return // the client hung up; nobody reads a reply
+	}
+	if pass.err != nil {
+		replyError(w, http.StatusInternalServerError, "drain: %v", pass.err)
 		return
 	}
-	reply(w, http.StatusOK, dr)
+	reply(w, http.StatusOK, pass.reply)
 }
