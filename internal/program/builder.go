@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -13,20 +14,31 @@ import (
 // calls into no-ops; Build returns the error. This keeps algorithm
 // definitions free of per-call error handling.
 //
-// Instructions accumulate in a scratch buffer drawn from a pool, and Build
-// copies them out at their exact size, so a factory's per-process builders
-// reuse one grown buffer instead of each regrowing its own from empty.
+// Each emit compiles its instruction on the spot: the op, and its
+// expressions' postfix nodes, go straight into scratch buffers drawn from
+// a pool, beside the label map and the jump fixups. Build copies the
+// program out at its exact size and returns the buffers, so a factory's
+// per-process builders reuse one grown set instead of each regrowing its
+// own from empty.
 type Builder struct {
 	name      string
-	scratch   *[]Instr // pooled buffer backing instrs; nil once Build released it
-	instrs    []Instr
-	varIndex  map[string]int
-	varNames  []string
-	labels    map[string]int
-	fixups    []fixup
-	nextLabel string // label to attach to the next emitted instruction
+	buf       *buffers // pooled scratch; nil once Build released it
+	nextLabel string   // label to attach to the next emitted instruction
 	autoLabel int
 	err       error
+}
+
+// buffers is a Builder's pooled scratch: the program being compiled, and
+// what compiling it needs.
+type buffers struct {
+	ops      []op
+	nodes    []node
+	varIndex map[string]int
+	varNames []string
+	labels   map[string]int32 // label name → instruction index
+	fixups   []fixup
+	shown    []label // the label Disassemble prints at each labelled instruction
+	text     []byte  // the shown labels' names, concatenated
 }
 
 type fixup struct {
@@ -34,31 +46,25 @@ type fixup struct {
 	label string
 }
 
-// instrBuffers holds cleared instruction buffers between builds. Pointers
-// to slices, so returning one to the pool allocates nothing.
-var instrBuffers = sync.Pool{New: func() any { return new([]Instr) }}
+// builderBuffers holds cleared buffers between builds.
+var builderBuffers = sync.Pool{New: func() any {
+	return &buffers{varIndex: make(map[string]int), labels: make(map[string]int32)}
+}}
 
 // NewBuilder creates a builder for a program with the given name.
 func NewBuilder(name string) *Builder {
-	scratch := instrBuffers.Get().(*[]Instr)
-	return &Builder{
-		name:     name,
-		scratch:  scratch,
-		instrs:   (*scratch)[:0],
-		varIndex: make(map[string]int),
-		labels:   make(map[string]int),
-	}
+	return &Builder{name: name, buf: builderBuffers.Get().(*buffers)}
 }
 
 // Var returns a reference to the named local variable, creating it on first
 // use. Variables start at zero.
 func (b *Builder) Var(name string) VarRef {
-	if ix, ok := b.varIndex[name]; ok {
+	if ix, ok := b.buf.varIndex[name]; ok {
 		return VarRef{Index: ix, Name: name}
 	}
-	ix := len(b.varNames)
-	b.varIndex[name] = ix
-	b.varNames = append(b.varNames, name)
+	ix := len(b.buf.varNames)
+	b.buf.varIndex[name] = ix
+	b.buf.varNames = append(b.buf.varNames, name)
 	return VarRef{Index: ix, Name: name}
 }
 
@@ -67,11 +73,11 @@ func (b *Builder) Label(name string) {
 	if b.err != nil {
 		return
 	}
-	if _, dup := b.labels[name]; dup {
+	if _, dup := b.buf.labels[name]; dup {
 		b.fail("duplicate label %q", name)
 		return
 	}
-	b.labels[name] = len(b.instrs)
+	b.buf.labels[name] = int32(len(b.buf.ops))
 	if b.nextLabel == "" {
 		b.nextLabel = name
 	}
@@ -84,16 +90,62 @@ func (b *Builder) AutoLabel(prefix string) string {
 	return prefix + "$" + strconv.Itoa(b.autoLabel)
 }
 
-// emit appends *in, labelled with the pending label. It takes the
-// instruction by pointer and labels the appended copy, so the 120-byte
-// Instr is copied once, into the buffer.
-func (b *Builder) emit(in *Instr) {
+// emit appends the compiled instruction o, recording the pending label in
+// the side table. Its expressions are already compiled into the node
+// buffer.
+func (b *Builder) emit(o op) {
 	if b.err != nil {
 		return
 	}
-	b.instrs = append(b.instrs, *in)
-	b.instrs[len(b.instrs)-1].Label = b.nextLabel
-	b.nextLabel = ""
+	if len(b.buf.ops) == math.MaxInt32 {
+		b.fail("more than %d instructions", math.MaxInt32)
+		return
+	}
+	if b.nextLabel != "" {
+		b.buf.text = append(b.buf.text, b.nextLabel...)
+		b.buf.shown = append(b.buf.shown, label{at: int32(len(b.buf.ops)), end: int32(len(b.buf.text))})
+		b.nextLabel = ""
+	}
+	b.buf.ops = append(b.buf.ops, o)
+}
+
+// expr compiles e into the node buffer and returns its root node.
+func (b *Builder) expr(e Expr) int32 {
+	b.sub(e, 1)
+	return int32(len(b.buf.nodes) - 1)
+}
+
+// sub compiles e at nesting depth depth, refusing a nil expression and
+// one nested deeper than MaxExprDepth.
+func (b *Builder) sub(e Expr, depth int) {
+	switch {
+	case b.err != nil:
+	case e == nil:
+		b.fail("nil expression")
+	case depth > MaxExprDepth:
+		b.fail("expression nests deeper than %d levels", MaxExprDepth)
+	case len(b.buf.nodes) >= math.MaxInt32-1:
+		b.fail("more than %d expression nodes", math.MaxInt32-1)
+	default:
+		e.compile(b, depth)
+	}
+}
+
+// reg narrows a register operand to an op's 32 bits.
+func (b *Builder) reg(r model.RegID) int32 {
+	if r < math.MinInt32 || r > math.MaxInt32 {
+		b.fail("register %d out of range", r)
+	}
+	return int32(r)
+}
+
+// dst narrows a destination variable's index to an op's 32 bits; Validate
+// checks it against the program's variables.
+func (b *Builder) dst(v VarRef) int32 {
+	if v.Index < math.MinInt32 || v.Index > math.MaxInt32 {
+		b.fail("variable index %d out of range", v.Index)
+	}
+	return int32(v.Index)
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -104,23 +156,24 @@ func (b *Builder) fail(format string, args ...any) {
 
 // Read emits a read of register reg into variable dst.
 func (b *Builder) Read(reg model.RegID, dst VarRef) {
-	b.emit(&Instr{Op: OpCRead, Reg: reg, Dst: dst.Index})
+	b.emit(op{code: OpCRead, reg: b.reg(reg), arg: b.dst(dst)})
 }
 
 // Write emits a write of expression val to register reg.
 func (b *Builder) Write(reg model.RegID, val Expr) {
-	b.emit(&Instr{Op: OpCWrite, Reg: reg, Val: val})
+	b.emit(op{code: OpCWrite, reg: b.reg(reg), a: b.expr(val)})
 }
 
 // ReadX emits a read with an indirect register operand: the register index
 // is the value of regExpr at execution time.
 func (b *Builder) ReadX(regExpr Expr, dst VarRef) {
-	b.emit(&Instr{Op: OpCRead, RegX: regExpr, Dst: dst.Index})
+	b.emit(op{code: OpCRead, indirect: true, reg: b.expr(regExpr), arg: b.dst(dst)})
 }
 
 // WriteX emits a write with an indirect register operand.
 func (b *Builder) WriteX(regExpr Expr, val Expr) {
-	b.emit(&Instr{Op: OpCWrite, RegX: regExpr, Val: val})
+	x := b.expr(regExpr)
+	b.emit(op{code: OpCWrite, indirect: true, reg: x, a: b.expr(val)})
 }
 
 // RMW emits an atomic read-modify-write on reg, storing the value read into
@@ -133,33 +186,38 @@ func (b *Builder) RMW(kind model.RMWKind, reg model.RegID, arg1, arg2 Expr, dst 
 	if arg2 == nil {
 		arg2 = Const(0)
 	}
-	b.emit(&Instr{Op: OpCRMW, RMW: kind, Reg: reg, Val: arg1, Val2: arg2, Dst: dst.Index})
+	a1 := b.expr(arg1)
+	b.emit(op{code: OpCRMW, rmw: kind, reg: b.reg(reg), a: a1, b: b.expr(arg2), arg: b.dst(dst)})
 }
 
 // Let emits a local assignment dst = val.
 func (b *Builder) Let(dst VarRef, val Expr) {
-	b.emit(&Instr{Op: OpCLet, Dst: dst.Index, Val: val})
+	b.emit(op{code: OpCLet, arg: b.dst(dst), a: b.expr(val)})
 }
 
 // If emits a conditional jump to label when cond is nonzero.
 func (b *Builder) If(cond Expr, label string) {
-	b.emit(&Instr{Op: OpCIf, Cond: cond})
-	if b.err == nil {
-		b.fixups = append(b.fixups, fixup{instr: len(b.instrs) - 1, label: label})
-	}
+	b.emit(op{code: OpCIf, a: b.expr(cond)})
+	b.jumpTo(label)
 }
 
 // Goto emits an unconditional jump to label.
 func (b *Builder) Goto(label string) {
-	b.emit(&Instr{Op: OpCGoto})
+	b.emit(op{code: OpCGoto})
+	b.jumpTo(label)
+}
+
+// jumpTo records that the instruction just emitted jumps to label, which
+// Build resolves.
+func (b *Builder) jumpTo(label string) {
 	if b.err == nil {
-		b.fixups = append(b.fixups, fixup{instr: len(b.instrs) - 1, label: label})
+		b.buf.fixups = append(b.buf.fixups, fixup{instr: len(b.buf.ops) - 1, label: label})
 	}
 }
 
 // Crit emits a critical step.
 func (b *Builder) Crit(kind model.CritKind) {
-	b.emit(&Instr{Op: OpCCrit, Crit: kind})
+	b.emit(op{code: OpCCrit, crit: kind})
 }
 
 // Try emits try_i.
@@ -176,7 +234,7 @@ func (b *Builder) Rem() { b.Crit(model.CritRem) }
 
 // Halt emits a halt instruction.
 func (b *Builder) Halt() {
-	b.emit(&Instr{Op: OpCHalt})
+	b.emit(op{code: OpCHalt})
 }
 
 // Spin emits a single-register busywait: repeatedly read reg into dst until
@@ -192,9 +250,9 @@ func (b *Builder) Spin(reg model.RegID, dst VarRef, until Expr) {
 }
 
 // Build resolves labels, validates, and returns the immutable Program. The
-// Program owns its instructions (cap equals len, no array shared with any
-// other program), and the Builder's scratch buffer goes back to the pool:
-// a Builder builds one Program.
+// Program owns its arrays (each at its exact size, none shared with any
+// other program), and the Builder's buffers go back to the pool: a
+// Builder builds one Program.
 func (b *Builder) Build() (*Program, error) {
 	defer b.release()
 	if b.err != nil {
@@ -203,31 +261,54 @@ func (b *Builder) Build() (*Program, error) {
 	if b.nextLabel != "" {
 		return nil, fmt.Errorf("program %q: label %q declared past the last instruction", b.name, b.nextLabel)
 	}
-	for _, f := range b.fixups {
-		target, ok := b.labels[f.label]
+	buf := b.buf
+	for _, f := range buf.fixups {
+		target, ok := buf.labels[f.label]
 		if !ok {
 			return nil, fmt.Errorf("program %q: undefined label %q", b.name, f.label)
 		}
-		b.instrs[f.instr].Target = target
+		buf.ops[f.instr].arg = target
 	}
-	p := &Program{Name: b.name, Instrs: make([]Instr, len(b.instrs)), VarNames: b.varNames}
-	copy(p.Instrs, b.instrs)
+	p := &Program{
+		Name:      b.name,
+		VarNames:  exact(buf.varNames),
+		ops:       exact(buf.ops),
+		nodes:     exact(buf.nodes),
+		labels:    exact(buf.shown),
+		labelText: string(buf.text),
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// release clears the scratch buffer, so the pool pins no expressions or
-// labels, and returns it, grown to whatever this program needed.
+// exact returns a copy of s whose capacity is its length, or nil when s is
+// empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// release clears the buffers, so the pool pins no variable or label names,
+// and returns them, grown to whatever this program needed.
 func (b *Builder) release() {
-	if b.scratch == nil {
+	buf := b.buf
+	if buf == nil {
 		return
 	}
-	clear(b.instrs)
-	*b.scratch = b.instrs[:0]
-	instrBuffers.Put(b.scratch)
-	b.scratch, b.instrs = nil, nil
+	clear(buf.varIndex)
+	clear(buf.varNames)
+	clear(buf.labels)
+	clear(buf.fixups)
+	buf.ops, buf.nodes, buf.varNames = buf.ops[:0], buf.nodes[:0], buf.varNames[:0]
+	buf.fixups, buf.shown, buf.text = buf.fixups[:0], buf.shown[:0], buf.text[:0]
+	builderBuffers.Put(buf)
+	b.buf = nil
 }
 
 // MustBuild is Build that panics on error; algorithm constructors use it

@@ -6,32 +6,37 @@ import (
 	"repro/internal/model"
 )
 
-// Expr is a side-effect-free expression over a process's local variables.
-// Expressions are evaluated by the interpreter when computing written
-// values, branch conditions and spin predicates. Booleans are represented
-// as 0 (false) and 1 (true), C-style.
+// Expr is a side-effect-free expression over a process's local variables:
+// a written value, a branch condition, a spin predicate or an indirect
+// register operand. Booleans are represented as 0 (false) and 1 (true),
+// C-style. A Builder compiles each Expr it is given into postfix nodes of
+// the program it builds; the interpreter evaluates those nodes, never the
+// tree. The set of expression kinds is closed: ConstExpr, VarRef, BinExpr
+// and NotExpr.
 type Expr interface {
-	// Eval evaluates the expression in the given local environment.
-	// Every implementation is on the simulator's per-step hot path: the
-	// interpreter evaluates written values, branch conditions and spin
-	// predicates through this method on every step of every run.
-	//
-	//repro:hotpath
-	Eval(env []model.Value) model.Value
 	// String renders the expression for disassembly and error messages.
 	String() string
+	// compile appends the expression's postfix nodes to the builder's node
+	// buffer. depth is the expression's nesting level (1 at an operand's
+	// root); Builder.sub checks it against MaxExprDepth.
+	compile(b *Builder, depth int)
 }
+
+// MaxExprDepth is how deeply an expression may nest, a literal or a
+// variable counting as one level. It bounds the value stack the
+// interpreter evaluates postfix nodes on, so Build refuses a deeper
+// expression instead of the interpreter overflowing at run time.
+const MaxExprDepth = 16
 
 // ConstExpr is a literal value.
 type ConstExpr struct{ V model.Value }
 
-// Eval returns the literal.
-//
-//repro:hotpath
-func (c ConstExpr) Eval([]model.Value) model.Value { return c.V }
-
 // String renders the literal.
 func (c ConstExpr) String() string { return fmt.Sprintf("%d", c.V) }
+
+func (c ConstExpr) compile(b *Builder, _ int) {
+	b.buf.nodes = append(b.buf.nodes, node{kind: nodeConst, v: c.V, span: 1})
+}
 
 // Const returns a literal expression.
 func Const(v model.Value) Expr { return ConstExpr{V: v} }
@@ -43,13 +48,16 @@ type VarRef struct {
 	Name  string
 }
 
-// Eval reads the variable from the environment.
-//
-//repro:hotpath
-func (v VarRef) Eval(env []model.Value) model.Value { return env[v.Index] }
-
 // String renders the variable name.
 func (v VarRef) String() string { return v.Name }
+
+func (v VarRef) compile(b *Builder, _ int) {
+	if v.Index < 0 || v.Index >= len(b.buf.varNames) {
+		b.fail("expression reads variable index %d of %d", v.Index, len(b.buf.varNames))
+		return
+	}
+	b.buf.nodes = append(b.buf.nodes, node{kind: nodeVar, v: model.Value(v.Index), span: 1})
+}
 
 // BinOp enumerates binary operators available to programs.
 type BinOp uint8
@@ -77,21 +85,126 @@ var binOpNames = map[BinOp]string{
 	OpAnd: "&&", OpOr: "||",
 }
 
-// BinExpr applies a binary operator to two subexpressions.
+// BinExpr applies a binary operator to two subexpressions. Division and
+// modulus by zero yield zero rather than panicking: a deterministic
+// automaton must have a total transition function.
 type BinExpr struct {
 	Op   BinOp
 	L, R Expr
 }
 
-// Eval evaluates both operands and applies the operator. Division and
-// modulus by zero yield zero rather than panicking: a deterministic
-// automaton must have a total transition function.
+// String renders the expression with full parenthesisation.
+func (e BinExpr) String() string {
+	return fmt.Sprintf("(%s %s %s)", e.L, binOpNames[e.Op], e.R)
+}
+
+// compile carries a literal or variable right operand in the operator's
+// node (nodeBinConst, nodeBinVar) instead of a node of its own.
+func (e BinExpr) compile(b *Builder, depth int) {
+	if e.Op > OpOr {
+		b.fail("unknown binary operator %d", e.Op)
+		return
+	}
+	start := len(b.buf.nodes)
+	b.sub(e.L, depth+1)
+	n := node{kind: nodeBin, op: e.Op}
+	switch r := e.R.(type) {
+	case ConstExpr:
+		n.kind, n.v = nodeBinConst, r.V
+	case VarRef:
+		if r.Index < 0 || r.Index >= len(b.buf.varNames) {
+			b.fail("expression reads variable index %d of %d", r.Index, len(b.buf.varNames))
+			return
+		}
+		n.kind, n.v = nodeBinVar, model.Value(r.Index)
+	default:
+		b.sub(e.R, depth+1)
+	}
+	n.span = int32(len(b.buf.nodes) - start + 1)
+	b.buf.nodes = append(b.buf.nodes, n)
+}
+
+// NotExpr is logical negation: 1 if the operand is zero, else 0.
+type NotExpr struct{ E Expr }
+
+// String renders !(e).
+func (e NotExpr) String() string { return fmt.Sprintf("!%s", e.E) }
+
+func (e NotExpr) compile(b *Builder, depth int) {
+	start := len(b.buf.nodes)
+	b.sub(e.E, depth+1)
+	b.buf.nodes = append(b.buf.nodes, node{kind: nodeNot, span: int32(len(b.buf.nodes) - start + 1)})
+}
+
+// nodeKind tells a node's role in postfix evaluation.
+type nodeKind uint8
+
+const (
+	nodeConst    nodeKind = iota // push v
+	nodeVar                      // push env[v]
+	nodeBin                      // pop r, pop l, push l op r
+	nodeBinConst                 // replace the top l with l op v
+	nodeBinVar                   // replace the top l with l op env[v]
+	nodeNot                      // replace the top x with !x
+)
+
+// node is one compiled expression node: 16 bytes, no pointers. An
+// expression is the run of nodes ending at its root, span nodes long, in
+// postfix order. A nodeBin's right operand is the subtree ending just
+// before it, and its left operand the one ending just before that; a
+// nodeBinConst or nodeBinVar holds its right operand in v, and its left
+// operand ends just before it.
+type node struct {
+	v    model.Value // a literal (nodeConst, nodeBinConst) or a variable index (nodeVar, nodeBinVar)
+	span int32       // nodes in the subtree rooted here, this one included
+	kind nodeKind
+	op   BinOp // the operator of a binary node
+}
+
+// eval evaluates the expression rooted at node root in env. Compilation
+// bounds an expression's nesting by MaxExprDepth, and postfix evaluation
+// never holds more values than its expression's nesting depth, so the
+// stack cannot overflow.
 //
 //repro:hotpath
-func (b BinExpr) Eval(env []model.Value) model.Value {
-	l := b.L.Eval(env)
-	r := b.R.Eval(env)
-	switch b.Op {
+func (p *Program) eval(root int32, env []model.Value) model.Value {
+	n := &p.nodes[root]
+	switch n.kind {
+	case nodeConst:
+		return n.v
+	case nodeVar:
+		return env[n.v]
+	}
+	var stack [MaxExprDepth]model.Value
+	sp := 0
+	for i := root - n.span + 1; i <= root; i++ {
+		n := &p.nodes[i]
+		switch n.kind {
+		case nodeConst:
+			stack[sp] = n.v
+			sp++
+		case nodeVar:
+			stack[sp] = env[n.v]
+			sp++
+		case nodeBin:
+			sp--
+			stack[sp-1] = apply(n.op, stack[sp-1], stack[sp])
+		case nodeBinConst:
+			stack[sp-1] = apply(n.op, stack[sp-1], n.v)
+		case nodeBinVar:
+			stack[sp-1] = apply(n.op, stack[sp-1], env[n.v])
+		case nodeNot:
+			stack[sp-1] = b2v(stack[sp-1] == 0)
+		}
+	}
+	return stack[0]
+}
+
+// apply applies a binary operator; division and modulus by zero yield 0.
+//
+//repro:hotpath
+func apply(op BinOp, l, r model.Value) model.Value {
+	switch op {
 	case OpAdd:
 		return l + r
 	case OpSub:
@@ -125,32 +238,16 @@ func (b BinExpr) Eval(env []model.Value) model.Value {
 	case OpOr:
 		return b2v(l != 0 || r != 0)
 	default:
-		panic(badBinOp(b.Op))
+		panic(badBinOp(op))
 	}
 }
 
 // badBinOp formats the unknown-operator panic message.
 //
-//repro:hotpath-ok cold panic path: reached only on a corrupt BinOp, never in a steady-state run
+//repro:hotpath-ok cold panic path: Build refuses unknown operators, so this is reached only on a corrupt node
 func badBinOp(op BinOp) string {
 	return fmt.Sprintf("program: unknown binary operator %d", op)
 }
-
-// String renders the expression with full parenthesisation.
-func (b BinExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, binOpNames[b.Op], b.R)
-}
-
-// NotExpr is logical negation.
-type NotExpr struct{ E Expr }
-
-// Eval returns 1 if the operand is zero, else 0.
-//
-//repro:hotpath
-func (n NotExpr) Eval(env []model.Value) model.Value { return b2v(n.E.Eval(env) == 0) }
-
-// String renders !(e).
-func (n NotExpr) String() string { return fmt.Sprintf("!%s", n.E) }
 
 //repro:hotpath
 func b2v(b bool) model.Value {
@@ -158,6 +255,27 @@ func b2v(b bool) model.Value {
 		return 1
 	}
 	return 0
+}
+
+// tree rebuilds the expression rooted at node root as an Expr tree, for
+// Instr and Disassemble.
+func (p *Program) tree(root int32) Expr {
+	n := &p.nodes[root]
+	switch n.kind {
+	case nodeConst:
+		return ConstExpr{V: n.v}
+	case nodeVar:
+		return VarRef{Index: int(n.v), Name: p.VarNames[n.v]}
+	case nodeNot:
+		return NotExpr{E: p.tree(root - 1)}
+	case nodeBinConst:
+		return BinExpr{Op: n.op, L: p.tree(root - 1), R: ConstExpr{V: n.v}}
+	case nodeBinVar:
+		return BinExpr{Op: n.op, L: p.tree(root - 1), R: VarRef{Index: int(n.v), Name: p.VarNames[n.v]}}
+	default:
+		r := root - 1
+		return BinExpr{Op: n.op, L: p.tree(r - p.nodes[r].span), R: p.tree(r)}
+	}
 }
 
 // Convenience constructors. They keep algorithm definitions readable:

@@ -43,8 +43,8 @@ func NewRegisters(f Factory) *model.Registers {
 // ProgramUsesRMW reports whether a program contains any RMW instruction;
 // factories can implement UsesRMW with it.
 func ProgramUsesRMW(p *Program) bool {
-	for i := range p.Instrs {
-		if p.Instrs[i].Op == OpCRMW {
+	for i := range p.ops {
+		if p.ops[i].code == OpCRMW {
 			return true
 		}
 	}

@@ -1,7 +1,12 @@
 package program_test
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -135,4 +140,109 @@ func TestFuzzSpinFreedom(t *testing.T) {
 			t.Errorf("no %v step was checked", kind)
 		}
 	}
+}
+
+// exprConsts are the literals FuzzCompiledExpr's trees and environments
+// draw from: small values, and the extremes where Go's integer division
+// and multiplication wrap.
+var exprConsts = [16]model.Value{0, 1, -1, 2, -2, 3, 7, 64, -64, 1 << 31, -(1 << 31), math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1, 12345}
+
+// exprVars is how many variables FuzzCompiledExpr's expressions read.
+const exprVars = 4
+
+// decodeExpr reads an expression tree from the front of data, one byte
+// per node in prefix order, and returns the bytes it did not use. Byte b
+// selects by b%16: a BinExpr with operator b%16 (0–12), a NotExpr (13),
+// the literal exprConsts[b/16] (14) or the variable (b/16)%exprVars (15).
+// A node at depth program.MaxExprDepth, or past the end of data, is a
+// leaf, so the tree nests at most that deep.
+func decodeExpr(data []byte, depth int) (program.Expr, []byte) {
+	if len(data) == 0 {
+		return program.Const(0), data
+	}
+	b := data[0]
+	data = data[1:]
+	kind := b % 16
+	if depth >= program.MaxExprDepth && kind < 14 {
+		kind = 14 + b/16%2
+	}
+	switch {
+	case kind <= 12:
+		l, data := decodeExpr(data, depth+1)
+		r, data := decodeExpr(data, depth+1)
+		return program.BinExpr{Op: program.BinOp(kind), L: l, R: r}, data
+	case kind == 13:
+		e, data := decodeExpr(data, depth+1)
+		return program.Not(e), data
+	case kind == 14:
+		return program.Const(exprConsts[b/16]), data
+	default:
+		ix := int(b/16) % exprVars
+		return program.VarRef{Index: ix, Name: "v" + strconv.Itoa(ix)}, data
+	}
+}
+
+// exprDepth returns how deeply e nests, a leaf counting as one level.
+func exprDepth(e program.Expr) int {
+	switch e := e.(type) {
+	case program.BinExpr:
+		return 1 + max(exprDepth(e.L), exprDepth(e.R))
+	case program.NotExpr:
+		return 1 + exprDepth(e.E)
+	}
+	return 1
+}
+
+// FuzzCompiledExpr decodes its bytes into an expression tree over every
+// BinOp (division and modulus by zero included) and Not, nested up to
+// program.MaxExprDepth, and checks on random environments that the
+// compiled evaluator agrees with the tree oracle. The compiled program
+// must give the tree back (Program.Instr), and Build must refuse the same
+// tree wrapped in Nots past MaxExprDepth rather than let the evaluation
+// stack overflow at run time.
+func FuzzCompiledExpr(f *testing.F) {
+	f.Add([]byte{0x0f, 0x1e}, int64(1))                                     // v0 + 1
+	f.Add([]byte{0x03, 0x0f, 0x0e}, int64(2))                               // v0 / 0
+	f.Add([]byte{0x04, 0xce, 0x2e}, int64(3))                               // MinInt64 % -1
+	f.Add([]byte{0x0d, 0x05, 0x1f, 0x0e}, int64(4))                         // !(v1 == 0)
+	f.Add(bytes.Repeat([]byte{0x00, 0x0f}, program.MaxExprDepth), int64(5)) // right-deep chain at the bound
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		e, _ := decodeExpr(data, 1)
+		depth := exprDepth(e)
+		if depth > program.MaxExprDepth {
+			t.Fatalf("decoded %s nests %d deep, past the bound %d", e, depth, program.MaxExprDepth)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 4; trial++ {
+			env := make([]model.Value, exprVars)
+			for i := range env {
+				if rng.Intn(2) == 0 {
+					env[i] = exprConsts[rng.Intn(len(exprConsts))]
+				} else {
+					env[i] = model.Value(rng.Intn(21) - 10)
+				}
+			}
+			if got, want := flatEval(t, env, e), treeEval(e, env); got != want {
+				t.Fatalf("%s in %v: compiled %d, tree %d", e, env, got, want)
+			}
+		}
+
+		b := program.NewBuilder("roundtrip")
+		for i := 0; i < exprVars; i++ {
+			b.Var("v" + strconv.Itoa(i))
+		}
+		b.Write(0, e)
+		b.Halt()
+		if back := b.MustBuild().Instr(0).Val; !reflect.DeepEqual(back, e) {
+			t.Fatalf("compiled %s reads back as %s", e, back)
+		}
+
+		deep := e
+		for d := depth; d <= program.MaxExprDepth; d++ {
+			deep = program.Not(deep)
+		}
+		if _, err := flatEvalErr(make([]model.Value, exprVars), deep); err == nil || !strings.Contains(err.Error(), "deeper") {
+			t.Fatalf("Build took %s, %d levels deep, past the bound %d (err %v)", deep, exprDepth(deep), program.MaxExprDepth, err)
+		}
+	})
 }

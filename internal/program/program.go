@@ -2,9 +2,18 @@
 // paper's shared-memory framework (Section 3.1) as interpreted register
 // programs.
 //
-// A Program is a straight-line list of instructions over local variables
-// and shared registers. The interpreter (Automaton) exposes exactly the
-// interface the paper's proofs require of a process automaton p_i:
+// A Program is a process's instruction list over local variables and
+// shared registers, compiled for the interpreter. A Builder writes it as
+// instructions whose operands are expression trees (Expr), and compiles
+// each instruction as it is emitted into a fixed-size op with no
+// pointers. An op's expression operands index the program's node array,
+// where each expression sits in postfix order. The GC never scans either
+// array, and a factory of Θ(n³) instructions (the filter lock's) costs a
+// few dozen bytes per instruction. Labels live in a side table that only
+// Disassemble and Instr read.
+//
+// The interpreter (Automaton) exposes exactly the interface the paper's
+// proofs require of a process automaton p_i:
 //
 //   - a deterministic transition function δ: PendingStep() computes the next
 //     shared-memory or critical step from the current state;
@@ -30,6 +39,7 @@ package program
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -84,7 +94,10 @@ func (o OpCode) String() string {
 	}
 }
 
-// Instr is a single program instruction. Field usage by opcode:
+// Instr is one instruction in tree form: its expression operands are Expr
+// trees. A Program does not hold Instrs; Builder compiles each instruction
+// into an op as it is emitted, and Program.Instr rebuilds one from its op
+// and nodes for reading. Field usage by opcode:
 //
 //	OpCRead:  Reg (or RegX), Dst
 //	OpCWrite: Reg (or RegX), Val
@@ -114,43 +127,114 @@ type Instr struct {
 	Label  string // informational: label attached to this instruction, if any
 }
 
-// regOf resolves the instruction's register operand in the environment.
-// It reads the instruction in place: an Instr is 120 bytes.
-//
-//repro:hotpath
-func (in *Instr) regOf(env []model.Value) model.RegID {
-	if in.RegX != nil {
-		return model.RegID(in.RegX.Eval(env))
-	}
-	return in.Reg
-}
-
 // IsLocal reports whether the instruction is local computation rather than a
 // step of the paper's model.
-//
-//repro:hotpath
 func (in Instr) IsLocal() bool {
 	return in.Op == OpCLet || in.Op == OpCIf || in.Op == OpCGoto
 }
 
-// Program is an immutable instruction sequence with variable metadata.
-// Build one with a Builder. A Program is shared by all automata running it;
-// only the Automaton carries mutable state.
+// op is one compiled instruction: 20 bytes, no pointers. Field usage by
+// code follows Instr's:
+//
+//	OpCRead:  reg, arg (Dst)
+//	OpCWrite: reg, a (Val)
+//	OpCRMW:   reg, arg (Dst), rmw, a (arg1), b (arg2)
+//	OpCCrit:  crit
+//	OpCLet:   arg (Dst), a (Val)
+//	OpCIf:    a (Cond), arg (Target)
+//	OpCGoto:  arg (Target)
+//
+// a and b are the root nodes of their expressions in the program's node
+// array. When indirect is set, reg is the root node of the register
+// expression (Instr.RegX) rather than a register.
+type op struct {
+	code     OpCode
+	crit     model.CritKind
+	rmw      model.RMWKind
+	indirect bool
+	reg      int32
+	arg      int32
+	a, b     int32
+}
+
+// local reports whether the op is local computation (Let, If, Goto).
+//
+//repro:hotpath
+func (o *op) local() bool {
+	return o.code == OpCLet || o.code == OpCIf || o.code == OpCGoto
+}
+
+// label marks a labelled instruction in a Program's side table: the
+// instruction's index, and the end of the label's name in labelText (the
+// name starts where the previous entry's ends).
+type label struct {
+	at, end int32
+}
+
+// Program is an immutable, compiled instruction sequence with variable
+// metadata. Build one with a Builder. A Program is shared by all automata
+// running it; only the Automaton carries mutable state.
 type Program struct {
 	Name     string
-	Instrs   []Instr
 	VarNames []string
+
+	ops       []op
+	nodes     []node  // every expression of ops, each in postfix order
+	labels    []label // the labelled instructions, in program order
+	labelText string  // the labels' names, concatenated
 }
 
 // NumVars returns the number of local variables.
 func (p *Program) NumVars() int { return len(p.VarNames) }
+
+// Len returns the number of instructions.
+func (p *Program) Len() int { return len(p.ops) }
+
+// Instr returns instruction i in tree form: its expressions rebuilt from
+// the compiled nodes, and its label, if it has one. Disassemble prints
+// through it; the interpreter never calls it.
+func (p *Program) Instr(i int) Instr {
+	o := &p.ops[i]
+	in := Instr{Op: o.code, Crit: o.crit, RMW: o.rmw}
+	switch o.code {
+	case OpCRead, OpCWrite, OpCRMW:
+		if o.indirect {
+			in.RegX = p.tree(o.reg)
+		} else {
+			in.Reg = model.RegID(o.reg)
+		}
+	}
+	switch o.code {
+	case OpCRead:
+		in.Dst = int(o.arg)
+	case OpCWrite:
+		in.Val = p.tree(o.a)
+	case OpCRMW:
+		in.Dst, in.Val, in.Val2 = int(o.arg), p.tree(o.a), p.tree(o.b)
+	case OpCLet:
+		in.Dst, in.Val = int(o.arg), p.tree(o.a)
+	case OpCIf:
+		in.Cond, in.Target = p.tree(o.a), int(o.arg)
+	case OpCGoto:
+		in.Target = int(o.arg)
+	}
+	if k := sort.Search(len(p.labels), func(k int) bool { return p.labels[k].at >= int32(i) }); k < len(p.labels) && p.labels[k].at == int32(i) {
+		start := int32(0)
+		if k > 0 {
+			start = p.labels[k-1].end
+		}
+		in.Label = p.labelText[start:p.labels[k].end]
+	}
+	return in
+}
 
 // Disassemble renders the program as readable text, one instruction per
 // line, with labels and jump targets resolved to line numbers.
 func (p *Program) Disassemble() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program %q (%d vars)\n", p.Name, len(p.VarNames))
-	for i, in := range p.Instrs {
+	for i := range p.ops {
+		in := p.Instr(i)
 		label := ""
 		if in.Label != "" {
 			label = in.Label + ":"
@@ -190,22 +274,20 @@ func (p *Program) Disassemble() string {
 //     cycle would make the folded transition function diverge, i.e. the
 //     automaton would not be a valid process of the model).
 func (p *Program) Validate() error {
-	n := len(p.Instrs)
+	n := len(p.ops)
 	if n == 0 {
 		return fmt.Errorf("program %q: empty", p.Name)
 	}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		switch in.Op {
+	for i := range p.ops {
+		o := &p.ops[i]
+		switch o.code {
 		case OpCIf, OpCGoto:
-			if in.Target < 0 || in.Target >= n {
-				return fmt.Errorf("program %q: instr %d: jump target %d out of range [0,%d)", p.Name, i, in.Target, n)
+			if o.arg < 0 || int(o.arg) >= n {
+				return fmt.Errorf("program %q: instr %d: jump target %d out of range [0,%d)", p.Name, i, o.arg, n)
 			}
-		}
-		switch in.Op {
 		case OpCRead, OpCRMW, OpCLet:
-			if in.Dst < 0 || in.Dst >= len(p.VarNames) {
-				return fmt.Errorf("program %q: instr %d: variable index %d out of range", p.Name, i, in.Dst)
+			if o.arg < 0 || int(o.arg) >= len(p.VarNames) {
+				return fmt.Errorf("program %q: instr %d: variable index %d out of range", p.Name, i, o.arg)
 			}
 		}
 	}
@@ -219,8 +301,8 @@ func (p *Program) Validate() error {
 	color := make([]byte, n)
 	type frame struct{ node, next int }
 	var stack []frame
-	for root := range p.Instrs {
-		if color[root] != white || !p.Instrs[root].IsLocal() {
+	for root := range p.ops {
+		if color[root] != white || !p.ops[root].local() {
 			continue
 		}
 		color[root] = gray
@@ -234,7 +316,7 @@ func (p *Program) Validate() error {
 				continue
 			}
 			top.next++
-			if s >= n || !p.Instrs[s].IsLocal() || color[s] == black {
+			if s >= n || !p.ops[s].local() || color[s] == black {
 				continue
 			}
 			if color[s] == gray {
@@ -251,14 +333,14 @@ func (p *Program) Validate() error {
 // i: i+1 after a Let, the target of a Goto, and i+1 then the target of an
 // If. ok is false past the last one.
 func (p *Program) localSucc(i, k int) (s int, ok bool) {
-	in := &p.Instrs[i]
+	o := &p.ops[i]
 	switch {
-	case in.Op == OpCLet && k == 0, in.Op == OpCIf && k == 0:
+	case o.code == OpCLet && k == 0, o.code == OpCIf && k == 0:
 		return i + 1, true
-	case in.Op == OpCGoto && k == 0:
-		return in.Target, true
-	case in.Op == OpCIf && k == 1:
-		return in.Target, true
+	case o.code == OpCGoto && k == 0:
+		return int(o.arg), true
+	case o.code == OpCIf && k == 1:
+		return int(o.arg), true
 	}
 	return 0, false
 }
@@ -327,20 +409,20 @@ func (a *Automaton) normalize() {
 		if ops > maxLocalOps {
 			panic(a.badState("local instructions diverge"))
 		}
-		if a.pc >= len(a.prog.Instrs) {
+		if a.pc >= len(a.prog.ops) {
 			a.halted = true
 			return
 		}
-		in := &a.prog.Instrs[a.pc]
-		switch in.Op {
+		o := &a.prog.ops[a.pc]
+		switch o.code {
 		case OpCLet:
-			a.env[in.Dst] = in.Val.Eval(a.env)
+			a.env[o.arg] = a.prog.eval(o.a, a.env)
 			a.pc++
 		case OpCGoto:
-			a.pc = in.Target
+			a.pc = int(o.arg)
 		case OpCIf:
-			if in.Cond.Eval(a.env) != 0 {
-				a.pc = in.Target
+			if a.prog.eval(o.a, a.env) != 0 {
+				a.pc = int(o.arg)
 			} else {
 				a.pc++
 			}
@@ -364,22 +446,32 @@ func (a *Automaton) PendingStep() model.Step {
 	if a.halted {
 		panic(a.badState("PendingStep on halted automaton"))
 	}
-	in := &a.prog.Instrs[a.pc]
-	switch in.Op {
+	o := &a.prog.ops[a.pc]
+	switch o.code {
 	case OpCRead:
-		return model.Step{Proc: a.proc, Kind: model.KindRead, Reg: in.regOf(a.env)}
+		return model.Step{Proc: a.proc, Kind: model.KindRead, Reg: a.regOf(o)}
 	case OpCWrite:
-		return model.Step{Proc: a.proc, Kind: model.KindWrite, Reg: in.regOf(a.env), Val: in.Val.Eval(a.env)}
+		return model.Step{Proc: a.proc, Kind: model.KindWrite, Reg: a.regOf(o), Val: a.prog.eval(o.a, a.env)}
 	case OpCRMW:
 		return model.Step{
-			Proc: a.proc, Kind: model.KindRMW, Reg: in.regOf(a.env), RMW: in.RMW,
-			Arg1: in.Val.Eval(a.env), Arg2: in.Val2.Eval(a.env),
+			Proc: a.proc, Kind: model.KindRMW, Reg: a.regOf(o), RMW: o.rmw,
+			Arg1: a.prog.eval(o.a, a.env), Arg2: a.prog.eval(o.b, a.env),
 		}
 	case OpCCrit:
-		return model.Step{Proc: a.proc, Kind: model.KindCrit, Crit: in.Crit}
+		return model.Step{Proc: a.proc, Kind: model.KindCrit, Crit: o.crit}
 	default:
 		panic(a.badState("PendingStep at non-normalized instruction"))
 	}
+}
+
+// regOf resolves the op's register operand in the automaton's environment.
+//
+//repro:hotpath
+func (a *Automaton) regOf(o *op) model.RegID {
+	if o.indirect {
+		return model.RegID(a.prog.eval(o.reg, a.env))
+	}
+	return model.RegID(o.reg)
 }
 
 // Feed applies the result of executing the pending step and advances the
@@ -391,10 +483,10 @@ func (a *Automaton) Feed(v model.Value) {
 	if a.halted {
 		panic(a.badState("Feed on halted automaton"))
 	}
-	in := &a.prog.Instrs[a.pc]
-	switch in.Op {
+	o := &a.prog.ops[a.pc]
+	switch o.code {
 	case OpCRead, OpCRMW:
-		a.env[in.Dst] = v
+		a.env[o.arg] = v
 		a.pc++
 	case OpCWrite, OpCCrit:
 		a.pc++
@@ -410,8 +502,8 @@ func (a *Automaton) Feed(v model.Value) {
 //repro:hotpath-ok cold panic path: formats invariant violations off the hot path, never reached in a steady-state run
 func (a *Automaton) badState(what string) string {
 	at := "end of program"
-	if a.pc < len(a.prog.Instrs) {
-		at = a.prog.Instrs[a.pc].Op.String()
+	if a.pc < len(a.prog.ops) {
+		at = a.prog.ops[a.pc].code.String()
 	}
 	return fmt.Sprintf("program %q: process %d: %s at pc=%d (%s)", a.prog.Name, a.proc, what, a.pc, at)
 }

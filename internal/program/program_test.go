@@ -238,7 +238,8 @@ func TestDisassemble(t *testing.T) {
 }
 
 // TestExprEvaluation covers every operator, including division by zero
-// (total function semantics).
+// (total function semantics), on the compiled evaluator and on the tree
+// oracle.
 func TestExprEvaluation(t *testing.T) {
 	env := []model.Value{6, 3, 0}
 	x := program.VarRef{Index: 0, Name: "x"}
@@ -267,8 +268,11 @@ func TestExprEvaluation(t *testing.T) {
 		{program.Not(x), 0},
 	}
 	for _, c := range cases {
-		if got := c.expr.Eval(env); got != c.want {
+		if got := flatEval(t, env, c.expr); got != c.want {
 			t.Errorf("%s = %d, want %d", c.expr, got, c.want)
+		}
+		if got := treeEval(c.expr, env); got != c.want {
+			t.Errorf("tree oracle: %s = %d, want %d", c.expr, got, c.want)
 		}
 	}
 }
@@ -280,10 +284,10 @@ func TestExprComparisonProperties(t *testing.T) {
 		env := []model.Value{a, b}
 		x := program.VarRef{Index: 0, Name: "a"}
 		y := program.VarRef{Index: 1, Name: "b"}
-		return program.Lt(x, y).Eval(env) == boolVal(a < b) &&
-			program.Le(x, y).Eval(env) == boolVal(a <= b) &&
-			program.Eq(x, y).Eval(env) == boolVal(a == b) &&
-			program.Add(x, y).Eval(env) == a+b
+		return flatEval(t, env, program.Lt(x, y)) == boolVal(a < b) &&
+			flatEval(t, env, program.Le(x, y)) == boolVal(a <= b) &&
+			flatEval(t, env, program.Eq(x, y)) == boolVal(a == b) &&
+			flatEval(t, env, program.Add(x, y)) == a+b
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

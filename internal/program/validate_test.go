@@ -3,31 +3,33 @@ package program_test
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/program"
 )
 
-// validateRecursive is Validate as it was first written, with the cycle
-// check a recursive depth-first search that allocates each instruction's
-// successor list. It is the oracle for the iterative search Validate runs.
-func validateRecursive(p *program.Program) error {
-	n := len(p.Instrs)
+// validateRecursive is Validate as it was first written, over a
+// program's instructions in tree form, with the cycle check a recursive
+// depth-first search that allocates each instruction's successor list. It
+// is the oracle for the iterative search Validate runs on compiled ops.
+func validateRecursive(name string, instrs []program.Instr, numVars int) error {
+	n := len(instrs)
 	if n == 0 {
-		return fmt.Errorf("program %q: empty", p.Name)
+		return fmt.Errorf("program %q: empty", name)
 	}
-	for i, in := range p.Instrs {
+	for i, in := range instrs {
 		switch in.Op {
 		case program.OpCIf, program.OpCGoto:
 			if in.Target < 0 || in.Target >= n {
-				return fmt.Errorf("program %q: instr %d: jump target %d out of range [0,%d)", p.Name, i, in.Target, n)
+				return fmt.Errorf("program %q: instr %d: jump target %d out of range [0,%d)", name, i, in.Target, n)
 			}
 		}
 		switch in.Op {
 		case program.OpCRead, program.OpCRMW, program.OpCLet:
-			if in.Dst < 0 || in.Dst >= len(p.VarNames) {
-				return fmt.Errorf("program %q: instr %d: variable index %d out of range", p.Name, i, in.Dst)
+			if in.Dst < 0 || in.Dst >= numVars {
+				return fmt.Errorf("program %q: instr %d: variable index %d out of range", name, i, in.Dst)
 			}
 		}
 	}
@@ -40,17 +42,17 @@ func validateRecursive(p *program.Program) error {
 		if i >= n {
 			return nil
 		}
-		if !p.Instrs[i].IsLocal() {
+		if !instrs[i].IsLocal() {
 			return nil
 		}
 		switch color[i] {
 		case gray:
-			return fmt.Errorf("program %q: local-instruction cycle through instr %d (transition function would diverge)", p.Name, i)
+			return fmt.Errorf("program %q: local-instruction cycle through instr %d (transition function would diverge)", name, i)
 		case black:
 			return nil
 		}
 		color[i] = gray
-		in := p.Instrs[i]
+		in := instrs[i]
 		succs := []int{}
 		switch in.Op {
 		case program.OpCLet:
@@ -70,7 +72,7 @@ func validateRecursive(p *program.Program) error {
 		color[i] = black
 		return nil
 	}
-	for i := range p.Instrs {
+	for i := range instrs {
 		if color[i] == white {
 			if err := visit(i); err != nil {
 				return err
@@ -80,11 +82,11 @@ func validateRecursive(p *program.Program) error {
 	return nil
 }
 
-// injectLocal returns a copy of p with k random instructions replaced by
-// local ones (Let, Goto, or If with a random in-range target), which
-// often closes a local-instruction cycle.
-func injectLocal(rng *rand.Rand, p *program.Program, k int) *program.Program {
-	instrs := append([]program.Instr(nil), p.Instrs...)
+// injectLocal returns a copy of instrs with k random instructions
+// replaced by local ones (Let, Goto, or If with a random in-range target),
+// which often closes a local-instruction cycle.
+func injectLocal(rng *rand.Rand, instrs []program.Instr, k int) []program.Instr {
+	instrs = append([]program.Instr(nil), instrs...)
 	for ; k > 0; k-- {
 		i := rng.Intn(len(instrs))
 		target := rng.Intn(len(instrs))
@@ -97,23 +99,71 @@ func injectLocal(rng *rand.Rand, p *program.Program, k int) *program.Program {
 			instrs[i] = program.Instr{Op: program.OpCIf, Cond: program.Const(model.Value(rng.Intn(2))), Target: target}
 		}
 	}
-	return &program.Program{Name: p.Name, Instrs: instrs, VarNames: p.VarNames}
+	return instrs
+}
+
+// rebuild compiles instrs with a Builder, labelling every instruction so
+// that jump targets carry over, and returns what Build returns: the
+// program, or Validate's verdict on it.
+func rebuild(name string, varNames []string, instrs []program.Instr) (*program.Program, error) {
+	b := program.NewBuilder(name)
+	vars := make([]program.VarRef, len(varNames))
+	for i, v := range varNames {
+		vars[i] = b.Var(v)
+	}
+	at := func(i int) string { return "L" + strconv.Itoa(i) }
+	for i, in := range instrs {
+		b.Label(at(i))
+		switch in.Op {
+		case program.OpCRead:
+			if in.RegX != nil {
+				b.ReadX(in.RegX, vars[in.Dst])
+			} else {
+				b.Read(in.Reg, vars[in.Dst])
+			}
+		case program.OpCWrite:
+			if in.RegX != nil {
+				b.WriteX(in.RegX, in.Val)
+			} else {
+				b.Write(in.Reg, in.Val)
+			}
+		case program.OpCRMW:
+			b.RMW(in.RMW, in.Reg, in.Val, in.Val2, vars[in.Dst])
+		case program.OpCCrit:
+			b.Crit(in.Crit)
+		case program.OpCLet:
+			b.Let(vars[in.Dst], in.Val)
+		case program.OpCIf:
+			b.If(in.Cond, at(in.Target))
+		case program.OpCGoto:
+			b.Goto(at(in.Target))
+		case program.OpCHalt:
+			b.Halt()
+		}
+	}
+	return b.Build()
 }
 
 // TestValidateMatchesRecursiveDFS checks that Validate and the recursive
 // oracle agree, down to the error text, on random programs as built and
-// with local instructions injected.
+// with local instructions injected. The oracle reads the instructions in
+// tree form; Validate runs on the program Build compiles from them.
 func TestValidateMatchesRecursiveDFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cycles := 0
 	for trial := 0; trial < 2000; trial++ {
 		p := randomProgram(rng, 3)
-		if trial%4 != 0 {
-			p = injectLocal(rng, p, 1+rng.Intn(4))
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trial %d: a built program fails Validate: %v", trial, err)
 		}
-		got, want := p.Validate(), validateRecursive(p)
+		ins := instrs(p)
+		if trial%4 != 0 {
+			ins = injectLocal(rng, ins, 1+rng.Intn(4))
+		}
+		_, got := rebuild(p.Name, p.VarNames, ins)
+		want := validateRecursive(p.Name, ins, p.NumVars())
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: Validate = %v, recursive DFS = %v\n%s", trial, got, want, p.Disassemble())
+			t.Fatalf("trial %d: Validate = %v, recursive DFS = %v\nbefore injection:\n%s", trial, got, want, p.Disassemble())
 		}
 		if want != nil {
 			cycles++
