@@ -97,10 +97,6 @@ func (b *Builder) emit(o op) {
 	if b.err != nil {
 		return
 	}
-	if len(b.buf.ops) == math.MaxInt32 {
-		b.fail("more than %d instructions", math.MaxInt32)
-		return
-	}
 	if b.nextLabel != "" {
 		b.buf.text = append(b.buf.text, b.nextLabel...)
 		b.buf.shown = append(b.buf.shown, label{at: int32(len(b.buf.ops)), end: int32(len(b.buf.text))})
@@ -124,8 +120,6 @@ func (b *Builder) sub(e Expr, depth int) {
 		b.fail("nil expression")
 	case depth > MaxExprDepth:
 		b.fail("expression nests deeper than %d levels", MaxExprDepth)
-	case len(b.buf.nodes) >= math.MaxInt32-1:
-		b.fail("more than %d expression nodes", math.MaxInt32-1)
 	default:
 		e.compile(b, depth)
 	}
@@ -172,8 +166,7 @@ func (b *Builder) ReadX(regExpr Expr, dst VarRef) {
 
 // WriteX emits a write with an indirect register operand.
 func (b *Builder) WriteX(regExpr Expr, val Expr) {
-	x := b.expr(regExpr)
-	b.emit(op{code: OpCWrite, indirect: true, reg: x, a: b.expr(val)})
+	b.emit(op{code: OpCWrite, indirect: true, reg: b.expr(regExpr), a: b.expr(val)})
 }
 
 // RMW emits an atomic read-modify-write on reg, storing the value read into
@@ -186,8 +179,7 @@ func (b *Builder) RMW(kind model.RMWKind, reg model.RegID, arg1, arg2 Expr, dst 
 	if arg2 == nil {
 		arg2 = Const(0)
 	}
-	a1 := b.expr(arg1)
-	b.emit(op{code: OpCRMW, rmw: kind, reg: b.reg(reg), a: a1, b: b.expr(arg2), arg: b.dst(dst)})
+	b.emit(op{code: OpCRMW, rmw: kind, reg: b.reg(reg), a: b.expr(arg1), b: b.expr(arg2), arg: b.dst(dst)})
 }
 
 // Let emits a local assignment dst = val.

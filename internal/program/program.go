@@ -127,12 +127,6 @@ type Instr struct {
 	Label  string // informational: label attached to this instruction, if any
 }
 
-// IsLocal reports whether the instruction is local computation rather than a
-// step of the paper's model.
-func (in Instr) IsLocal() bool {
-	return in.Op == OpCLet || in.Op == OpCIf || in.Op == OpCGoto
-}
-
 // op is one compiled instruction: 20 bytes, no pointers. Field usage by
 // code follows Instr's:
 //

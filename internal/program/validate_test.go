@@ -42,7 +42,7 @@ func validateRecursive(name string, instrs []program.Instr, numVars int) error {
 		if i >= n {
 			return nil
 		}
-		if !instrs[i].IsLocal() {
+		if op := instrs[i].Op; op != program.OpCLet && op != program.OpCIf && op != program.OpCGoto {
 			return nil
 		}
 		switch color[i] {
