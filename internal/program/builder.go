@@ -125,6 +125,16 @@ func (b *Builder) sub(e Expr, depth int) {
 	}
 }
 
+// readable reports whether an expression may read v: whether v names one
+// of the program's variables.
+func (b *Builder) readable(v VarRef) bool {
+	if v.Index < 0 || v.Index >= len(b.buf.varNames) {
+		b.fail("expression reads variable index %d of %d", v.Index, len(b.buf.varNames))
+		return false
+	}
+	return true
+}
+
 // reg narrows a register operand to an op's 32 bits.
 func (b *Builder) reg(r model.RegID) int32 {
 	if r < math.MinInt32 || r > math.MaxInt32 {

@@ -52,11 +52,9 @@ type VarRef struct {
 func (v VarRef) String() string { return v.Name }
 
 func (v VarRef) compile(b *Builder, _ int) {
-	if v.Index < 0 || v.Index >= len(b.buf.varNames) {
-		b.fail("expression reads variable index %d of %d", v.Index, len(b.buf.varNames))
-		return
+	if b.readable(v) {
+		b.buf.nodes = append(b.buf.nodes, node{kind: nodeVar, v: model.Value(v.Index), span: 1})
 	}
-	b.buf.nodes = append(b.buf.nodes, node{kind: nodeVar, v: model.Value(v.Index), span: 1})
 }
 
 // BinOp enumerates binary operators available to programs.
@@ -112,8 +110,7 @@ func (e BinExpr) compile(b *Builder, depth int) {
 	case ConstExpr:
 		n.kind, n.v = nodeBinConst, r.V
 	case VarRef:
-		if r.Index < 0 || r.Index >= len(b.buf.varNames) {
-			b.fail("expression reads variable index %d of %d", r.Index, len(b.buf.varNames))
+		if !b.readable(r) {
 			return
 		}
 		n.kind, n.v = nodeBinVar, model.Value(r.Index)

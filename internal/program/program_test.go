@@ -224,6 +224,31 @@ func TestBuilderErrors(t *testing.T) {
 			t.Fatal("want error for empty program")
 		}
 	})
+	// Build compiles expressions, so it refuses at build time what the
+	// interpreter could not evaluate at run time.
+	deep := program.Expr(program.Const(1))
+	for d := 1; d <= program.MaxExprDepth; d++ {
+		deep = program.Not(deep)
+	}
+	for _, c := range []struct {
+		name string
+		expr program.Expr
+	}{
+		{"expression reads an unknown variable", program.Add(program.Const(1), program.VarRef{Index: 5, Name: "ghost"})},
+		{"expression nests too deep", deep},
+		{"nil expression", nil},
+		{"unknown operator", program.BinExpr{Op: 99, L: program.Const(1), R: program.Const(2)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := program.NewBuilder("bad")
+			b.Var("x")
+			b.Write(0, c.expr)
+			b.Halt()
+			if _, err := b.Build(); err == nil {
+				t.Fatalf("Build took %v", c.expr)
+			}
+		})
+	}
 }
 
 // TestDisassemble sanity-checks the textual listing.
