@@ -464,7 +464,7 @@ func TestDrainRunsOnePassAtATime(t *testing.T) {
 					break
 				}
 			}
-			time.Sleep(400 * time.Millisecond)
+			time.Sleep(800 * time.Millisecond)
 		}
 		remote.NewServer(stB).ServeHTTP(w, r)
 	}))
@@ -491,7 +491,7 @@ func TestDrainRunsOnePassAtATime(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := impatient.Drain(); err == nil {
-		t.Fatal("a 100 ms client read a drain that holds 400 ms per push as done")
+		t.Fatal("a 100 ms client read a drain that holds 800 ms per push as done")
 	}
 	if got := impatient.Stats().Retried; got != remote.DefaultRetries {
 		t.Fatalf("client retried the drain %d times, want %d", got, remote.DefaultRetries)
