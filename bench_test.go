@@ -1,5 +1,7 @@
-// Benchmarks regenerating every experiment of DESIGN.md (one per table,
-// BenchmarkE1…E9) plus micro-benchmarks of the pipeline stages. Run with:
+// Benchmarks regenerating experiments E1–E9 one table each
+// (BenchmarkE1…E9; E10–E13 run only inside BenchmarkExperimentsWorkers,
+// which runs the whole quick suite) plus micro-benchmarks of the pipeline
+// stages. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -194,6 +196,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // workers=1 (the sequential path) and at GOMAXPROCS. The outputs are
 // byte-identical (see internal/experiments determinism tests); only the
 // wall time differs, by roughly the core count on an unloaded machine.
+// Each sweep runs on a fresh engine, so none is served by the one before.
 func BenchmarkSweepWorkers(b *testing.B) {
 	perms := perm.Sample(8, 24, 20060723)
 	counts := []int{1, runtime.GOMAXPROCS(0)}
@@ -202,10 +205,9 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := runner.NewCached(runner.New(w), nil)
 			var maxCost int
 			for i := 0; i < b.N; i++ {
-				stats, err := core.SweepCached(eng, repro.AlgoYangAnderson, 8, perms)
+				stats, err := core.SweepCached(runner.NewCached(runner.New(w), nil), repro.AlgoYangAnderson, 8, perms)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -217,7 +219,10 @@ func BenchmarkSweepWorkers(b *testing.B) {
 }
 
 // BenchmarkExperimentsWorkers runs the full quick-scale experiment suite
-// at workers=1 vs GOMAXPROCS — the before/after of parallelizing E1–E12.
+// at workers=1 vs GOMAXPROCS — the before/after of parallelizing E1–E13.
+// Each suite runs on one fresh engine, as `experiments -quick` without a
+// store flag does: a unit an earlier experiment of the same suite executed
+// is a hit, and nothing carries over to the next suite.
 func BenchmarkExperimentsWorkers(b *testing.B) {
 	counts := []int{1, runtime.GOMAXPROCS(0)}
 	if counts[1] == 1 {
@@ -225,8 +230,8 @@ func BenchmarkExperimentsWorkers(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := experiments.Config{Quick: true, Seed: 20060723, Engine: runner.NewCached(runner.New(w), nil)}
 			for i := 0; i < b.N; i++ {
+				cfg := experiments.Config{Quick: true, Seed: 20060723, Engine: runner.NewCached(runner.New(w), nil)}
 				for _, e := range experiments.All() {
 					tbl, err := e.Run(cfg)
 					if err != nil {

@@ -171,7 +171,7 @@ func (d *daemon) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsReply is the JSON stats surface workload drivers diff: the store's
-// counters (zero-valued without a store) plus the daemon's own.
+// counters plus the daemon's own.
 type statsReply struct {
 	Store     store.Stats `json:"store"`
 	Coalesced int64       `json:"coalesced"`
@@ -182,12 +182,10 @@ type statsReply struct {
 // handleStats serves GET /v1/stats.
 func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 	rep := statsReply{
+		Store:     d.s.Store().Stats(),
 		Coalesced: d.s.Coalesced(),
 		Rejected:  d.rejected.Load(),
 		Served:    d.served.Load(),
-	}
-	if st := d.s.Store(); st != nil {
-		rep.Store = st.Stats()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(rep); err != nil {
@@ -207,9 +205,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Counter("experimentd_rejected_total", "Requests refused with 429 at admission.", d.rejected.Load())
 	e.Counter("experimentd_served_total", "Unit results answered.", d.served.Load())
 	e.Counter("experimentd_coalesced_total", "Requests served by joining an identical in-flight unit.", d.s.Coalesced())
-	if st := d.s.Store(); st != nil {
-		e.StoreStats("experimentd", st.Stats())
-	}
+	e.StoreStats("experimentd", d.s.Store().Stats())
 }
 
 func run(args []string, w io.Writer) error {
@@ -244,7 +240,8 @@ func run(args []string, w io.Writer) error {
 	if *maxN < 2 {
 		return fmt.Errorf("-max-n must be at least 2 (got %d)", *maxN)
 	}
-	s, err := session.Open(sf.Config("experimentd"))
+	cfg := sf.Config("experimentd")
+	s, err := session.Open(cfg)
 	if err != nil {
 		return err
 	}
@@ -263,10 +260,10 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "experimentd: listening on http://%s\n", ln.Addr())
-	if st := s.Store(); st != nil {
-		fmt.Fprintf(w, "experimentd: store mounted (%d entries)\n", st.Len())
+	if cfg.CacheDir == "" && cfg.StoreURL == "" {
+		fmt.Fprintf(w, "experimentd: memory-only store; repeats are served from its LRU of %d entries until exit (pass -cache and/or -store to keep results)\n", store.DefaultLRUEntries)
 	} else {
-		fmt.Fprintf(w, "experimentd: no store mounted; every unit simulates (pass -cache and/or -store)\n")
+		fmt.Fprintf(w, "experimentd: store mounted (%d entries)\n", s.Store().Len())
 	}
 
 	d := newDaemon(s, *queue, *inflight, *maxN)

@@ -62,16 +62,17 @@ func run(args []string, w io.Writer) error {
 		}
 		return err
 	}
-	s, err := session.Open(sf.Config("observe"))
+	cfg := sf.Config("observe")
+	s, err := session.Open(cfg)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
-	st := s.Store()
-	if st == nil {
+	if cfg.CacheDir == "" && cfg.StoreURL == "" {
 		fs.Usage()
 		return fmt.Errorf("traces live in a store: pass -cache DIR and/or -store URL")
 	}
+	st := s.Store()
 
 	if *list {
 		return listTraces(w, st)

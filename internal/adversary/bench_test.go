@@ -13,14 +13,13 @@ import (
 // experiment pays per (algorithm, n) cell: seeding with the fixed
 // policies, then mutation/restart rounds over the engine's worker pool.
 // Single-worker so the number measures the search's work, not the box's
-// parallelism.
+// parallelism; a fresh engine per search, so every search starts cold.
 func BenchmarkSearchWorst(b *testing.B) {
 	cfg := adversary.Quick()
 	cfg.Seed = 7
-	eng := runner.NewCached(runner.New(1), nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := adversary.SearchWorst(eng, "peterson", 4, cfg); err != nil {
+		if _, err := adversary.SearchWorst(runner.NewCached(runner.New(1), nil), "peterson", 4, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

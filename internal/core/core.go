@@ -144,7 +144,8 @@ func (s SweepStats) MeanBits() float64 {
 
 // Sweep runs the pipeline for every permutation in perms and aggregates.
 // Pipelines execute in parallel on the default engine (bounded by
-// GOMAXPROCS), with no store; use SweepCached to choose the engine.
+// GOMAXPROCS), over a fresh memory-only store that nothing else reads;
+// use SweepCached to choose the engine.
 func Sweep(f program.Factory, perms [][]int) (SweepStats, error) {
 	return sweep(runner.NewCached(runner.Default(), nil), f.Name(), f.N(), built(f), perms)
 }
@@ -191,10 +192,10 @@ func hashExec(exec model.Execution) string {
 // run builds fresh automata and registers); a sweep the store serves
 // entirely builds none, and a build error is the sweep's error. Results
 // are folded in permutation order, so the stats — including first-error
-// behaviour — are identical at every worker count. With a store, each
-// permutation's pipeline summary is keyed by (algorithm, n, π) under the
-// code-version salt, so re-runs — in this process or any other sharing
-// the store — fold cached summaries instead of re-verifying the pipeline,
+// behaviour — are identical at every worker count. Each permutation's
+// pipeline summary is keyed by (algorithm, n, π) under the code-version
+// salt, so re-runs — in this process or any other sharing the engine's
+// store — fold cached summaries instead of re-verifying the pipeline,
 // and the aggregated stats are identical either way. On a priming (shard)
 // engine it only fills the store: the returned stats are meaningless and
 // the caller must not validate them.
@@ -254,7 +255,8 @@ func sweep(eng *runner.CachedEngine, name string, n int, factory func() (program
 // ExhaustiveSweep runs the pipeline over all of S_n and additionally checks
 // the injectivity required by Theorem 7.5: distinct permutations yield
 // distinct decoded executions (n! of them). It runs on the default engine
-// with no store; use ExhaustiveSweepCached to choose the engine.
+// over a fresh memory-only store that nothing else reads; use
+// ExhaustiveSweepCached to choose the engine.
 func ExhaustiveSweep(f program.Factory) (SweepStats, error) {
 	return exhaustiveSweep(runner.NewCached(runner.Default(), nil), f.Name(), f.N(), built(f))
 }

@@ -59,9 +59,6 @@ func (w *BitWriter) WriteGamma(v uint64) {
 	w.WriteBits(v, l)
 }
 
-// GammaLen returns the length in bits of the gamma code of v ≥ 1.
-func GammaLen(v uint64) int { return 2*bits.Len64(v) - 1 }
-
 // ErrOutOfBits is returned when a read runs past the end of the bitstring.
 var ErrOutOfBits = errors.New("encode: bitstring exhausted")
 

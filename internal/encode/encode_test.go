@@ -1,6 +1,7 @@
 package encode_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,9 @@ import (
 )
 
 // --- bit I/O ---
+
+// gammaLen is the length in bits of the Elias gamma code of v ≥ 1.
+func gammaLen(v uint64) int { return 2*bits.Len64(v) - 1 }
 
 func TestBitRoundTrip(t *testing.T) {
 	var w encode.BitWriter
@@ -47,7 +51,7 @@ func TestGammaRoundTripProperty(t *testing.T) {
 		v := uint64(raw)%100000 + 1
 		var w encode.BitWriter
 		w.WriteGamma(v)
-		if w.Len() != encode.GammaLen(v) {
+		if w.Len() != gammaLen(v) {
 			return false
 		}
 		r := encode.NewBitReader(w.Bytes(), w.Len())
@@ -255,7 +259,7 @@ func TestBitLenAccounting(t *testing.T) {
 		for _, c := range col {
 			want += 3
 			if c.Tag == encode.TagWSig {
-				want += encode.GammaLen(uint64(c.Pr)+1) + encode.GammaLen(uint64(c.R)+1) + encode.GammaLen(uint64(c.W))
+				want += gammaLen(uint64(c.Pr)+1) + gammaLen(uint64(c.R)+1) + gammaLen(uint64(c.W))
 			}
 		}
 		want += 3

@@ -1,5 +1,5 @@
 // Package experiments regenerates every quantitative claim of the paper as
-// a table, per the experiment index in DESIGN.md (E1–E9). The paper is a
+// a table, one per experiment E1–E13 (All lists them). The paper is a
 // theory paper with no measured tables of its own; each experiment here
 // checks the *shape* of a theorem, lemma, or positioning claim: who wins,
 // growth exponents, boundedness of ratios.
@@ -38,9 +38,11 @@ type Config struct {
 	Seed int64
 	// Engine is the cached engine every experiment fans out on — the
 	// session core passes its own here, carrying the worker pool, the
-	// optional result store (a warm re-run simulates nothing and still
-	// folds byte-identical tables), shard mode and trace capture. Nil
-	// selects an uncached engine on GOMAXPROCS workers. Tables are
+	// result store (a unit an earlier experiment executed is a hit, and a
+	// warm re-run over a durable store simulates nothing and still folds
+	// byte-identical tables), shard mode and trace capture. Nil gives each
+	// experiment run a fresh engine on GOMAXPROCS workers with a fresh
+	// memory-only store, so nothing is shared between runs. Tables are
 	// identical at every worker count.
 	Engine *runner.CachedEngine
 }

@@ -65,7 +65,7 @@ func TestSystemStepAndSections(t *testing.T) {
 	if _, err := s.Step(0); err != nil { // enter
 		t.Fatal(err)
 	}
-	if s.InCriticalSection() != 0 || s.CSEntries(0) != 1 {
+	if s.InCriticalSection() != 0 {
 		t.Fatal("process 0 should be in its critical section")
 	}
 	if _, err := s.Step(0); err != nil { // exit
@@ -74,7 +74,7 @@ func TestSystemStepAndSections(t *testing.T) {
 	if _, err := s.Step(0); err != nil { // rem
 		t.Fatal(err)
 	}
-	if s.CSCompleted(0) != 1 || s.Section(0) != machine.SecRemainder {
+	if machine.CSCompleted(s, 0) != 1 || s.Section(0) != machine.SecRemainder {
 		t.Fatal("cycle not recorded")
 	}
 	if _, err := s.Step(0); err == nil { // halted

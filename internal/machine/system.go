@@ -97,9 +97,8 @@ type Sink interface {
 
 // procState is one process's protocol bookkeeping.
 type procState struct {
-	section   Section
-	csEntries int // completed enter steps
-	csDone    int // completed rem steps
+	section Section
+	csDone  int // completed rem steps
 }
 
 // NewSystem creates a system in the initial state s_0 for the factory.
@@ -156,13 +155,6 @@ func (s *System) AllHalted() bool {
 
 // Section returns process i's current protocol section.
 func (s *System) Section(i int) Section { return s.procs[i].section }
-
-// CSEntries returns how many times process i has entered its critical section.
-func (s *System) CSEntries(i int) int { return s.procs[i].csEntries }
-
-// CSCompleted returns how many times process i has completed a full
-// try-enter-exit-rem cycle.
-func (s *System) CSCompleted(i int) int { return s.procs[i].csDone }
 
 // Trace returns the execution so far, which is empty for a System that
 // streams alone (Stream). The returned slice is owned by the system;
@@ -356,7 +348,6 @@ func (s *System) applyCrit(i int, c model.CritKind) {
 		p.section = SecTrying
 	case model.CritEnter:
 		p.section = SecCritical
-		p.csEntries++
 	case model.CritExit:
 		p.section = SecExit
 	case model.CritRem:

@@ -84,15 +84,6 @@ type Meta struct {
 // Value returns val(m): the value written by the winning step.
 func (m *Meta) Value() model.Value { return m.Win.Val }
 
-// Winner returns the process performing win(m), or -1 for non-write
-// metasteps.
-func (m *Meta) Winner() int {
-	if m.Type != TypeWrite {
-		return -1
-	}
-	return m.Win.Proc
-}
-
 // Owners returns own(m): the processes taking a step in m, in ascending
 // order.
 func (m *Meta) Owners() []int {

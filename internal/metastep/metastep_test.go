@@ -42,7 +42,7 @@ func buildDiamond(t *testing.T) *metastep.Set {
 func TestMetaAccessors(t *testing.T) {
 	s := buildDiamond(t)
 	mw := s.Meta(2)
-	if mw.Type != metastep.TypeWrite || mw.Value() != 7 || mw.Winner() != 0 {
+	if mw.Type != metastep.TypeWrite || mw.Value() != 7 || mw.Win.Proc != 0 {
 		t.Fatalf("bad write metastep: %v", mw)
 	}
 	if got := mw.Owners(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {

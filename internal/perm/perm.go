@@ -55,16 +55,6 @@ func Identity(n int) []int {
 	return p
 }
 
-// Inverse returns π⁻¹: Inverse(p)[p[k]] = k. The paper writes π⁻¹(i) for the
-// position of process i in π.
-func Inverse(p []int) []int {
-	inv := make([]int, len(p))
-	for k, v := range p {
-		inv[v] = k
-	}
-	return inv
-}
-
 // IsPermutation reports whether p is a permutation of 0..len(p)-1.
 func IsPermutation(p []int) bool {
 	seen := make([]bool, len(p))

@@ -21,7 +21,9 @@ import (
 //	cacheDir + URLs → a store.Tiered: the local directory as a near tier in
 //	                  front of the fleet tier, so each process pays one
 //	                  remote round trip per key ever
-//	neither         → no store (st is nil), plain uncached execution
+//	neither         → a memory-only store (store.New(0, nil)): a unit the
+//	                  process already executed is served from its LRU, and
+//	                  nothing outlives the process
 //
 // The blob tier (captured execution traces, store.BlobBackend) mirrors the
 // result tiers shape for shape: a cache directory serves blobs from its
@@ -53,7 +55,7 @@ import (
 func MountFleet(cacheDir, storeURL string) (st *store.Store, cls []*Client, ring *store.Ring, err error) {
 	var be store.Backend
 	var blobs store.BlobBackend
-	if urls := splitList(storeURL); storeURL != "" && len(urls) == 0 {
+	if urls := SplitList(storeURL); storeURL != "" && len(urls) == 0 {
 		// "," or whitespace: the caller asked for a fleet store and named no
 		// member (an unset env var in `-store "$A,$B"`); silently mounting
 		// nothing would be the silently-cold cache this function fails fast on.
@@ -137,9 +139,6 @@ func MountFleet(cacheDir, storeURL string) (st *store.Store, cls []*Client, ring
 			be = local
 		}
 	}
-	if be == nil {
-		return nil, nil, nil, nil
-	}
 	st = store.New(0, be)
 	st.SetBlobs(blobs)
 	return st, cls, ring, nil
@@ -182,8 +181,8 @@ func ringClients(ring *store.Ring, flagClients []*Client) ([]*Client, error) {
 	return cls, nil
 }
 
-// splitList splits a comma-separated flag value, trimming blanks.
-func splitList(s string) []string {
+// SplitList splits a comma-separated flag value, trimming blanks.
+func SplitList(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -193,67 +192,17 @@ func splitList(s string) []string {
 	return out
 }
 
-// CLIStore is the mounted result store of one CLI invocation plus its
-// shard assignment — everything the -cache/-store/-shard/-merge flag
-// quartet resolves to, validated in one place so the binaries cannot
-// drift.
+// CLIStore is the mounted result store of one CLI invocation: what the
+// -cache/-store flags resolve to, with the fleet clients and placement
+// ring PrintStats reports on.
 type CLIStore struct {
-	Store          *store.Store // nil when no store flags were given
-	Clients        []*Client    // one per fleet replica, ring order; empty when -store was not given
-	Ring           *store.Ring  // the placement ring routed by; nil for local-only and single-replica mounts
-	ShardI, ShardM int          // 0,0 when -shard was not given
+	Store   *store.Store
+	Clients []*Client   // one per fleet replica, ring order; empty when -store was not given
+	Ring    *store.Ring // the placement ring routed by; nil for local-only and single-replica mounts
 }
 
-// Priming reports whether this invocation is a prime-only shard pass.
-func (cs *CLIStore) Priming() bool { return cs.ShardM > 0 }
-
-// Close closes the store, if any.
-func (cs *CLIStore) Close() error {
-	if cs.Store == nil {
-		return nil
-	}
-	return cs.Store.Close()
-}
-
-// MountFlags assembles and validates a CLI's store flags: MountFleet for
-// -cache/-store, then -merge (fold the listed shard directories in before
-// running, mutually exclusive with -shard) and -shard i/m. diag receives
-// the merge report; prog prefixes it ("experiments: merged …").
-func MountFlags(diag io.Writer, prog, cacheDir, storeURL, shardArg, mergeArg string) (*CLIStore, error) {
-	st, cls, ring, err := MountFleet(cacheDir, storeURL)
-	if err != nil {
-		return nil, err
-	}
-	cs := &CLIStore{Store: st, Clients: cls, Ring: ring}
-	if mergeArg != "" {
-		if st == nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, fmt.Errorf("-merge requires -cache or -store")
-		}
-		if shardArg != "" {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, fmt.Errorf("-merge and -shard are mutually exclusive (merge replays the full run)")
-		}
-		dirs := splitList(mergeArg)
-		added, err := st.Merge(dirs...)
-		if err != nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, err
-		}
-		fmt.Fprintf(diag, "%s: merged %d entries from %d store(s)\n", prog, added, len(dirs)) //repro:degrade diagnostic line on stderr
-	}
-	if shardArg != "" {
-		if st == nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, fmt.Errorf("-shard requires -cache or -store")
-		}
-		if cs.ShardI, cs.ShardM, err = store.ParseShard(shardArg); err != nil {
-			cs.Close() //repro:degrade error-path teardown; the flag error below is the one to surface
-			return nil, err
-		}
-	}
-	return cs, nil
-}
+// Close closes the store.
+func (cs *CLIStore) Close() error { return cs.Store.Close() }
 
 // PrintStats writes the end-of-run store diagnostics every CLI prints to
 // stderr: the cache traffic line (CI greps `misses=0` off it) with the
@@ -265,13 +214,11 @@ func MountFlags(diag io.Writer, prog, cacheDir, storeURL, shardArg, mergeArg str
 // a warning names the skew: the run routed by a stale placement (safe —
 // failover reads cover moved keys — but a remount re-places it).
 func (cs *CLIStore) PrintStats(diag io.Writer, prog string) {
-	if cs.Store != nil {
-		ringSuffix := ""
-		if cs.Ring != nil {
-			ringSuffix = fmt.Sprintf(" ring=%d", cs.Ring.Epoch)
-		}
-		fmt.Fprintf(diag, "%s: cache %s (%d entries)%s\n", prog, cs.Store.Stats(), cs.Store.Len(), ringSuffix) //repro:degrade diagnostic line on stderr
+	ringSuffix := ""
+	if cs.Ring != nil {
+		ringSuffix = fmt.Sprintf(" ring=%d", cs.Ring.Epoch)
 	}
+	fmt.Fprintf(diag, "%s: cache %s (%d entries)%s\n", prog, cs.Store.Stats(), cs.Store.Len(), ringSuffix) //repro:degrade diagnostic line on stderr
 	var newest uint64
 	for i, cl := range cs.Clients {
 		label := "remote"

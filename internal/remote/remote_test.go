@@ -539,10 +539,15 @@ func TestCompactEndpoint(t *testing.T) {
 func TestMountTiers(t *testing.T) {
 	ts, srv, _ := newServer(t)
 
-	st, cl, _, err := remote.MountFleet("", "")
-	if err != nil || st != nil || cl != nil {
-		t.Fatalf("MountFleet of nothing: %v %v %v", st, cl, err)
+	// Nothing: an empty memory-only store, with no clients and no ring.
+	st, cl, ring, err := remote.MountFleet("", "")
+	if err != nil || st == nil || cl != nil || ring != nil {
+		t.Fatalf("MountFleet of nothing: %v %v %v %v", st, cl, ring, err)
 	}
+	if st.Len() != 0 || st.Blobs() != nil || st.Batched() {
+		t.Fatalf("MountFleet of nothing: len=%d blobs=%v batched=%v, want an empty memory-only store", st.Len(), st.Blobs(), st.Batched())
+	}
+	st.Close()
 
 	// Remote only: writes land on the server.
 	st, cl, _, err = remote.MountFleet("", ts.URL)

@@ -16,22 +16,24 @@ import (
 // cold, never wrong.
 const CacheVersion = "fanl06-sim-v3"
 
-// CachedEngine wraps an Engine with an optional content-addressed result
-// store and an optional prime-shard assignment. It is the handle the whole
-// stack fans out through, and every cached fan-out — CachedMap, Run,
+// CachedEngine wraps an Engine with a content-addressed result store and
+// an optional prime-shard assignment. It is the handle the whole stack
+// fans out through, and every cached fan-out — CachedMap, Run,
 // RunSchedules, RunOne — runs the same sequence: look each unit up,
 // execute the misses, write them back, fold in submission order.
 //
-//   - with a nil store every unit executes, and the folds see exactly what
-//     MapOrdered over the units would deliver;
-//   - with a store, results are folded in submission order, so the folds
-//     see byte-identical values whether each result came from cache or
-//     execution, at any worker count; against a batching backend a fan-out
-//     of more than one unit travels batched — reads in one prefetch mget up
-//     front, after which a key the mget did not return costs no second
-//     round trip, and executed results in buffered mputs flushed at the
-//     fan-out barrier — so a fan-out costs round trips per batch, not per
-//     unit, and a single unit uses a point get and at most one point put;
+//   - results are folded in submission order, so the folds see
+//     byte-identical values whether each result came from cache or
+//     execution, at any worker count;
+//   - a memory-only store (what NewCached mounts when given none) serves
+//     a unit that an earlier fan-out on the same store executed, and
+//     keeps nothing past the process;
+//   - against a batching backend a fan-out of more than one unit travels
+//     batched — reads in one prefetch mget up front, after which a key the
+//     mget did not return costs no second round trip, and executed results
+//     in buffered mputs flushed at the fan-out barrier — so a fan-out costs
+//     round trips per batch, not per unit, and a single unit uses a point
+//     get and at most one point put;
 //   - with a shard assignment (WithShard) the engine becomes a prime pass:
 //     statically enumerable fan-outs execute only this shard's missing keys
 //     and skip their folds entirely, so m processes can split one sweep's
@@ -51,20 +53,23 @@ type CachedEngine struct {
 	capture bool        // persist executed step logs into the store's blob tier
 }
 
-// NewCached wraps an engine with a result store; st may be nil for a plain
-// uncached engine behind the same interface.
+// NewCached wraps an engine with a result store. A nil st mounts a fresh
+// memory-only store (store.NewMemory with the default LRU capacity), so
+// every engine has a store: a unit it already executed is served from
+// memory while the LRU holds it.
 func NewCached(e *Engine, st *store.Store) *CachedEngine {
+	if st == nil {
+		st = store.NewMemory(0)
+	}
 	return &CachedEngine{Engine: e, cache: st}
 }
 
 // WithShard returns a copy of the engine acting as a prime pass for shard i
 // of m (0-based): the engine owns member i of the uniform m-member ring, so
-// every process derives the identical partition from m alone. It requires a
-// store — a shard pass without somewhere to write results would do nothing
-// — and returns the engine unchanged when m <= 0, i is out of range, or no
-// store is attached.
+// every process derives the identical partition from m alone. It returns
+// the engine unchanged when m <= 0 or i is out of range.
 func (c *CachedEngine) WithShard(i, m int) *CachedEngine {
-	if m <= 0 || i < 0 || i >= m || c.cache == nil {
+	if m <= 0 || i < 0 || i >= m {
 		return c
 	}
 	cp := *c
@@ -80,10 +85,9 @@ func (c *CachedEngine) WithShard(i, m int) *CachedEngine {
 // cost as they execute. Cached hits capture nothing (their trace was
 // captured when they were executed, or never will be); encoding runs on
 // the worker after its simulation completes, never inside the stepping hot
-// path. Without a store capture has nothing to write to, so the engine is
-// returned unchanged.
+// path. A store with no blob tier drops what it is given.
 func (c *CachedEngine) WithCapture(on bool) *CachedEngine {
-	if c.cache == nil || c.capture == on {
+	if c.capture == on {
 		return c
 	}
 	cp := *c
@@ -152,7 +156,7 @@ type skipper interface{ skipped(i int) }
 // cachedMap is the one lookup → execute → write-back → fold sequence every
 // cached fan-out runs: CachedMap, Run, RunSchedules and RunOne are payload
 // adapters over it. exec(i, k) executes unit i under its key k ("" when the
-// unit is uncacheable or no store is mounted). Its error is in-band: the
+// unit is uncacheable). Its error is in-band: the
 // value is never stored, and fold receives both and decides whether the
 // fan-out goes on. Folds run in index order on the calling goroutine,
 // whether each value came from the store or from exec, so they are
@@ -173,10 +177,8 @@ type skipper interface{ skipped(i int) }
 // lacks execute, and an error from exec aborts the pass.
 func cachedMap[P any](c *CachedEngine, n int, key func(i int) string, exec func(i int, k string) (P, error), skip skipper, fold func(i int, p P, err error) error) error {
 	keys := make([]string, n) // "" = nothing to look up or write back
-	if c.cache != nil {
-		for i := range keys {
-			keys[i] = key(i)
-		}
+	for i := range keys {
+		keys[i] = key(i)
 	}
 	batch := n > 1 && c.cache.Batched()
 	var sink store.Putter = c.cache

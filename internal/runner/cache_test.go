@@ -377,28 +377,40 @@ func TestCachedMapKeylessUnitsAlwaysExecute(t *testing.T) {
 // no-re-read rule: a key the prefetch found absent is still looked up in
 // the LRU tier, so a duplicate unit later in the same sequential fan-out
 // is served from the copy the first executor wrote, not executed twice.
+// An engine given no store holds the same rule over the memory-only store
+// NewCached mounts for it.
 func TestCachedMapDuplicateKeysHitWithinFanOut(t *testing.T) {
 	be := newCountingBatchBackend()
 	st := store.New(0, be)
 	defer st.Close()
 	key := func(i int) string { return store.Key(runner.CacheVersion, fmt.Sprintf("dup-%d", i%3)) }
-	executed := 0
-	var folded []int
-	err := runner.CachedMap(runner.NewCached(runner.New(1), st), 9, key, func(i int) (int, error) {
-		executed++
-		return i % 3, nil
-	}, func(i, v int) error {
-		folded = append(folded, v)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if executed != 3 {
-		t.Fatalf("executed %d units for 3 distinct keys, want 3", executed)
-	}
-	if want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}; !reflect.DeepEqual(folded, want) {
-		t.Fatalf("folded %v, want %v", folded, want)
+	for _, tc := range []struct {
+		name string
+		eng  *runner.CachedEngine
+	}{
+		{"batching-backend", runner.NewCached(runner.New(1), st)},
+		{"no-store-given", runner.NewCached(runner.New(1), nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			executed := 0
+			var folded []int
+			err := runner.CachedMap(tc.eng, 9, key, func(i int) (int, error) {
+				executed++
+				return i % 3, nil
+			}, func(i, v int) error {
+				folded = append(folded, v)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if executed != 3 {
+				t.Fatalf("executed %d units for 3 distinct keys, want 3", executed)
+			}
+			if want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}; !reflect.DeepEqual(folded, want) {
+				t.Fatalf("folded %v, want %v", folded, want)
+			}
+		})
 	}
 	if s := st.Stats(); s.Hits != 6 || s.Misses != 3 || be.gets != 0 {
 		t.Fatalf("hits=%d misses=%d point gets=%d, want 6, 3, 0", s.Hits, s.Misses, be.gets)

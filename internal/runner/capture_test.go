@@ -234,20 +234,25 @@ func TestCaptureDisabledStepZeroAlloc(t *testing.T) {
 // TestUncapturedUnitAllocsFlatInRunLength: an executed unit nothing
 // captures costs its steps as they execute and keeps none of them, so a
 // run twice as long allocates no more. A recording unit grows its trace
-// arena past Run's reservation, a few allocations per doubling.
+// arena past Run's reservation, a few allocations per doubling. Each run
+// gets a fresh engine and store, so each one executes the unit: a hit on
+// the run before would measure a lookup, not an execution.
 func TestUncapturedUnitAllocsFlatInRunLength(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts over a factory build vary under the race detector")
 	}
-	eng := runner.NewCached(runner.New(1), nil)
 	unit := func(delay int) (allocs float64, steps int) {
 		j := runner.Job{Algo: "yang-anderson", N: 4, Sched: machine.HoldCSSpec(delay)}
 		allocs = testing.AllocsPerRun(10, func() {
-			if err := eng.Run([]runner.Job{j}, func(r runner.Result) error {
+			st := store.NewMemory(0)
+			if err := runner.NewCached(runner.New(1), st).Run([]runner.Job{j}, func(r runner.Result) error {
 				steps = r.Report.Steps
 				return r.Err
 			}); err != nil {
 				t.Fatal(err)
+			}
+			if s := st.Stats(); s.Hits != 0 || s.Misses != 1 {
+				t.Fatalf("hits=%d misses=%d, want the run to miss and execute", s.Hits, s.Misses)
 			}
 		})
 		return allocs, steps
@@ -263,18 +268,18 @@ func TestUncapturedUnitAllocsFlatInRunLength(t *testing.T) {
 }
 
 // BenchmarkCaptureOverhead quantifies what turning capture on costs one
-// executed job: off = the path an uncaptured unit takes (an uncached
-// engine's RunOne, which streams the run into its cost and records no
-// step log), on = a recorded execution + trace encode + blob store. Both
-// build the job's factory. The delta is the capture tax: the step log,
-// its encoding and its store.
+// executed job: off = the path an uncaptured unit takes (RunOne on a fresh
+// engine, which misses its new memory store, streams the run into its
+// cost, records no step log and stores the result), on = a recorded
+// execution + trace encode + blob store. Both build the job's factory.
+// The delta is the capture tax: the step log, its encoding and its store,
+// less the keying and result write only off pays.
 func BenchmarkCaptureOverhead(b *testing.B) {
 	j := runner.Job{Algo: "yang-anderson", N: 8, Sched: machine.RoundRobinSpec()}
 	b.Run("off", func(b *testing.B) {
-		eng := runner.NewCached(runner.New(1), nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.RunOne(j); err != nil {
+			if _, err := runner.NewCached(runner.New(1), nil).RunOne(j); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,8 +2,9 @@
 // and service is assembled from: one type owning the full lifecycle that
 // cmd/experiments, cmd/tournament, cmd/observe, cmd/lowerbound,
 // cmd/mutexsim and cmd/experimentd used to hand-build in their main
-// functions — mount the result store (local directory, fleet, or tiered;
-// see remote.MountFlags), wrap the cached execution engine, apply the
+// functions — check the flag combinations, mount the result store (local
+// directory, fleet, tiered, or memory-only; see remote.MountFleet), fold
+// in -merge's shard stores, wrap the cached execution engine, apply the
 // shard assignment, enable trace capture, start the profiling hooks, and
 // on Close flush everything and print the canonical end-of-run stats
 // lines.
@@ -21,6 +22,7 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -40,7 +42,8 @@ import (
 type Config struct {
 	// Prog prefixes every diagnostic line ("experiments: cache …").
 	Prog string
-	// CacheDir is the local result-store directory ("" = none).
+	// CacheDir is the local result-store directory ("" = none). With
+	// neither CacheDir nor StoreURL the session mounts a memory-only store.
 	CacheDir string
 	// StoreURL is the remote store URL list ("" = none); see remote.MountFleet.
 	StoreURL string
@@ -63,11 +66,12 @@ type Config struct {
 // Session is one mounted instance of the full stack. Open builds it,
 // Close tears it down; in between it is safe for concurrent use.
 type Session struct {
-	cfg      Config
-	diag     io.Writer
-	cli      *remote.CLIStore
-	eng      *runner.CachedEngine
-	stopProf func()
+	cfg            Config
+	diag           io.Writer
+	cli            *remote.CLIStore
+	eng            *runner.CachedEngine
+	shardI, shardM int // 0, 0 when -shard was not given
+	stopProf       func()
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -78,48 +82,80 @@ type Session struct {
 
 // flight is one in-flight unit execution other requests coalesce onto.
 type flight struct {
-	done   chan struct{}
-	report cost.Report
-	err    error
+	done chan struct{}
+	err  error
 }
 
-// Open mounts the stack the config describes: profiling first (so the
-// profile covers the mount), then the store tiers with their one canonical
-// validation path, then the cached engine with shard and capture applied.
-// Every error path tears down what was already built.
+// Open mounts the stack the config describes: the flag combinations are
+// checked first, before anything is mounted; then profiling starts (so the
+// profile covers the mount), the store tiers mount and fold in -merge's
+// shard stores, and the cached engine wraps them with shard and capture
+// applied. Every error path tears down what was already built.
 func Open(cfg Config) (*Session, error) {
+	shardI, shardM, err := cfg.checkFlags()
+	if err != nil {
+		return nil, err
+	}
 	diag := cfg.Diag
 	if diag == nil {
 		diag = os.Stderr
 	}
 	stopProf := func() {}
 	if cfg.Prof != nil {
-		var err error
 		if stopProf, err = cfg.Prof.Start(diag); err != nil {
 			return nil, err
 		}
 	}
-	cli, err := remote.MountFlags(diag, cfg.Prog, cfg.CacheDir, cfg.StoreURL, cfg.Shard, cfg.Merge)
+	st, cls, ring, err := remote.MountFleet(cfg.CacheDir, cfg.StoreURL)
 	if err != nil {
 		stopProf()
 		return nil, err
 	}
-	if cfg.Capture && cli.Store == nil {
-		cli.Close()
-		stopProf()
-		return nil, fmt.Errorf("-capture requires -cache or -store")
+	cli := &remote.CLIStore{Store: st, Clients: cls, Ring: ring}
+	if cfg.Merge != "" {
+		dirs := remote.SplitList(cfg.Merge)
+		added, err := st.Merge(dirs...)
+		if err != nil {
+			cli.Close() //repro:degrade error-path teardown; the merge error below is the one to surface
+			stopProf()
+			return nil, err
+		}
+		fmt.Fprintf(diag, "%s: merged %d entries from %d store(s)\n", cfg.Prog, added, len(dirs)) //repro:degrade diagnostic line on stderr
 	}
-	eng := runner.NewCached(runner.New(cfg.Parallel), cli.Store).
-		WithShard(cli.ShardI, cli.ShardM).
+	eng := runner.NewCached(runner.New(cfg.Parallel), st).
+		WithShard(shardI, shardM).
 		WithCapture(cfg.Capture)
 	return &Session{
 		cfg:      cfg,
 		diag:     diag,
 		cli:      cli,
 		eng:      eng,
+		shardI:   shardI,
+		shardM:   shardM,
 		stopProf: stopProf,
 		inflight: make(map[string]*flight),
 	}, nil
+}
+
+// checkFlags refuses -merge, -shard and -capture without -cache or -store
+// (each needs somewhere durable to write) and -merge beside -shard, and
+// parses -shard i/m into a 0-based index and a count (0, 0 when it was
+// not given).
+func (cfg Config) checkFlags() (shardI, shardM int, err error) {
+	durable := cfg.CacheDir != "" || cfg.StoreURL != ""
+	switch {
+	case cfg.Merge != "" && !durable:
+		return 0, 0, errors.New("-merge requires -cache or -store")
+	case cfg.Merge != "" && cfg.Shard != "":
+		return 0, 0, errors.New("-merge and -shard are mutually exclusive (merge replays the full run)")
+	case cfg.Shard != "" && !durable:
+		return 0, 0, errors.New("-shard requires -cache or -store")
+	case cfg.Capture && !durable:
+		return 0, 0, errors.New("-capture requires -cache or -store")
+	case cfg.Shard == "":
+		return 0, 0, nil
+	}
+	return store.ParseShard(cfg.Shard)
 }
 
 // Engine returns the session's cached execution engine — the handle batch
@@ -127,15 +163,15 @@ func Open(cfg Config) (*Session, error) {
 // immutable; derived copies (WithCapture, WithShard) share the store.
 func (s *Session) Engine() *runner.CachedEngine { return s.eng }
 
-// Store returns the mounted result store (nil when no store flags were
-// given).
+// Store returns the mounted result store: memory-only when neither
+// CacheDir nor StoreURL was given.
 func (s *Session) Store() *store.Store { return s.cli.Store }
 
 // Priming reports whether this session is a prime-only shard pass.
-func (s *Session) Priming() bool { return s.cli.Priming() }
+func (s *Session) Priming() bool { return s.eng.Priming() }
 
 // Shard returns the prime-shard assignment (0, 0 for a normal run).
-func (s *Session) Shard() (i, m int) { return s.cli.ShardI, s.cli.ShardM }
+func (s *Session) Shard() (i, m int) { return s.shardI, s.shardM }
 
 // Coalesced returns how many RunJob calls were served by joining another
 // request's in-flight execution instead of starting their own.
@@ -144,10 +180,9 @@ func (s *Session) Coalesced() int64 { return s.coalesced.Load() }
 // RunJob executes one simulation unit through the session, request-scoped:
 // hits are served from the store, misses execute on the calling goroutine,
 // and identical in-flight units coalesce — the N-1 late arrivals wait for
-// the leader and then read its stored result (one miss, N-1 hits), or
-// share the leader's value directly when no store is mounted. Errors are
-// never cached and never shared: a failed leader leaves followers to try
-// (and surface the failure) themselves.
+// the leader and then read its stored result (one miss, N-1 hits). Errors
+// are never cached and never shared: a failed leader leaves followers to
+// try (and surface the failure) themselves.
 func (s *Session) RunJob(j runner.Job) (cost.Report, error) {
 	k := j.CacheKey()
 	for {
@@ -161,20 +196,18 @@ func (s *Session) RunJob(j runner.Job) (cost.Report, error) {
 				// every caller gets a first-hand verdict.
 				continue
 			}
-			if s.Store() != nil {
-				return s.eng.RunOne(j) // the leader's write makes this a hit
-			}
-			return f.report, nil
+			return s.eng.RunOne(j) // the leader's write makes this a hit
 		}
 		f := &flight{done: make(chan struct{})}
 		s.inflight[k] = f
 		s.mu.Unlock()
-		f.report, f.err = s.eng.RunOne(j)
+		rep, err := s.eng.RunOne(j)
+		f.err = err
 		s.mu.Lock()
 		delete(s.inflight, k)
 		s.mu.Unlock()
 		close(f.done)
-		return f.report, f.err
+		return rep, err
 	}
 }
 

@@ -24,91 +24,68 @@ func openTest(t *testing.T, cfg Config) *Session {
 }
 
 // TestRunUnitCoalesces is the session's concurrency contract: N goroutines
-// requesting one unit against a mounted store cost exactly one simulation —
-// one miss (the leader's execution) and N-1 hits (followers re-reading the
-// leader's write) — in every interleaving, because a follower that arrives
-// after the flight closed still finds the key stored.
+// requesting one unit cost exactly one simulation — one miss (the leader's
+// execution) and N-1 hits (followers re-reading the leader's write) — in
+// every interleaving, because a follower that arrives after the flight
+// closed still finds the key stored. It holds on a durable store and on
+// the memory-only store a session mounts without store flags.
 func TestRunUnitCoalesces(t *testing.T) {
-	s := openTest(t, Config{CacheDir: t.TempDir()})
-	const workers = 16
-	u := Unit{Algo: "yang-anderson", N: 16}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"cache", Config{CacheDir: t.TempDir()}},
+		{"no-flags", Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTest(t, tc.cfg)
+			const workers = 16
+			u := Unit{Algo: "yang-anderson", N: 16}
 
-	var (
-		start   = make(chan struct{})
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		results []UnitResult
-	)
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			res, err := s.RunUnit(u)
-			if err != nil {
-				t.Error(err)
-				return
+			var (
+				start   = make(chan struct{})
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				results []UnitResult
+			)
+			for range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					res, err := s.RunUnit(u)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					results = append(results, res)
+					mu.Unlock()
+				}()
 			}
-			mu.Lock()
-			results = append(results, res)
-			mu.Unlock()
-		}()
-	}
-	close(start)
-	wg.Wait()
+			close(start)
+			wg.Wait()
 
-	if len(results) != workers {
-		t.Fatalf("%d results, want %d", len(results), workers)
-	}
-	for _, r := range results[1:] {
-		if r != results[0] {
-			t.Fatalf("divergent results: %+v vs %+v", r, results[0])
-		}
-	}
-	st := s.Store().Stats()
-	gets := st.Hits + st.Misses
-	if gets != workers {
-		t.Fatalf("hits+misses = %d, want %d (every request must read the store exactly once)", gets, workers)
-	}
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (one leader simulates, everyone else hits)", st.Misses)
-	}
-	if st.Hits != workers-1 {
-		t.Fatalf("hits = %d, want %d", st.Hits, workers-1)
-	}
-}
-
-// TestRunJobCoalescesWithoutStore pins the store-less degradation: followers
-// share the leader's in-memory report instead of re-reading anything.
-func TestRunJobCoalescesWithoutStore(t *testing.T) {
-	s := openTest(t, Config{})
-	if s.Store() != nil {
-		t.Fatal("no store flags, but a store mounted")
-	}
-	u := Unit{Algo: "bakery", N: 8}
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([]UnitResult, workers)
-	start := make(chan struct{})
-	for i := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			res, err := s.RunUnit(u)
-			if err != nil {
-				t.Error(err)
-				return
+			if len(results) != workers {
+				t.Fatalf("%d results, want %d", len(results), workers)
 			}
-			results[i] = res
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for _, r := range results[1:] {
-		if r != results[0] {
-			t.Fatalf("divergent results: %+v vs %+v", r, results[0])
-		}
+			for _, r := range results[1:] {
+				if r != results[0] {
+					t.Fatalf("divergent results: %+v vs %+v", r, results[0])
+				}
+			}
+			st := s.Store().Stats()
+			gets := st.Hits + st.Misses
+			if gets != workers {
+				t.Fatalf("hits+misses = %d, want %d (every request must read the store exactly once)", gets, workers)
+			}
+			if st.Misses != 1 {
+				t.Fatalf("misses = %d, want 1 (one leader simulates, everyone else hits)", st.Misses)
+			}
+			if st.Hits != workers-1 {
+				t.Fatalf("hits = %d, want %d", st.Hits, workers-1)
+			}
+		})
 	}
 }
 
@@ -124,6 +101,7 @@ func TestOpenValidation(t *testing.T) {
 		{"merge-without-store", Config{Merge: "d1"}, "-merge requires -cache or -store"},
 		{"shard-without-store", Config{Shard: "1/2"}, "-shard requires -cache or -store"},
 		{"capture-without-store", Config{Capture: true}, "-capture requires -cache or -store"},
+		{"merge-and-shard", Config{CacheDir: t.TempDir(), Merge: "d1", Shard: "1/2"}, "-merge and -shard are mutually exclusive (merge replays the full run)"},
 		{"bad-shard", Config{CacheDir: t.TempDir(), Shard: "0"}, `store: bad shard "0": want i/m, e.g. 1/3`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -237,9 +237,6 @@ func (s *Store) SetBlobs(bb BlobBackend) { s.blobs = bb }
 
 // Blobs returns the attached blob tier (nil when none).
 func (s *Store) Blobs() BlobBackend {
-	if s == nil {
-		return nil
-	}
 	return s.blobs
 }
 
@@ -247,7 +244,7 @@ func (s *Store) Blobs() BlobBackend {
 // Failures are counted put errors, never surfaced: losing a capture only
 // costs a future replay a re-simulation.
 func (s *Store) BlobPut(key string, val []byte) {
-	if s == nil || s.blobs == nil || key == "" {
+	if s.blobs == nil || key == "" {
 		return
 	}
 	if err := s.blobs.BlobPut(key, val); err != nil {
@@ -261,7 +258,7 @@ func (s *Store) BlobPut(key string, val []byte) {
 // BlobGet returns the payload stored under key. Any failure — absent key,
 // corrupt blob, unreachable tier — is a miss; corruption is counted.
 func (s *Store) BlobGet(key string) ([]byte, bool) {
-	if s == nil || s.blobs == nil || key == "" {
+	if s.blobs == nil || key == "" {
 		return nil, false
 	}
 	v, ok, err := s.blobs.BlobGet(key)
@@ -278,7 +275,7 @@ func (s *Store) BlobGet(key string) ([]byte, bool) {
 
 // BlobHas reports whether key's payload is present in the blob tier.
 func (s *Store) BlobHas(key string) bool {
-	if s == nil || s.blobs == nil || key == "" {
+	if s.blobs == nil || key == "" {
 		return false
 	}
 	return s.blobs.BlobHas(key)
@@ -286,7 +283,7 @@ func (s *Store) BlobHas(key string) bool {
 
 // BlobLen returns the number of stored blobs (0 without a blob tier).
 func (s *Store) BlobLen() int {
-	if s == nil || s.blobs == nil {
+	if s.blobs == nil {
 		return 0
 	}
 	return s.blobs.BlobLen()
@@ -295,7 +292,7 @@ func (s *Store) BlobLen() int {
 // BlobKeys returns the blob tier's key set when it is cheap to enumerate
 // (the file tier), nil otherwise.
 func (s *Store) BlobKeys() []string {
-	if s == nil || s.blobs == nil {
+	if s.blobs == nil {
 		return nil
 	}
 	if kl, ok := s.blobs.(blobKeyLister); ok {

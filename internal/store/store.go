@@ -238,7 +238,7 @@ func (s *Store) Get(key string) ([]byte, bool) { return s.get(key, true) }
 // get is Get with the backend read optional: far=false consults the LRU
 // tier only, counting the hit or miss exactly as Get would.
 func (s *Store) get(key string, far bool) ([]byte, bool) {
-	if s == nil || key == "" {
+	if key == "" {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -270,7 +270,7 @@ func (s *Store) get(key string, far bool) ([]byte, bool) {
 // check) that would otherwise masquerade as cache traffic in Stats.
 // Backend read failures simply read as absent.
 func (s *Store) Peek(key string) ([]byte, bool) {
-	if s == nil || key == "" {
+	if key == "" {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -290,7 +290,7 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 // Has reports whether key is present in either tier, without counting a hit
 // or a miss (used by prime passes to decide what still needs executing).
 func (s *Store) Has(key string) bool {
-	if s == nil || key == "" {
+	if key == "" {
 		return false
 	}
 	s.mu.Lock()
@@ -306,7 +306,7 @@ func (s *Store) Has(key string) bool {
 // counted and otherwise ignored: the store degrades to memory-only rather
 // than failing the computation that produced the value.
 func (s *Store) Put(key string, val []byte) {
-	if s == nil || key == "" {
+	if key == "" {
 		return
 	}
 	s.putResident(key, val)
@@ -331,9 +331,6 @@ func (s *Store) putResident(key string, val []byte) {
 // trip; callers use it to decide whether computing a fan-out's keys up
 // front for Prefetch is worth anything.
 func (s *Store) Batched() bool {
-	if s == nil {
-		return false
-	}
 	_, ok := s.be.(BatchBackend)
 	return ok
 }
@@ -342,9 +339,6 @@ func (s *Store) Batched() bool {
 // probes; callers use it to decide whether computing a fan-out's keys up
 // front for Present is worth anything.
 func (s *Store) ProbeBatched() bool {
-	if s == nil {
-		return false
-	}
 	_, ok := s.be.(HasBatcher)
 	return ok
 }
@@ -366,9 +360,6 @@ const prefetchChunk = 512
 // chunk's keys are unknown, not absent, and the caller must ask per key.
 // Callers that want presence without moving values use Present instead.
 func (s *Store) Prefetch(keys []string) map[string]bool {
-	if s == nil {
-		return nil
-	}
 	bb, ok := s.be.(BatchBackend)
 	if !ok {
 		return nil
@@ -401,9 +392,6 @@ func (s *Store) Prefetch(keys []string) map[string]bool {
 // reads as absent — re-executing a present unit is safe, its identical
 // bytes deduplicate.
 func (s *Store) Present(keys []string) map[string]bool {
-	if s == nil {
-		return nil
-	}
 	hb, ok := s.be.(HasBatcher)
 	if !ok {
 		return nil
@@ -454,7 +442,7 @@ func (s *Store) resolve(keys []string, ask func(chunk []string, present map[stri
 // key (see Compactor). Backends without dead data to reclaim report their
 // live count and zero dropped.
 func (s *Store) Compact() (kept, dropped int, err error) {
-	if s == nil || s.be == nil {
+	if s.be == nil {
 		return 0, 0, nil
 	}
 	if c, ok := s.be.(Compactor); ok {
@@ -467,9 +455,6 @@ func (s *Store) Compact() (kept, dropped int, err error) {
 // Over a composite backend it is the backend's own count, a lower bound
 // for Tiered and Router.
 func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
 	if s.be != nil {
 		return s.be.Len()
 	}
@@ -482,9 +467,6 @@ func (s *Store) Len() int {
 // (keyLister: the NDJSON index), nil otherwise. The migrator uses it to
 // find a draining replica's no-longer-owned slice without reading values.
 func (s *Store) Keys() []string {
-	if s == nil {
-		return nil
-	}
 	if kl, ok := s.be.(keyLister); ok {
 		return kl.Keys()
 	}
@@ -496,7 +478,7 @@ func (s *Store) Keys() []string {
 // goes), so a drain over such a backend copies keys instead of handing
 // them off: remote.DrainStore counts only the deletions that happened.
 func (s *Store) Delete(key string) (bool, error) {
-	if s == nil || key == "" {
+	if key == "" {
 		return false, nil
 	}
 	s.mu.Lock()
@@ -510,9 +492,6 @@ func (s *Store) Delete(key string) (bool, error) {
 
 // Stats returns a snapshot of the store's traffic counters.
 func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
 	st := Stats{
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
@@ -536,9 +515,6 @@ func (s *Store) Stats() Stats {
 // Close closes the backend and the blob tier, if any. A blob tier that is
 // the backend itself (a remote client serving both surfaces) closes once.
 func (s *Store) Close() error {
-	if s == nil {
-		return nil
-	}
 	var berr, blerr error
 	if s.be != nil {
 		berr = s.be.Close()

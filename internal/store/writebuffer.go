@@ -40,8 +40,7 @@ type WriteBuffer struct {
 }
 
 // NewWriteBuffer returns a buffered write path into st flushing every
-// DefaultWriteBufferEntries writes. A nil st yields a no-op buffer,
-// mirroring the nil-store discipline of Store itself.
+// DefaultWriteBufferEntries writes.
 func NewWriteBuffer(st *Store) *WriteBuffer {
 	return &WriteBuffer{st: st}
 }
@@ -50,7 +49,7 @@ func NewWriteBuffer(st *Store) *WriteBuffer {
 // immediately, the durable write deferred until the buffer fills or Flush
 // runs. Memory-only stores have nothing to defer.
 func (w *WriteBuffer) Put(key string, val []byte) {
-	if w == nil || w.st == nil || key == "" {
+	if key == "" {
 		return
 	}
 	w.st.putResident(key, val)
@@ -72,9 +71,6 @@ func (w *WriteBuffer) Put(key string, val []byte) {
 // when the backend cannot batch). Failures are counted, not returned — see
 // the type comment.
 func (w *WriteBuffer) Flush() {
-	if w == nil || w.st == nil {
-		return
-	}
 	w.mu.Lock()
 	chunk := w.pending
 	w.pending = nil

@@ -117,9 +117,4 @@ func TestWriteBufferMemoryOnlyStore(t *testing.T) {
 	if v, ok := st.Get(k); !ok || string(v) != `{"v":1}` {
 		t.Fatalf("memory-only buffered put unreadable: %q ok=%v", v, ok)
 	}
-	// Nil-store discipline mirrors the Store's own.
-	var none *store.WriteBuffer
-	none.Put(k, nil)
-	none.Flush()
-	store.NewWriteBuffer(nil).Put(k, []byte(`{}`))
 }
