@@ -261,7 +261,7 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "experimentd: listening on http://%s\n", ln.Addr())
 	if cfg.CacheDir == "" && cfg.StoreURL == "" {
-		fmt.Fprintf(w, "experimentd: memory-only store; repeats are served from its LRU of %d entries until exit (pass -cache and/or -store to keep results)\n", store.DefaultLRUEntries)
+		fmt.Fprintf(w, "experimentd: memory-only store of up to %d results, kept until exit (pass -cache and/or -store to keep them)\n", store.DefaultLRUEntries)
 	} else {
 		fmt.Fprintf(w, "experimentd: store mounted (%d entries)\n", s.Store().Len())
 	}

@@ -42,7 +42,8 @@ func TestRefusesShard(t *testing.T) {
 
 // TestCachedOutputUnchanged pins the session port's contract: adding
 // -cache changes nothing on stdout — cold and warm runs print the same
-// bytes as a store-less run, for both the single-proof and -all paths.
+// bytes as a run with no store flag, for both the single-proof and -all
+// paths.
 func TestCachedOutputUnchanged(t *testing.T) {
 	for _, base := range [][]string{
 		{"-algo", "yang-anderson", "-n", "4", "-seed", "3"},
@@ -61,7 +62,7 @@ func TestCachedOutputUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		if plain.String() != cold.String() {
-			t.Fatalf("%v: cold cached output diverged from store-less output:\n%s\nvs\n%s", base, cold.String(), plain.String())
+			t.Fatalf("%v: cold cached output diverged from the no-flag output:\n%s\nvs\n%s", base, cold.String(), plain.String())
 		}
 		if cold.String() != warm.String() {
 			t.Fatalf("%v: warm output diverged from cold:\n%s\nvs\n%s", base, warm.String(), cold.String())

@@ -39,7 +39,7 @@ func TestRefusesShard(t *testing.T) {
 
 // TestJSONCachedOutputUnchanged pins the -json path's determinism through
 // the store: a warm re-run serves the unit from cache and prints the same
-// single JSON line as the cold run and as a store-less run.
+// single JSON line as the cold run and as a run with no store flag.
 func TestJSONCachedOutputUnchanged(t *testing.T) {
 	base := []string{"-algo", "mcs", "-n", "6", "-json"}
 	dir := t.TempDir()

@@ -658,7 +658,7 @@ func TestMountRouterSpreadsKeySpace(t *testing.T) {
 
 	// A dead member anywhere in the list fails the mount, naming it — and a
 	// list that names no member at all (unset env vars leaving just ",") is
-	// a loud error, not a silently storeless run.
+	// a loud error, not a silently memory-only run.
 	if _, _, _, err := remote.MountFleet("", ts1.URL+",http://127.0.0.1:1"); err == nil {
 		t.Fatal("replica list with a dead member accepted")
 	}

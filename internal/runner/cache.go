@@ -156,13 +156,13 @@ type skipper interface{ skipped(i int) }
 // cachedMap is the one lookup → execute → write-back → fold sequence every
 // cached fan-out runs: CachedMap, Run, RunSchedules and RunOne are payload
 // adapters over it. exec(i, k) executes unit i under its key k ("" when the
-// unit is uncacheable). Its error is in-band: the
-// value is never stored, and fold receives both and decides whether the
-// fan-out goes on. Folds run in index order on the calling goroutine,
-// whether each value came from the store or from exec, so they are
-// byte-identical at any worker count. skip, when not nil, is told on the
-// worker about each unit that does not execute: a hit, or a unit a prime
-// pass leaves to the store or to another shard.
+// unit is uncacheable). Its error is in-band: the value is never stored,
+// and fold receives both and decides whether the fan-out goes on. Folds
+// run in index order on the calling goroutine, whether each value came
+// from the store or from exec, so they are byte-identical at any worker
+// count. skip, when not nil, is told on the worker about each unit that
+// does not execute: a hit, or a unit a prime pass leaves to the store or
+// to another shard.
 //
 // Keys are computed once, up front. A fan-out of more than one unit
 // against a batching backend travels batched: reads go out in one

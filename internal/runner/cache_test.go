@@ -52,7 +52,7 @@ func TestCachedRunWarmIsByteIdenticalAndExecutesNothing(t *testing.T) {
 	plain := collectRun(t, runner.NewCached(runner.New(2), nil), jobs)
 	cold := collectRun(t, runner.NewCached(runner.New(2), st), jobs)
 	if !reflect.DeepEqual(plain, cold) {
-		t.Fatalf("cold cached run differs from uncached run:\n%+v\nvs\n%+v", cold, plain)
+		t.Fatalf("cold cached run differs from a fresh engine's run:\n%+v\nvs\n%+v", cold, plain)
 	}
 	missesAfterCold := st.Stats().Misses
 	if missesAfterCold == 0 {
@@ -62,7 +62,7 @@ func TestCachedRunWarmIsByteIdenticalAndExecutesNothing(t *testing.T) {
 	for _, w := range []int{1, 4, 8} {
 		warm := collectRun(t, runner.NewCached(runner.New(w), st), jobs)
 		if !reflect.DeepEqual(warm, plain) {
-			t.Fatalf("warm run (workers=%d) differs from uncached run", w)
+			t.Fatalf("warm run (workers=%d) differs from a fresh engine's run", w)
 		}
 	}
 	if got := st.Stats().Misses; got != missesAfterCold {
