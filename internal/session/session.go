@@ -138,19 +138,19 @@ func Open(cfg Config) (*Session, error) {
 }
 
 // checkFlags refuses -merge, -shard and -capture without -cache or -store
-// (each needs somewhere durable to write) and -merge beside -shard, and
-// parses -shard i/m into a 0-based index and a count (0, 0 when it was
-// not given).
+// (a shard pass and a capture write for a later process to read) and
+// -merge beside -shard, and parses -shard i/m into a 0-based index and a
+// count (0, 0 when it was not given).
 func (cfg Config) checkFlags() (shardI, shardM int, err error) {
-	durable := cfg.CacheDir != "" || cfg.StoreURL != ""
+	stored := cfg.CacheDir != "" || cfg.StoreURL != ""
 	switch {
-	case cfg.Merge != "" && !durable:
+	case cfg.Merge != "" && !stored:
 		return 0, 0, errors.New("-merge requires -cache or -store")
 	case cfg.Merge != "" && cfg.Shard != "":
 		return 0, 0, errors.New("-merge and -shard are mutually exclusive (merge replays the full run)")
-	case cfg.Shard != "" && !durable:
+	case cfg.Shard != "" && !stored:
 		return 0, 0, errors.New("-shard requires -cache or -store")
-	case cfg.Capture && !durable:
+	case cfg.Capture && !stored:
 		return 0, 0, errors.New("-capture requires -cache or -store")
 	case cfg.Shard == "":
 		return 0, 0, nil
